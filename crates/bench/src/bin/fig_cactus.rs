@@ -11,8 +11,7 @@
 use std::time::Duration;
 
 use bench::{
-    jobs_arg, record, render_table, run_benchmark, run_benchmarks_parallel, write_bench_json,
-    Engine, Json,
+    jobs_arg, record, render_table, run_benchmarks_parallel, write_bench_json, Engine, Json,
 };
 use lambda2_bench_suite::catalog;
 use lambda2_synth::par::effective_jobs;
@@ -43,18 +42,11 @@ fn main() {
             }
             (false, _) => Duration::from_secs(30),
         };
-        let measurements = if jobs > 1 {
-            eprintln!(
-                "  {engine}: running {} benchmarks across {jobs} workers...",
-                suite.len()
-            );
-            run_benchmarks_parallel(&suite, engine, Some(cap), jobs)
-        } else {
-            suite
-                .iter()
-                .map(|bench| run_benchmark(bench, engine, Some(cap)))
-                .collect()
-        };
+        eprintln!(
+            "  {engine}: running {} benchmarks across {jobs} workers...",
+            suite.len()
+        );
+        let measurements = run_benchmarks_parallel(&suite, engine, Some(cap), jobs);
         let mut col = Vec::new();
         for m in &measurements {
             eprintln!(

@@ -17,12 +17,9 @@
 
 use std::time::Duration;
 
-use bench::{
-    measurement_of_isolated, ms, record, render_table, synthesize_isolated, write_bench_json,
-    RunError,
-};
+use bench::{ms, record, render_table, run_problem, write_bench_json, Engine};
 use lambda2_bench_suite::by_name;
-use lambda2_synth::{SearchOptions, Synthesizer};
+use lambda2_synth::SearchOptions;
 
 const SLICE: &[&str] = &[
     "sum", "reverse", "evens", "droplast", "multlast", "sumt", "flattenl", "sums", "maxes",
@@ -76,27 +73,20 @@ fn main() {
             let mut options = bench.tune(SearchOptions::default());
             options.timeout = Some(Duration::from_secs(60));
             (config.apply)(&mut options);
-            let result = synthesize_isolated(&Synthesizer::with_options(options), &bench.problem);
+            let (m, _) = run_problem(&bench.problem, Engine::Lambda2, options);
             records.push(record(
                 &format!("{name}/{}", config.name),
-                &measurement_of_isolated(
-                    name,
-                    bench.problem.examples().len(),
-                    &result,
-                    Duration::from_secs(60),
-                ),
+                &m,
                 &[("config", config.name.into())],
             ));
-            let cell = match &result {
-                Ok(s) => {
-                    // A solution that fails held-out generalization is
-                    // still *sound* (it fits the examples) but reveals the
-                    // config found a cheaper fitting program than the
-                    // intended one — mark the cost.
-                    format!("{} (c{})", ms(s.elapsed), s.cost)
-                }
-                Err(RunError::Synth(lambda2_synth::SynthError::Timeout)) => "timeout".into(),
-                Err(other) => other.to_string(),
+            let cell = match m.error.as_deref() {
+                // A solution that fails held-out generalization is still
+                // *sound* (it fits the examples) but reveals the config
+                // found a cheaper fitting program than the intended one —
+                // mark the cost.
+                None => format!("{} (c{})", ms(m.elapsed), m.cost),
+                Some("synthesis timed out") => "timeout".into(),
+                Some(other) => other.to_owned(),
             };
             eprintln!("  {name} / {}: {cell}", config.name);
             row.push(cell);

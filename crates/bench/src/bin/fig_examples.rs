@@ -11,14 +11,10 @@
 
 use std::time::Duration;
 
-use bench::{
-    measurement_of_isolated, ms, options_for, record, render_table, synthesize_isolated,
-    write_bench_json,
-};
+use bench::{ms, options_for, record, render_table, run_problem, write_bench_json, Engine};
 use lambda2_bench_suite::by_name;
 use lambda2_bench_suite::generators::example_sweep;
 use lambda2_lang::eval::DEFAULT_FUEL;
-use lambda2_synth::Synthesizer;
 
 const PROBLEMS: &[&str] = &["sum", "length", "reverse", "incr", "evens", "sumt", "sums"];
 const KS: &[usize] = &[1, 2, 3, 4, 6, 8, 12];
@@ -39,15 +35,9 @@ fn main() {
             };
             let mut options = options_for(&bench, Some(Duration::from_secs(20)));
             options.timeout = Some(Duration::from_secs(20));
-            let result = synthesize_isolated(&Synthesizer::with_options(options), &problem);
-            let m = measurement_of_isolated(
-                name,
-                problem.examples().len(),
-                &result,
-                Duration::from_secs(20),
-            );
-            let (solved, time, generalizes) = match &result {
-                Ok(s) => {
+            let (m, report) = run_problem(&problem, Engine::Lambda2, options);
+            let (solved, generalizes) = match report.and_then(|r| r.outcome.ok()) {
+                Some(s) => {
                     // Held-out check: the synthesized program must agree
                     // with the reference on fresh inputs.
                     let holdout = example_sweep(&bench, 12, SEED + 1)
@@ -56,10 +46,11 @@ fn main() {
                         s.program.apply_with_fuel(&ex.inputs, DEFAULT_FUEL).ok()
                             == reference.apply_with_fuel(&ex.inputs, DEFAULT_FUEL).ok()
                     });
-                    (true, s.elapsed, gen)
+                    (true, gen)
                 }
-                Err(_) => (false, Duration::from_secs(20), false),
+                None => (false, false),
             };
+            let time = m.elapsed;
             records.push(record(
                 &format!("{name}/k{k}"),
                 &m,

@@ -16,26 +16,17 @@
 //! `--quick` skips `hard` problems (CI runs quick; the committed
 //! `results/BENCH_static_prune.json` is a quick run).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use bench::{measurement_of, ms, options_for, record, render_table, write_bench_json, Json};
+use bench::{ms, options_for, record, render_table, run_problem, write_bench_json, Engine, Json};
 use lambda2_bench_suite::{catalog, Benchmark};
 use lambda2_synth::analyze::{Tier, DOMAIN_ORDER};
-use lambda2_synth::{Measurement, Synthesizer};
+use lambda2_synth::Measurement;
 
 fn run(bench: &Benchmark, prune: bool) -> Measurement {
-    let options = options_for(bench, None);
-    let budget = options.timeout.expect("options_for always sets a timeout");
-    let problem = &bench.problem;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        Synthesizer::with_options(options.clone())
-            .static_prune(prune)
-            .synthesize(problem)
-    }));
-    match outcome {
-        Ok(result) => measurement_of(problem.name(), problem.examples().len(), &result, budget),
-        Err(_) => panic!("synthesis panicked on {}", problem.name()),
-    }
+    let mut options = options_for(bench, None);
+    options.static_prune = prune;
+    let (m, report) = run_problem(&bench.problem, Engine::Lambda2, options);
+    assert!(report.is_some(), "{}: {:?}", m.name, m.error);
+    m
 }
 
 fn main() {

@@ -19,26 +19,17 @@
 //!
 //! Usage: `cargo run -p bench --release --bin fig_static_refute [-- --quick]`
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use bench::{measurement_of, ms, options_for, record, render_table, write_bench_json};
+use bench::{ms, options_for, record, render_table, run_problem, write_bench_json, Engine};
 use lambda2_bench_suite::{catalog, Benchmark};
-use lambda2_synth::{Measurement, Synthesizer};
+use lambda2_synth::Measurement;
 
 fn run(bench: &Benchmark, analysis: bool) -> Measurement {
-    let options = options_for(bench, None);
-    let budget = options.timeout.expect("options_for always sets a timeout");
-    let problem = &bench.problem;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        Synthesizer::with_options(options.clone())
-            .static_analysis(analysis)
-            .static_prune(false)
-            .synthesize(problem)
-    }));
-    match outcome {
-        Ok(result) => measurement_of(problem.name(), problem.examples().len(), &result, budget),
-        Err(_) => panic!("synthesis panicked on {}", problem.name()),
-    }
+    let mut options = options_for(bench, None);
+    options.static_analysis = analysis;
+    options.static_prune = false;
+    let (m, report) = run_problem(&bench.problem, Engine::Lambda2, options);
+    assert!(report.is_some(), "{}: {:?}", m.name, m.error);
+    m
 }
 
 fn main() {

@@ -15,15 +15,12 @@
 //! per-problem [`Measurement`]s with phase timings — deterministic paths
 //! no matter which directory the binary is launched from.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use lambda2_bench_suite::Benchmark;
-use lambda2_synth::baseline::{synthesize_baseline, BaselineOptions};
-use lambda2_synth::govern::panic_message;
 use lambda2_synth::par::{synthesize_batch, ParEngine, ParTask};
-use lambda2_synth::{Measurement, SearchOptions, Stats, SynthError, Synthesis, Synthesizer};
+use lambda2_synth::{Measurement, Problem, SearchOptions, SearchReport};
 
 pub use lambda2_synth::obs::json::Json;
 
@@ -65,47 +62,28 @@ pub fn options_for(bench: &Benchmark, timeout: Option<Duration>) -> SearchOption
     options
 }
 
-/// Runs one benchmark under one engine and records the outcome.
+/// Runs one problem under fully resolved `options` with `engine`, on a
+/// one-worker pool (see [`lambda2_synth::par`]), and records the outcome.
 ///
-/// The run is panic-isolated: a crash inside the engine becomes a
-/// `solved: false` measurement carrying the panic message in `error`, so
-/// a batch sweep records the failure and moves on instead of aborting.
+/// The run is panic-isolated: a crash inside the engine becomes
+/// [`Measurement::panicked`] and no report, so a sweep records the
+/// failure and moves on instead of aborting. Otherwise the record is the
+/// report's [`SearchReport::to_measurement`]: its own elapsed time and
+/// counters on every path, failures included.
+pub fn run_problem(
+    problem: &Problem,
+    engine: Engine,
+    options: SearchOptions,
+) -> (Measurement, Option<SearchReport>) {
+    run_tasks(vec![task(problem, engine, options)], 1)
+        .pop()
+        .expect("one task, one outcome")
+}
+
+/// Runs one benchmark under one engine with [`options_for`] and records
+/// the outcome (see [`run_problem`]).
 pub fn run_benchmark(bench: &Benchmark, engine: Engine, timeout: Option<Duration>) -> Measurement {
-    let options = options_for(bench, timeout);
-    let problem = &bench.problem;
-    let outcome = catch_unwind(AssertUnwindSafe(|| match engine {
-        Engine::Lambda2 => Synthesizer::with_options(options.clone()).synthesize(problem),
-        Engine::NoDeduce => Synthesizer::with_options(options.clone())
-            .deduction(false)
-            .synthesize(problem),
-        Engine::Baseline => {
-            let bopts = BaselineOptions {
-                timeout: options.timeout,
-                max_cost: options.max_cost,
-                ..BaselineOptions::default()
-            };
-            synthesize_baseline(problem, &bopts)
-        }
-    }));
-    let budget = timeout.unwrap_or(if bench.hard {
-        HARD_TIMEOUT
-    } else {
-        DEFAULT_TIMEOUT
-    });
-    match outcome {
-        Ok(result) => measurement_of(problem.name(), problem.examples().len(), &result, budget),
-        Err(payload) => Measurement {
-            name: problem.name().to_owned(),
-            elapsed: Duration::ZERO,
-            solved: false,
-            cost: 0,
-            size: 0,
-            program: String::new(),
-            examples: problem.examples().len(),
-            stats: Stats::default(),
-            error: Some(format!("panicked: {}", panic_message(&*payload))),
-        },
-    }
+    run_problem(&bench.problem, engine, options_for(bench, timeout)).0
 }
 
 /// Runs a suite of benchmarks under one engine across `jobs` worker
@@ -119,51 +97,42 @@ pub fn run_benchmarks_parallel(
     timeout: Option<Duration>,
     jobs: usize,
 ) -> Vec<Measurement> {
-    let tasks: Vec<ParTask> = benches
+    let tasks = benches
         .iter()
-        .map(|bench| {
-            let mut options = options_for(bench, timeout);
-            if engine == Engine::NoDeduce {
-                options.deduction = false;
-            }
-            ParTask {
-                spec: bench.problem.clone(),
-                options,
-                engine: match engine {
-                    Engine::Baseline => ParEngine::Baseline,
-                    Engine::Lambda2 | Engine::NoDeduce => ParEngine::Search,
-                },
-                portfolio: false,
-                collect_trace: false,
-            }
-        })
+        .map(|bench| task(&bench.problem, engine, options_for(bench, timeout)))
         .collect();
-    let budgets: Vec<Duration> = benches
-        .iter()
-        .map(|bench| {
-            timeout.unwrap_or(if bench.hard {
-                HARD_TIMEOUT
-            } else {
-                DEFAULT_TIMEOUT
-            })
-        })
-        .collect();
+    run_tasks(tasks, jobs).into_iter().map(|(m, _)| m).collect()
+}
+
+/// Packages one problem for the worker pool under `engine`.
+fn task(problem: &Problem, engine: Engine, mut options: SearchOptions) -> ParTask {
+    if engine == Engine::NoDeduce {
+        options.deduction = false;
+    }
+    ParTask {
+        spec: problem.clone(),
+        options,
+        engine: match engine {
+            Engine::Baseline => ParEngine::Baseline,
+            Engine::Lambda2 | Engine::NoDeduce => ParEngine::Search,
+        },
+        collect_trace: false,
+    }
+}
+
+/// Runs `tasks` on the pool and turns each outcome into its record.
+fn run_tasks(tasks: Vec<ParTask>, jobs: usize) -> Vec<(Measurement, Option<SearchReport>)> {
     synthesize_batch(tasks, jobs)
         .into_iter()
-        .zip(budgets)
-        .map(|(outcome, budget)| match outcome.result {
-            Ok(report) => report.to_measurement_budgeted(&outcome.name, outcome.examples, budget),
-            Err(msg) => Measurement {
-                name: outcome.name,
-                elapsed: Duration::ZERO,
-                solved: false,
-                cost: 0,
-                size: 0,
-                program: String::new(),
-                examples: outcome.examples,
-                stats: Stats::default(),
-                error: Some(format!("panicked: {msg}")),
-            },
+        .map(|outcome| match outcome.result {
+            Ok(report) => (
+                report.to_measurement(&outcome.name, outcome.examples),
+                Some(report),
+            ),
+            Err(msg) => (
+                Measurement::panicked(&outcome.name, outcome.examples, &msg),
+                None,
+            ),
         })
         .collect()
 }
@@ -186,101 +155,6 @@ pub fn jobs_arg(args: &mut Vec<String>) -> Option<usize> {
             eprintln!("error: --jobs: `{raw}` is not a whole number of workers");
             std::process::exit(2);
         }
-    }
-}
-
-/// A per-run failure seen by the harness: the engine's own terminal
-/// error, or a panic caught at the isolation boundary.
-#[derive(Clone, Debug)]
-pub enum RunError {
-    /// The engine returned a structured error.
-    Synth(SynthError),
-    /// The engine panicked; the rendered payload message.
-    Panic(String),
-}
-
-impl std::fmt::Display for RunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunError::Synth(e) => write!(f, "{e}"),
-            RunError::Panic(msg) => write!(f, "panicked: {msg}"),
-        }
-    }
-}
-
-/// Runs `synthesizer` on `problem` under panic isolation: a crash inside
-/// the engine becomes [`RunError::Panic`] instead of aborting the sweep.
-pub fn synthesize_isolated(
-    synthesizer: &Synthesizer,
-    problem: &lambda2_synth::Problem,
-) -> Result<Synthesis, RunError> {
-    match catch_unwind(AssertUnwindSafe(|| synthesizer.synthesize(problem))) {
-        Ok(Ok(s)) => Ok(s),
-        Ok(Err(e)) => Err(RunError::Synth(e)),
-        Err(payload) => Err(RunError::Panic(panic_message(&*payload))),
-    }
-}
-
-/// [`measurement_of`] over a panic-isolated outcome.
-pub fn measurement_of_isolated(
-    name: &str,
-    examples: usize,
-    result: &Result<Synthesis, RunError>,
-    budget: Duration,
-) -> Measurement {
-    match result {
-        Ok(s) => measurement_of(name, examples, &Ok(s.clone()), budget),
-        Err(RunError::Synth(e)) => measurement_of(name, examples, &Err(e.clone()), budget),
-        Err(e @ RunError::Panic(_)) => Measurement {
-            name: name.to_owned(),
-            elapsed: Duration::ZERO,
-            solved: false,
-            cost: 0,
-            size: 0,
-            program: String::new(),
-            examples,
-            stats: Stats::default(),
-            error: Some(e.to_string()),
-        },
-    }
-}
-
-/// Converts a synthesis outcome into a [`Measurement`]. Timeouts are
-/// charged the full `budget`; other failures (exhausted space,
-/// inconsistent examples) report zero elapsed.
-pub fn measurement_of(
-    name: &str,
-    examples: usize,
-    result: &Result<Synthesis, SynthError>,
-    budget: Duration,
-) -> Measurement {
-    match result {
-        Ok(s) => Measurement {
-            name: name.to_owned(),
-            elapsed: s.elapsed,
-            solved: true,
-            cost: s.cost,
-            size: s.program.body().size(),
-            program: s.program.to_string(),
-            examples,
-            stats: s.stats.clone(),
-            error: None,
-        },
-        Err(e) => Measurement {
-            name: name.to_owned(),
-            elapsed: if matches!(e, SynthError::Timeout) {
-                budget
-            } else {
-                Duration::ZERO
-            },
-            solved: false,
-            cost: 0,
-            size: 0,
-            program: String::new(),
-            examples,
-            stats: Stats::default(),
-            error: Some(e.to_string()),
-        },
     }
 }
 
@@ -416,17 +290,37 @@ mod tests {
     }
 
     #[test]
-    fn measurement_of_records_the_terminal_error() {
-        let ok: Result<Synthesis, SynthError> = Err(SynthError::Timeout);
-        let m = measurement_of("p", 2, &ok, Duration::from_secs(3));
-        assert!(!m.solved);
-        assert_eq!(m.elapsed, Duration::from_secs(3));
-        assert_eq!(m.error.as_deref(), Some("synthesis timed out"));
-
-        let exhausted: Result<Synthesis, SynthError> = Err(SynthError::Exhausted);
-        let m = measurement_of("p", 2, &exhausted, Duration::from_secs(3));
-        assert_eq!(m.elapsed, Duration::ZERO);
-        assert!(m.error.is_some());
+    fn failed_runs_keep_their_own_stats_and_elapsed() {
+        // A pop-capped run and a short-deadline run, each through the
+        // sequential and the pooled harness path: both report unsolved
+        // with the work they did and the time they actually took.
+        let mut capped = by_name("evens").unwrap();
+        capped.adjust = Some(|o| o.max_popped = 3);
+        let deadline = Duration::from_millis(50);
+        let cases = [
+            (capped, Duration::from_secs(10), "limit reached"),
+            (by_name("evens").unwrap(), deadline, "timed out"),
+        ];
+        for (bench, timeout, needle) in &cases {
+            let sequential = run_benchmark(bench, Engine::Lambda2, Some(*timeout));
+            let pooled = run_benchmarks_parallel(
+                std::slice::from_ref(bench),
+                Engine::Lambda2,
+                Some(*timeout),
+                2,
+            );
+            for m in [&sequential, &pooled[0]] {
+                assert!(!m.solved);
+                let error = m.error.as_deref().unwrap_or_default();
+                assert!(error.contains(needle), "`{error}` lacks `{needle}`");
+                assert!(m.stats.popped > 0, "{error}: counters kept");
+                assert!(m.elapsed > Duration::ZERO, "{error}: elapsed kept");
+                if *timeout == deadline {
+                    // Not a flat charge of exactly the budget.
+                    assert!(m.elapsed > deadline, "{:?}", m.elapsed);
+                }
+            }
+        }
     }
 
     #[test]

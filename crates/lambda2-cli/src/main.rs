@@ -37,8 +37,6 @@
 //!                           sequential). Several problems: fan the batch
 //!                           across the pool. One problem: parallelize
 //!                           *within* its search (byte-identical results)
-//!   --portfolio             race the retry-ladder rungs concurrently;
-//!                           same answer as --retry-ladder, less wall time
 //!   --no-static-analysis    disable the abstract-interpretation refutation
 //!                           pre-pass entirely (both tiers; same results)
 //!   --no-static-prune       keep the pre-pass but disable its pruning
@@ -75,7 +73,6 @@
 //!   --backoff-ms <n>        base retry delay, exponential + jitter (100)
 //!   --seed <n>              jitter seed (deterministic backoff; 0)
 //!   --timeout-ms <n>        per-request budget sent to the daemon
-//!   --portfolio             ask the daemon to race the ladder rungs
 //! ```
 //!
 //! `client` exit codes: 0 every request answered `ok`, 1 any request
@@ -134,7 +131,7 @@ use lambda2_synth::{
     load_access_log, load_records, load_trace, options_fingerprint, parse_problem, regress,
     render_access_html, render_html, summarize, AccessReport, Corpus, DiffOutcome, FindingKind,
     JsonlTracer, Measurement, Problem, RegressThresholds, RunRecord, SearchOptions, SearchReport,
-    ServeConfig, Server, Synthesizer, TraceEvent, Tracer, Weight,
+    ServeConfig, Server, Synthesis, Synthesizer, TraceEvent, Tracer, Weight,
 };
 
 /// Default daemon address shared by `l2 serve` and `l2 client`.
@@ -163,8 +160,6 @@ struct Flags {
     /// Worker threads for batch commands (`None` = sequential, 0 = one
     /// per CPU).
     jobs: Option<usize>,
-    /// Race the retry-ladder rungs concurrently within each problem.
-    portfolio: bool,
     /// Disable the abstract-interpretation refutation pre-pass.
     no_static_analysis: bool,
     /// Keep the pre-pass but disable its pruning tier (ablation arm).
@@ -317,7 +312,6 @@ impl Flags {
                         format!("--jobs: `{raw}` is not a whole number of workers")
                     })?);
                 }
-                "--portfolio" => flags.portfolio = true,
                 "--no-static-analysis" => flags.no_static_analysis = true,
                 "--no-static-prune" => flags.no_static_prune = true,
                 "--json" => flags.json = true,
@@ -417,7 +411,7 @@ fn main() -> ExitCode {
                  l2 client synth <problem.l2>... | ping | stats | shutdown\n\
                  flags: --trace <path>  --stats-json[=<path>]  --corpus <dir>  \
                  --progress  --timeout-ms <n>  \
-                 --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  --portfolio  \
+                 --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  \
                  --no-static-analysis  --no-static-prune\n\
                  profile flags: --json  --weight pops|time  --out <path>\n\
                  corpus flags: --json  --wall-ratio <f>  --wall-floor-ms <n>  \
@@ -427,7 +421,7 @@ fn main() -> ExitCode {
                  --corpus <dir>  --access-log <path>  --slow-trace-ms <n>  \
                  --slow-trace-dir <dir>\n\
                  client flags: --addr <a>  --retries <n>  --backoff-ms <n>  \
-                 --seed <n>  --timeout-ms <n>  --portfolio  --json"
+                 --seed <n>  --timeout-ms <n>  --json"
             );
             return ExitCode::from(2);
         }
@@ -587,14 +581,17 @@ impl Tracer for ProgressLine<'_> {
     }
 }
 
-/// Runs one governed synthesis, honoring `--trace` and `--progress`, with
-/// panic isolation: a crash inside the engine becomes an error
-/// measurement, not an abort.
+/// Runs and [`report`]s one governed synthesis on this thread, honoring
+/// `--trace` and `--progress`, with panic isolation: a crash inside the
+/// engine is reported as a failed problem, not an abort. Returns the
+/// synthesis when the problem was solved; `Err` is a trace-file I/O
+/// failure, which fails the command.
 fn run_synthesis(
     synthesizer: &Synthesizer,
     problem: &Problem,
     flags: &Flags,
-) -> Result<SearchReport, String> {
+    sinks: &Sinks,
+) -> Result<Option<Synthesis>, String> {
     let mut jsonl = match &flags.trace {
         Some(path) => Some(
             JsonlTracer::create(path)
@@ -602,7 +599,7 @@ fn run_synthesis(
         ),
         None => None,
     };
-    let report = {
+    let outcome = {
         let mut line = ProgressLine {
             inner: jsonl.as_mut().map(|t| t as &mut dyn Tracer),
             render: flags.progress,
@@ -610,14 +607,10 @@ fn run_synthesis(
         };
         let tracer = &mut line;
         let r = catch_unwind(AssertUnwindSafe(|| {
-            if flags.portfolio {
-                synthesizer.synthesize_report_portfolio_traced(problem, tracer)
-            } else {
-                synthesizer.synthesize_report_traced(problem, tracer)
-            }
+            synthesizer.synthesize_report_traced(problem, tracer)
         }));
         line.finish_line();
-        r
+        r.map_err(|payload| panic_message(&*payload))
     };
     if let (Some(tracer), Some(path)) = (jsonl, &flags.trace) {
         let lines = tracer
@@ -625,22 +618,26 @@ fn run_synthesis(
             .map_err(|e| format!("writing trace file {}: {e}", path.display()))?;
         eprintln!("trace: {lines} events -> {}", path.display());
     }
-    report.map_err(|payload| format!("synthesis panicked: {}", panic_message(&*payload)))
+    let fp = options_fingerprint(synthesizer.options());
+    let (name, examples) = (problem.name(), problem.examples().len());
+    report(name, examples, &outcome, flags, sinks, &fp);
+    Ok(outcome.ok().and_then(|r| r.outcome.ok()))
 }
 
-/// Prints the result summary (and the `--stats-json` line), and records
-/// the measurement in the configured [`Sinks`]. Returns `true` when the
-/// problem was solved.
+/// Prints one problem's result summary (and its `--stats-json` line) and
+/// records the measurement in the configured [`Sinks`]. `outcome` is the
+/// engine's report, or its panic message when it crashed. Returns `true`
+/// when the problem was solved.
 fn report(
-    problem: &Problem,
+    name: &str,
+    examples: usize,
     outcome: &Result<SearchReport, String>,
     flags: &Flags,
     sinks: &Sinks,
     fingerprint: &str,
 ) -> bool {
-    let (solved, error, measurement) = match outcome {
+    let measurement = match outcome {
         Ok(report) => {
-            let m = report.to_measurement(problem.name(), problem.examples().len());
             match &report.outcome {
                 Ok(s) => {
                     emit_line(&s.program);
@@ -651,42 +648,27 @@ fn report(
                         s.stats
                     );
                     eprintln!("phases: {}", s.stats.phases);
-                    (true, None, m)
                 }
-                Err(e) => {
-                    if !report.frontier.is_empty() {
-                        eprintln!("best incomplete candidates:");
-                        for item in &report.frontier {
-                            eprintln!("  cost {:3}  {}", item.cost, item.sketch);
-                        }
+                Err(_) if !report.frontier.is_empty() => {
+                    eprintln!("best incomplete candidates:");
+                    for item in &report.frontier {
+                        eprintln!("  cost {:3}  {}", item.cost, item.sketch);
                     }
-                    (false, Some(e.to_string()), m)
                 }
+                Err(_) => {}
             }
+            report.to_measurement(name, examples)
         }
-        Err(msg) => {
-            let m = Measurement {
-                name: problem.name().to_owned(),
-                elapsed: Duration::ZERO,
-                solved: false,
-                cost: 0,
-                size: 0,
-                program: String::new(),
-                examples: problem.examples().len(),
-                stats: Default::default(),
-                error: Some(msg.clone()),
-            };
-            (false, Some(msg.clone()), m)
-        }
+        Err(msg) => Measurement::panicked(name, examples, msg),
     };
-    if let Some(e) = &error {
-        eprintln!("{}: error: {e}", problem.name());
+    if let Some(e) = &measurement.error {
+        eprintln!("{name}: error: {e}");
     }
     if flags.stats_json {
         emit_line(measurement.to_json());
     }
     sinks.record(&measurement, fingerprint);
-    solved
+    measurement.solved
 }
 
 fn cmd_synth(paths: &[String], flags: &Flags) -> Result<(), String> {
@@ -704,9 +686,7 @@ fn cmd_synth(paths: &[String], flags: &Flags) -> Result<(), String> {
                         problem.examples().len()
                     );
                     let synthesizer = synthesizer_single(flags);
-                    let fingerprint = options_fingerprint(synthesizer.options());
-                    let outcome = run_synthesis(&synthesizer, &problem, flags);
-                    if !report(&problem, &outcome, flags, &sinks, &fingerprint) {
+                    if run_synthesis(&synthesizer, &problem, flags, &sinks)?.is_none() {
                         failed += 1;
                     }
                 }
@@ -742,7 +722,6 @@ fn par_task(problem: &Problem, synthesizer: Synthesizer, flags: &Flags) -> ParTa
         spec: problem.clone(),
         options: synthesizer.options().clone(),
         engine: ParEngine::Search,
-        portfolio: flags.portfolio,
         collect_trace: flags.trace.is_some(),
     }
 }
@@ -764,7 +743,7 @@ fn run_batch(tasks: Vec<ParTask>, flags: &Flags, sinks: &Sinks) -> Result<usize,
     Ok(outcomes
         .iter()
         .zip(&fingerprints)
-        .filter(|(o, fp)| !report_par(o, flags, sinks, fp))
+        .filter(|(o, fp)| !report(&o.name, o.examples, &o.result, flags, sinks, fp))
         .count())
 }
 
@@ -802,62 +781,6 @@ fn write_tagged_trace(outcomes: &[ParOutcome], flags: &Flags) -> Result<(), Stri
     Ok(())
 }
 
-/// [`report`] for a pool outcome: same summary lines, same `--stats-json`
-/// record, same sink recording. Returns `true` when the problem was
-/// solved.
-fn report_par(outcome: &ParOutcome, flags: &Flags, sinks: &Sinks, fingerprint: &str) -> bool {
-    let (solved, error, measurement) = match &outcome.result {
-        Ok(report) => {
-            let m = report.to_measurement(&outcome.name, outcome.examples);
-            match &report.outcome {
-                Ok(s) => {
-                    emit_line(&s.program);
-                    eprintln!(
-                        "cost {}, {:.1} ms, {}",
-                        s.cost,
-                        report.elapsed.as_secs_f64() * 1e3,
-                        s.stats
-                    );
-                    eprintln!("phases: {}", s.stats.phases);
-                    (true, None, m)
-                }
-                Err(e) => {
-                    if !report.frontier.is_empty() {
-                        eprintln!("best incomplete candidates:");
-                        for item in &report.frontier {
-                            eprintln!("  cost {:3}  {}", item.cost, item.sketch);
-                        }
-                    }
-                    (false, Some(e.to_string()), m)
-                }
-            }
-        }
-        Err(msg) => {
-            let msg = format!("synthesis panicked: {msg}");
-            let m = Measurement {
-                name: outcome.name.clone(),
-                elapsed: Duration::ZERO,
-                solved: false,
-                cost: 0,
-                size: 0,
-                program: String::new(),
-                examples: outcome.examples,
-                stats: Default::default(),
-                error: Some(msg.clone()),
-            };
-            (false, Some(msg), m)
-        }
-    };
-    if let Some(e) = &error {
-        eprintln!("{}: error: {e}", outcome.name);
-    }
-    if flags.stats_json {
-        emit_line(measurement.to_json());
-    }
-    sinks.record(&measurement, fingerprint);
-    solved
-}
-
 fn cmd_run(path: &str, run_args: &[String], flags: &Flags) -> Result<(), String> {
     let sinks = prepare_sinks(flags)?;
     let problem = load_problem(path)?;
@@ -867,15 +790,10 @@ fn cmd_run(path: &str, run_args: &[String], flags: &Flags) -> Result<(), String>
         problem.examples().len()
     );
     let synthesizer = synthesizer_single(flags);
-    let fingerprint = options_fingerprint(synthesizer.options());
-    let outcome = run_synthesis(&synthesizer, &problem, flags);
-    if !report(&problem, &outcome, flags, &sinks, &fingerprint) {
+    let Some(solved) = run_synthesis(&synthesizer, &problem, flags, &sinks)? else {
         return Err(format!("`{}` was not solved", problem.name()));
-    }
-    let program = match outcome {
-        Ok(r) => r.outcome.expect("reported solved").program,
-        Err(_) => unreachable!("report() returned true"),
     };
+    let program = solved.program;
     let vals = run_args
         .iter()
         .map(|a| lambda2_lang::parser::parse_value(a).map_err(|e| e.to_string()))
@@ -924,9 +842,7 @@ fn cmd_bench(names: &[String], flags: &Flags) -> Result<(), String> {
             tasks.push(par_task(&bench.problem, synthesizer, flags));
             continue;
         }
-        let fingerprint = options_fingerprint(synthesizer.options());
-        let outcome = run_synthesis(&synthesizer, &bench.problem, flags);
-        if !report(&bench.problem, &outcome, flags, &sinks, &fingerprint) {
+        if run_synthesis(&synthesizer, &bench.problem, flags, &sinks)?.is_none() {
             failed += 1;
         }
     }
@@ -1552,9 +1468,6 @@ fn cmd_client(args: &[String], flags: &Flags) -> ExitCode {
                 if let Some(ms) = flags.timeout_ms {
                     pairs.push(("timeout_ms".to_owned(), ms.into()));
                 }
-                if flags.portfolio {
-                    pairs.push(("portfolio".to_owned(), true.into()));
-                }
                 requests.push((path.clone(), Json::Obj(pairs)));
             }
         }
@@ -1813,13 +1726,12 @@ mod tests {
 
     #[test]
     fn parallel_flags_parse() {
-        let mut args: Vec<String> = ["bench", "--jobs", "4", "--portfolio", "evens"]
+        let mut args: Vec<String> = ["bench", "--jobs", "4", "evens"]
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
         let flags = Flags::extract(&mut args).unwrap();
         assert_eq!(flags.jobs, Some(4));
-        assert!(flags.portfolio);
         assert_eq!(flags.effective_jobs(), 4);
         assert_eq!(args, vec!["bench".to_owned(), "evens".to_owned()]);
 
@@ -1835,6 +1747,9 @@ mod tests {
         assert!(Flags::extract(&mut missing).is_err());
         let mut junk: Vec<String> = vec!["--jobs".into(), "many".into()];
         assert!(Flags::extract(&mut junk).is_err());
+        // The removed portfolio racer's flag is a usage error, not a no-op.
+        let mut removed: Vec<String> = vec!["--portfolio".into()];
+        assert!(Flags::extract(&mut removed).is_err());
     }
 
     #[test]

@@ -133,12 +133,22 @@ fn closer_of(open: char) -> char {
     }
 }
 
-fn read_sexp(lex: &mut Lexer<'_>) -> Result<Option<Sexp>, ParseError> {
+/// How deeply brackets may nest. The reader (and every interpreter of
+/// its output) recurses once per level, so an unbounded depth lets one
+/// hostile input overflow the stack and abort the process; real problems
+/// nest a handful of levels.
+const MAX_DEPTH: usize = 256;
+
+fn read_sexp(lex: &mut Lexer<'_>, depth: usize) -> Result<Option<Sexp>, ParseError> {
     let start = lex.pos;
     match lex.next()? {
         None => Ok(None),
         Some(Token::Atom(a)) => Ok(Some(Sexp::Atom(a))),
         Some(Token::Close(c)) => Err(ParseError::new(start, format!("unexpected `{c}`"))),
+        Some(Token::Open(_)) if depth == MAX_DEPTH => Err(ParseError::new(
+            start,
+            format!("brackets nest deeper than {MAX_DEPTH}"),
+        )),
         Some(Token::Open(open)) => {
             let mut items = Vec::new();
             loop {
@@ -158,7 +168,7 @@ fn read_sexp(lex: &mut Lexer<'_>) -> Result<Option<Sexp>, ParseError> {
                     }
                     _ => {
                         lex.pos = save;
-                        match read_sexp(lex)? {
+                        match read_sexp(lex, depth + 1)? {
                             Some(s) => items.push(s),
                             None => unreachable!("lexer produced a token above"),
                         }
@@ -179,10 +189,11 @@ fn read_sexp(lex: &mut Lexer<'_>) -> Result<Option<Sexp>, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed or trailing input.
+/// Returns [`ParseError`] on malformed or trailing input, including
+/// brackets nested more than 256 deep.
 pub fn parse_sexp(src: &str) -> Result<Sexp, ParseError> {
     let mut lex = Lexer::new(src);
-    let sexp = read_sexp(&mut lex)?.ok_or_else(|| ParseError::new(0, "empty input"))?;
+    let sexp = read_sexp(&mut lex, 0)?.ok_or_else(|| ParseError::new(0, "empty input"))?;
     lex.skip_trivia();
     if lex.pos < src.len() {
         return Err(ParseError::new(lex.pos, "trailing input"));
@@ -194,11 +205,12 @@ pub fn parse_sexp(src: &str) -> Result<Sexp, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input.
+/// Returns [`ParseError`] on malformed input, including brackets nested
+/// more than 256 deep.
 pub fn parse_sexps(src: &str) -> Result<Vec<Sexp>, ParseError> {
     let mut lex = Lexer::new(src);
     let mut out = Vec::new();
-    while let Some(s) = read_sexp(&mut lex)? {
+    while let Some(s) = read_sexp(&mut lex, 0)? {
         out.push(s);
     }
     Ok(out)
@@ -462,6 +474,18 @@ mod tests {
         assert!(parse_value("{1 2}").is_err()); // tree child must be a tree
         assert!(parse_value("wibble").is_err());
         assert!(parse_value("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_value(&deep(MAX_DEPTH)).is_ok());
+        let err = parse_value(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nest deeper"), "{err}");
+        // Far past any stack: an error, not a crash, on a default-sized
+        // test thread.
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
+        assert!(parse_sexps(&"(".repeat(100_000)).is_err());
     }
 
     #[test]

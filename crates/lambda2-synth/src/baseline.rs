@@ -24,7 +24,7 @@ use lambda2_lang::ty::Type;
 use lambda2_lang::value::Value;
 
 use crate::enumerate::{canonical, op_result_type, EnumLimits, TermStore};
-use crate::govern::{Budget, DEFAULT_MAX_OVERSHOOT};
+use crate::govern::{Attempt, Budget, Rung, SearchReport, DEFAULT_MAX_OVERSHOOT};
 use crate::problem::Problem;
 use crate::search::{SynthError, Synthesis};
 use crate::spec::Spec;
@@ -78,15 +78,44 @@ pub fn synthesize_baseline(
     synthesize_baseline_within(problem, options, &budget)
 }
 
+/// [`synthesize_baseline_within`] as a one-attempt [`SearchReport`] — the
+/// retry ladder's last rung and the batch pool's baseline engine both
+/// report through here. The baseline keeps no counters on failure, so a
+/// failed run reports empty [`Stats`].
+pub(crate) fn baseline_report(
+    problem: &Problem,
+    options: &BaselineOptions,
+    budget: &Budget,
+) -> SearchReport {
+    let start = Instant::now();
+    let outcome = synthesize_baseline_within(problem, options, budget);
+    let elapsed = start.elapsed();
+    SearchReport {
+        stats: outcome
+            .as_ref()
+            .map(|s| s.stats.clone())
+            .unwrap_or_default(),
+        attempts: vec![Attempt {
+            rung: Rung::Baseline,
+            error: outcome.as_ref().err().cloned(),
+            elapsed,
+        }],
+        outcome,
+        frontier: Vec::new(),
+        elapsed,
+        budget: budget.snapshot(),
+    }
+}
+
 /// [`synthesize_baseline`] under an explicit resource [`Budget`]: the
 /// budget (not `options.timeout`) decides when to stop, is ticked inside
 /// the candidate loops and pool construction, and supports cooperative
-/// cancellation — the baseline rung of the retry ladder runs through here.
+/// cancellation.
 ///
 /// # Errors
 ///
 /// See [`SynthError`].
-pub fn synthesize_baseline_within(
+pub(crate) fn synthesize_baseline_within(
     problem: &Problem,
     options: &BaselineOptions,
     budget: &Budget,

@@ -94,10 +94,9 @@ pub struct CancelToken {
 
 impl CancelToken {
     /// A free-standing token, not yet tied to any budget. Attach it to one
-    /// or more budgets with [`Budget::with_cancel`] — the portfolio racer
-    /// creates its tokens up front and hands each rung a budget that
-    /// adopts one, so the coordinator can cancel losers from outside the
-    /// rung threads.
+    /// or more budgets with [`Budget::with_cancel`] — the serve daemon
+    /// creates one per request up front, so a drain can cancel every rung
+    /// of the request's retry ladder from outside the worker thread.
     pub fn new() -> CancelToken {
         CancelToken {
             flag: Arc::new(AtomicBool::new(false)),
@@ -501,10 +500,9 @@ impl Attempt {
 /// The full outcome of a governed synthesis: success or failure, plus
 /// everything the engine knows about how it got there.
 ///
-/// Unlike the bare `Result` of `search`, a report is returned on *every*
-/// path — budget exhaustion, cancellation, injected faults — so batch
-/// harnesses and services always get structured data, never a wedged
-/// process.
+/// A report is returned on *every* path — budget exhaustion,
+/// cancellation, injected faults — so batch harnesses and services always
+/// get structured data, never a wedged process.
 #[derive(Clone, Debug)]
 pub struct SearchReport {
     /// The terminal result.
@@ -528,8 +526,10 @@ impl SearchReport {
     }
 
     /// Flattens the report into the harness record format
-    /// ([`crate::stats::Measurement`]) used by bench output and
-    /// `l2 --stats-json`.
+    /// ([`crate::stats::Measurement`]) used by bench output, serve corpus
+    /// records, and `l2 --stats-json`. Every path reports the run's own
+    /// elapsed time and (merged) counters — a timed-out or pop-capped run
+    /// keeps the work it did.
     pub fn to_measurement(&self, name: &str, examples: usize) -> crate::stats::Measurement {
         let (cost, size, program) = match &self.outcome {
             Ok(s) => (s.cost, s.program.body().size(), s.program.to_string()),
@@ -545,46 +545,6 @@ impl SearchReport {
             examples,
             stats: self.stats.clone(),
             error: self.outcome.as_ref().err().map(ToString::to_string),
-        }
-    }
-
-    /// Like [`SearchReport::to_measurement`] with the bench harness's
-    /// charging convention: solved runs report their own synthesis time
-    /// and counters, timeouts are charged the full `budget`, other
-    /// failures report zero elapsed.
-    pub fn to_measurement_budgeted(
-        &self,
-        name: &str,
-        examples: usize,
-        budget: Duration,
-    ) -> crate::stats::Measurement {
-        match &self.outcome {
-            Ok(s) => crate::stats::Measurement {
-                name: name.to_owned(),
-                elapsed: s.elapsed,
-                solved: true,
-                cost: s.cost,
-                size: s.program.body().size(),
-                program: s.program.to_string(),
-                examples,
-                stats: s.stats.clone(),
-                error: None,
-            },
-            Err(e) => crate::stats::Measurement {
-                name: name.to_owned(),
-                elapsed: if matches!(e, SynthError::Timeout) {
-                    budget
-                } else {
-                    Duration::ZERO
-                },
-                solved: false,
-                cost: 0,
-                size: 0,
-                program: String::new(),
-                examples,
-                stats: crate::stats::Stats::default(),
-                error: Some(e.to_string()),
-            },
         }
     }
 

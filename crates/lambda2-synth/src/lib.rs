@@ -91,14 +91,10 @@ pub use obs::{
     CollectTracer, JsonlTracer, NoopTracer, PhaseTimes, TraceEvent, Tracer, SCHEMA_VERSION,
 };
 pub use par::{
-    effective_jobs, portfolio_report, portfolio_report_traced, run_pool, synthesize_batch,
-    ParEngine, ParOutcome, ParTask, PoolItem,
+    effective_jobs, run_pool, synthesize_batch, ParEngine, ParOutcome, ParTask, PoolItem,
 };
 pub use problem::{Example, Problem, ProblemBuilder, ProblemError};
-pub use search::{
-    search_governed, search_governed_warm, warm_config_fingerprint, SearchOptions, SynthError,
-    Synthesis,
-};
+pub use search::{warm_config_fingerprint, SearchOptions, SynthError, Synthesis};
 pub use serve::{
     load_access_log, AccessError, AccessLog, AccessRecord, AccessReport, ServeConfig, ServeSummary,
     Server,

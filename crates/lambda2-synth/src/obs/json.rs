@@ -209,15 +209,23 @@ impl fmt::Display for Json {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth lets one hostile document (a serve frame
+/// of nested `[`) overflow the stack and abort the process; every format
+/// this crate writes nests a handful of levels.
+const MAX_DEPTH: usize = 256;
+
 /// Parses one JSON document, rejecting trailing garbage.
 ///
 /// # Errors
 ///
-/// Returns a message with a byte offset on malformed input.
+/// Returns a message with a byte offset on malformed input, including
+/// arrays and objects nested more than 256 deep.
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -231,6 +239,7 @@ pub fn parse(src: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -268,8 +277,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -277,6 +286,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -484,6 +507,18 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"abc", "{a:1}"] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Far past any stack: an error, not a crash, on a default-sized
+        // test thread.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //! planning sweeps, verification), not just at pop boundaries, so aborts
 //! land within [`SearchOptions::max_overshoot`]. Verification and planning
 //! are panic-isolated — a crashing candidate is counted, traced, and
-//! skipped. [`search_governed`] returns a structured [`SearchReport`] on
-//! every path; [`search`]/[`search_traced`] are thin `Result` wrappers.
+//! skipped. [`search_governed_warm`] returns a structured [`SearchReport`]
+//! on every path; callers reach it through
+//! [`crate::Synthesizer::synthesize_report_warm`], which adds the retry
+//! ladder.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -52,7 +54,7 @@ use crate::govern::{
 use crate::hypothesis::{HoleInfo, Hypothesis};
 use crate::library::Library;
 use crate::obs::metrics::Histogram;
-use crate::obs::{NoopTracer, PopKind, RefuteReason, StoreAction, TraceEvent, Tracer};
+use crate::obs::{PopKind, RefuteReason, StoreAction, TraceEvent, Tracer};
 use crate::problem::Problem;
 use crate::spec::{ExampleRow, Spec};
 use crate::stats::Stats;
@@ -223,11 +225,9 @@ impl Default for SearchOptions {
 
 impl SearchOptions {
     /// The degraded-caps configuration used by the retry ladder's second
-    /// rung and the portfolio racer's second lane: tightened term-cost and
-    /// global caps — the same engine on a much smaller space, completing
-    /// quickly when the answer is simple and the full configuration
-    /// drowned in a deep space. Shared so sequential retry and concurrent
-    /// portfolio race *identical* configurations.
+    /// rung: tightened term-cost and global caps — the same engine on a
+    /// much smaller space, completing quickly when the answer is simple
+    /// and the full configuration drowned in a deep space.
     pub fn degraded(&self) -> SearchOptions {
         SearchOptions {
             max_term_cost: self.max_term_cost.min(8),
@@ -289,8 +289,7 @@ impl std::fmt::Display for SynthError {
 
 impl SynthError {
     /// `true` for failures caused by a *resource* limit (timeout, pop cap,
-    /// fuel cap) — the errors a degraded retry or a portfolio rung can
-    /// plausibly fix. Exhaustion and inconsistent examples are semantic
+    /// fuel cap) — the errors a degraded retry can plausibly fix. Exhaustion and inconsistent examples are semantic
     /// verdicts no retry can change.
     pub fn is_resource_limit(&self) -> bool {
         matches!(
@@ -390,42 +389,13 @@ impl Ord for Entry {
     }
 }
 
-/// Runs best-first synthesis on `problem`.
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn search(problem: &Problem, options: &SearchOptions) -> Result<Synthesis, SynthError> {
-    search_traced(problem, options, &mut NoopTracer)
-}
-
-/// [`search`], with telemetry: every pop, plan/refute decision, closing
-/// tier, store lifecycle change, verification attempt, and isolated fault
-/// is reported to `tracer`. With the default [`NoopTracer`] this is
-/// exactly [`search`] — call sites check [`Tracer::enabled`] before
-/// rendering event payloads, so a disabled tracer costs nothing.
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub fn search_traced(
-    problem: &Problem,
-    options: &SearchOptions,
-    tracer: &mut dyn Tracer,
-) -> Result<Synthesis, SynthError> {
-    let budget = Budget::for_search(options);
-    search_governed(problem, options, &budget, tracer).outcome
-}
-
-/// [`search_traced`] under an explicit resource [`Budget`], returning a
-/// structured [`SearchReport`] on *every* path — success, exhaustion,
-/// timeout, cancellation, resource caps, injected faults.
-///
-/// This is the engine's primary entry point; [`search`] and
-/// [`search_traced`] build a budget from the options and keep only the
-/// outcome. Call this directly for anytime results (the best-cost
-/// [`FrontierItem`] snapshot), resource accounting, or cooperative
-/// cancellation via [`Budget::cancel_token`].
+/// Runs best-first synthesis on `problem` under an explicit resource
+/// [`Budget`], returning a structured [`SearchReport`] on *every* path —
+/// success, exhaustion, timeout, cancellation, resource caps, injected
+/// faults. Every tracer event (pop, plan/refute decision, closing tier,
+/// store lifecycle change, verification attempt, isolated fault) goes to
+/// `tracer`; call sites check [`Tracer::enabled`] before rendering event
+/// payloads, so a disabled tracer costs nothing.
 ///
 /// The budget is ticked inside every long phase — enumeration levels,
 /// deduction planning sweeps, closing-tier materialization, and
@@ -434,18 +404,8 @@ pub fn search_traced(
 /// long. Verification and planning run under panic isolation: a panicking
 /// candidate is counted in [`Stats::faults`], traced as
 /// [`TraceEvent::Fault`], and skipped; it never aborts the search.
-pub fn search_governed(
-    problem: &Problem,
-    options: &SearchOptions,
-    budget: &Budget,
-    tracer: &mut dyn Tracer,
-) -> SearchReport {
-    search_governed_warm(problem, options, budget, tracer, None)
-}
-
-/// [`search_governed`] with an optional cross-search warm store cache.
 ///
-/// When `warm` is provided, the search seeds enumeration stores from the
+/// With `warm` provided, the search seeds enumeration stores from the
 /// shared [`WarmCache`] (keyed by [`warm_config_fingerprint`] +
 /// [`StoreKey`]) instead of building them cold, and parks its live stores
 /// back into the cache when it finishes. The cache is mutex-guarded, so a
@@ -457,7 +417,7 @@ pub fn search_governed(
 /// synthesized program, its cost, and the attempt ladder are identical
 /// warm or cold. Only work counters ([`Stats::enumerated_terms`],
 /// [`Stats::warm_hits`]) differ, reflecting the work actually saved.
-pub fn search_governed_warm(
+pub(crate) fn search_governed_warm(
     problem: &Problem,
     options: &SearchOptions,
     budget: &Budget,
@@ -1907,6 +1867,13 @@ fn evict_stores(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::NoopTracer;
+
+    /// One cold, untraced run under the options' own budget.
+    fn search(problem: &Problem, options: &SearchOptions) -> Result<Synthesis, SynthError> {
+        let budget = Budget::for_search(options);
+        search_governed_warm(problem, options, &budget, &mut NoopTracer, None).outcome
+    }
 
     fn solve(problem: &Problem) -> Synthesis {
         search(problem, &SearchOptions::default()).expect("should synthesize")
@@ -2185,7 +2152,7 @@ mod tests {
         );
         let opts = SearchOptions::default();
         let budget = Budget::for_search(&opts);
-        let report = search_governed(&p, &opts, &budget, &mut NoopTracer);
+        let report = search_governed_warm(&p, &opts, &budget, &mut NoopTracer, None);
         assert!(report.frontier.is_empty());
         assert_eq!(report.budget.exceeded, None);
         assert!(report.budget.pops > 0);
@@ -2203,7 +2170,8 @@ mod tests {
             ..SearchOptions::default()
         };
         let budget = Budget::for_search(&opts);
-        let report = search_governed(&reverse_problem(), &opts, &budget, &mut NoopTracer);
+        let report =
+            search_governed_warm(&reverse_problem(), &opts, &budget, &mut NoopTracer, None);
         assert_eq!(report.outcome.unwrap_err(), SynthError::LimitReached);
         assert_eq!(report.budget.exceeded, Some(BudgetExceeded::PopLimit));
         assert!(!report.frontier.is_empty(), "open hypotheses remain");
@@ -2220,7 +2188,8 @@ mod tests {
             ..SearchOptions::default()
         };
         let budget = Budget::for_search(&opts);
-        let report = search_governed(&reverse_problem(), &opts, &budget, &mut NoopTracer);
+        let report =
+            search_governed_warm(&reverse_problem(), &opts, &budget, &mut NoopTracer, None);
         assert_eq!(report.outcome.unwrap_err(), SynthError::Timeout);
         assert_eq!(report.budget.exceeded, Some(BudgetExceeded::Deadline));
     }
@@ -2230,7 +2199,8 @@ mod tests {
         let opts = SearchOptions::default();
         let budget = Budget::for_search(&opts);
         budget.cancel_token().cancel();
-        let report = search_governed(&reverse_problem(), &opts, &budget, &mut NoopTracer);
+        let report =
+            search_governed_warm(&reverse_problem(), &opts, &budget, &mut NoopTracer, None);
         assert_eq!(report.outcome.unwrap_err(), SynthError::Cancelled);
         assert_eq!(report.budget.exceeded, Some(BudgetExceeded::Cancelled));
     }
@@ -2242,7 +2212,8 @@ mod tests {
             ..SearchOptions::default()
         };
         let budget = Budget::for_search(&opts);
-        let report = search_governed(&reverse_problem(), &opts, &budget, &mut NoopTracer);
+        let report =
+            search_governed_warm(&reverse_problem(), &opts, &budget, &mut NoopTracer, None);
         assert_eq!(report.outcome.unwrap_err(), SynthError::FuelExhausted);
         assert_eq!(report.budget.exceeded, Some(BudgetExceeded::FuelLimit));
         assert!(report.budget.fuel_spent >= 50);
@@ -2280,7 +2251,7 @@ mod tests {
         };
         let budget = Budget::for_search(&opts);
         let mut tracer = crate::obs::CollectTracer::default();
-        let report = search_governed(p, &opts, &budget, &mut tracer);
+        let report = search_governed_warm(p, &opts, &budget, &mut tracer, None);
         (report, tracer.events)
     }
 
@@ -2433,23 +2404,5 @@ mod tests {
         assert_eq!(cold.cost, seeded.cost);
         let (hits, misses, _) = warm.counters();
         assert!(hits > 0 && misses > 0);
-    }
-
-    #[test]
-    fn governed_and_plain_search_agree() {
-        // The governed entry point must not change what is found.
-        let p = reverse_problem();
-        let opts = SearchOptions::default();
-        let plain = search(&p, &opts).expect("solves");
-        let budget = Budget::for_search(&opts);
-        let governed = search_governed(&p, &opts, &budget, &mut NoopTracer)
-            .outcome
-            .expect("solves");
-        assert_eq!(
-            plain.program.body().to_string(),
-            governed.program.body().to_string()
-        );
-        assert_eq!(plain.cost, governed.cost);
-        assert_eq!(plain.stats.popped, governed.stats.popped);
     }
 }

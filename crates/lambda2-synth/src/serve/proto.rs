@@ -9,7 +9,8 @@
 //!
 //! The parser is total: any byte sequence produces either a [`Request`]
 //! or a rendered error, never a panic. Unknown fields are ignored
-//! (forward compatibility); an unknown `"v"` or `"op"` is an error.
+//! (forward compatibility); an unknown `"v"` or `"op"` is an error, and
+//! so is the removed `"portfolio"` field.
 
 use crate::govern::{Attempt, SearchReport};
 use crate::obs::json::{self, Json};
@@ -46,8 +47,6 @@ pub struct Request {
     pub problem_json: Option<JsonProblem>,
     /// Per-request deadline; the server caps it at its own maximum.
     pub timeout_ms: Option<u64>,
-    /// Race the retry-ladder rungs concurrently.
-    pub portfolio: bool,
     /// Test hook: a failpoint site to arm (Panic, one fire) before the
     /// search runs. Honored only in builds with the `failpoints` feature;
     /// ignored otherwise.
@@ -120,6 +119,15 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         Some(other) => return Err(format!("unknown op \"{other}\"")),
         None => return Err("request has no \"op\" field".into()),
     };
+    // A removed field, rejected rather than ignored: a client asking for
+    // the concurrent ladder must not silently get a different one.
+    if doc.get("portfolio").is_some() {
+        return Err(
+            "\"portfolio\" is no longer supported; the server runs its configured \
+                    retry ladder"
+                .into(),
+        );
+    }
     let id = doc.get("id").and_then(Json::as_str).map(ToOwned::to_owned);
     if doc.get("problem").is_some() && doc.get("problem_json").is_some() {
         return Err("\"problem\" and \"problem_json\" are mutually exclusive".into());
@@ -141,10 +149,6 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         problem_source,
         problem_json,
         timeout_ms: doc.get("timeout_ms").and_then(Json::as_u64),
-        portfolio: doc
-            .get("portfolio")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
         failpoint: doc
             .get("failpoint")
             .and_then(Json::as_str)
@@ -343,7 +347,6 @@ mod tests {
         assert_eq!(req.id.as_deref(), Some("r1"));
         assert_eq!(req.problem_source.as_deref(), Some("(problem p)"));
         assert_eq!(req.timeout_ms, Some(250));
-        assert!(!req.portfolio);
     }
 
     #[test]
@@ -374,6 +377,10 @@ mod tests {
                 "mutually exclusive",
             ),
             (br#"{}"#, "no \"op\""),
+            (
+                br#"{"op":"synth","problem":"x","portfolio":true}"#,
+                "\"portfolio\" is no longer supported",
+            ),
         ] {
             let err = parse_request(payload).unwrap_err();
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");

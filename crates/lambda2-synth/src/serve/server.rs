@@ -38,8 +38,6 @@
 //! counters differ). The pool shares one mutex-guarded [`WarmCache`], so
 //! a store warmed by any worker serves every later request for the same
 //! signature, and the byte budget bounds the pool's total footprint.
-//! Portfolio requests route to [`portfolio_report_traced`] and skip the
-//! warm cache (their rungs race on private threads).
 //!
 //! # Drain
 //!
@@ -94,16 +92,14 @@ use std::time::{Duration, Instant};
 use std::os::unix::net::{UnixListener, UnixStream};
 
 use crate::enumerate::WarmCache;
-use crate::govern::{CancelToken, SearchReport};
+use crate::govern::{panic_message, CancelToken};
 use crate::l2file;
 use crate::obs::corpus::{options_fingerprint, Corpus, RunRecord};
 use crate::obs::json::Json;
 use crate::obs::metrics::{Histogram, EXP2_BOUNDS};
 use crate::obs::{JsonlTracer, NoopTracer, Tracer};
-use crate::par::portfolio_report_traced;
 use crate::problem::Problem;
 use crate::search::SearchOptions;
-use crate::stats::Measurement;
 use crate::synthesizer::Synthesizer;
 
 use super::access::{AccessLog, AccessRecord};
@@ -567,7 +563,6 @@ struct Job {
     id: Option<String>,
     spec: Problem,
     timeout: Duration,
-    portfolio: bool,
     #[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
     failpoint: Option<String>,
     enqueued: Instant,
@@ -935,7 +930,6 @@ fn admit_synth(
         id: id.clone(),
         spec: problem,
         timeout,
-        portfolio: req.portfolio,
         failpoint: req.failpoint,
         enqueued: Instant::now(),
         reply: reply_tx,
@@ -1107,18 +1101,12 @@ fn execute(
         {
             panic!("injected panic at serve.request");
         }
-        if job.portfolio {
-            // Portfolio rungs race on their own threads with their own
-            // budgets and skip the warm cache.
-            portfolio_report_traced(&problem, &options, tracer)
-        } else {
-            Synthesizer::with_options(options.clone()).synthesize_report_warm(
-                &problem,
-                tracer,
-                Some(&token),
-                Some(warm),
-            )
-        }
+        Synthesizer::with_options(options.clone()).synthesize_report_warm(
+            &problem,
+            tracer,
+            Some(&token),
+            Some(warm),
+        )
     }));
     let elapsed = started.elapsed();
     #[cfg(feature = "failpoints")]
@@ -1176,7 +1164,7 @@ fn execute(
             };
             record.warm_hits = Some(report.stats.warm_hits);
             if let Some(corpus) = corpus {
-                let m = measurement_of_report(&problem, &report);
+                let m = report.to_measurement(problem.name(), problem.examples().len());
                 let run = RunRecord::of_served_request(
                     &m,
                     fingerprint.as_deref().unwrap_or_default(),
@@ -1220,43 +1208,6 @@ fn arm_failpoint(site: &str) -> bool {
         }
     }
     false
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_owned()
-    }
-}
-
-fn measurement_of_report(problem: &Problem, report: &SearchReport) -> Measurement {
-    match &report.outcome {
-        Ok(s) => Measurement {
-            name: problem.name().to_owned(),
-            elapsed: report.elapsed,
-            solved: true,
-            cost: s.cost,
-            size: s.program.body().size(),
-            program: s.program.to_string(),
-            examples: problem.examples().len(),
-            stats: report.stats.clone(),
-            error: None,
-        },
-        Err(e) => Measurement {
-            name: problem.name().to_owned(),
-            elapsed: report.elapsed,
-            solved: false,
-            cost: 0,
-            size: 0,
-            program: String::new(),
-            examples: problem.examples().len(),
-            stats: report.stats.clone(),
-            error: Some(e.to_string()),
-        },
-    }
 }
 
 #[cfg(test)]

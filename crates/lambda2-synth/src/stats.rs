@@ -45,10 +45,11 @@ pub struct Stats {
     pub store_hits: u64,
     /// Stores seeded from a cross-search [`WarmStores`] cache instead of
     /// built cold — enumeration work amortized from earlier requests.
-    /// Always 0 outside [`search_governed_warm`].
+    /// Always 0 unless a warm cache was passed to
+    /// [`Synthesizer::synthesize_report_warm`].
     ///
     /// [`WarmStores`]: crate::enumerate::WarmStores
-    /// [`search_governed_warm`]: crate::search::search_governed_warm
+    /// [`Synthesizer::synthesize_report_warm`]: crate::Synthesizer::synthesize_report_warm
     pub warm_hits: u64,
     /// Enumeration stores evicted by the LRU byte-budget sweep.
     pub store_evictions: u64,
@@ -165,6 +166,24 @@ pub struct Measurement {
 }
 
 impl Measurement {
+    /// The record of a run whose engine panicked before it could report:
+    /// unsolved, no counters, zero elapsed, and `panicked: <msg>` as the
+    /// error. Every other record of a synthesis run comes from
+    /// [`crate::SearchReport::to_measurement`].
+    pub fn panicked(name: &str, examples: usize, msg: &str) -> Measurement {
+        Measurement {
+            name: name.to_owned(),
+            elapsed: Duration::ZERO,
+            solved: false,
+            cost: 0,
+            size: 0,
+            program: String::new(),
+            examples,
+            stats: Stats::default(),
+            error: Some(format!("panicked: {msg}")),
+        }
+    }
+
     /// The run's per-phase wall times (carried inside [`Stats`]).
     pub fn phases(&self) -> &PhaseTimes {
         &self.stats.phases

@@ -2,14 +2,12 @@
 
 use std::time::{Duration, Instant};
 
-use crate::baseline::{synthesize_baseline_within, BaselineOptions};
+use crate::baseline::{baseline_report, BaselineOptions};
 use crate::enumerate::WarmCache;
 use crate::govern::{Attempt, Budget, CancelToken, Rung, SearchReport};
 use crate::obs::{NoopTracer, Tracer};
 use crate::problem::Problem;
-use crate::search::{
-    search, search_governed_warm, search_traced, SearchOptions, SynthError, Synthesis,
-};
+use crate::search::{search_governed_warm, SearchOptions, SynthError, Synthesis};
 
 /// Example-guided program synthesizer (the λ² algorithm).
 ///
@@ -102,8 +100,8 @@ impl Synthesizer {
         self
     }
 
-    /// Enables or disables the degraded-options retry ladder used by
-    /// [`Synthesizer::synthesize_report`] (chainable).
+    /// Enables or disables the degraded-options retry ladder (chainable);
+    /// see [`Synthesizer::synthesize_report`].
     pub fn retry_ladder(mut self, enabled: bool) -> Synthesizer {
         self.options.retry_ladder = enabled;
         self
@@ -114,27 +112,15 @@ impl Synthesizer {
         &self.options
     }
 
-    /// Synthesizes the minimal-cost program fitting `problem`'s examples.
+    /// Synthesizes the minimal-cost program fitting `problem`'s examples:
+    /// the outcome of [`Synthesizer::synthesize_report`], retry ladder
+    /// included.
     ///
     /// # Errors
     ///
     /// See [`SynthError`].
     pub fn synthesize(&self, problem: &Problem) -> Result<Synthesis, SynthError> {
-        search(problem, &self.options)
-    }
-
-    /// [`Synthesizer::synthesize`], streaming telemetry into `tracer`
-    /// (see [`crate::obs`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`SynthError`].
-    pub fn synthesize_traced(
-        &self,
-        problem: &Problem,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Synthesis, SynthError> {
-        search_traced(problem, &self.options, tracer)
+        self.synthesize_report(problem).outcome
     }
 
     /// Fully governed synthesis: always returns a structured
@@ -162,15 +148,17 @@ impl Synthesizer {
         self.synthesize_report_warm(problem, tracer, None, None)
     }
 
+    /// The engine: every other way to run one problem calls this.
+    ///
     /// [`Synthesizer::synthesize_report_traced`] for long-lived hosts (the
     /// serve daemon): optionally adopts an external [`CancelToken`] on
     /// every rung's budget (so a drain can cancel the request from
-    /// outside) and seeds/harvests a shared cross-request [`WarmCache`]
-    /// (see [`crate::search::search_governed_warm`]). With both `None`
-    /// this is exactly [`Synthesizer::synthesize_report_traced`]; with
-    /// either set, the synthesized program, cost, and attempt ladder are
-    /// unchanged — cancellation only adds an exit path and the warm cache
-    /// is semantically transparent.
+    /// outside) and seeds/harvests a shared cross-request [`WarmCache`].
+    /// With both `None` this is exactly
+    /// [`Synthesizer::synthesize_report_traced`]; with either set, the
+    /// synthesized program, cost, and attempt ladder are unchanged —
+    /// cancellation only adds an exit path and the warm cache is
+    /// semantically transparent.
     pub fn synthesize_report_warm(
         &self,
         problem: &Problem,
@@ -178,99 +166,63 @@ impl Synthesizer {
         cancel: Option<&CancelToken>,
         warm: Option<&WarmCache>,
     ) -> SearchReport {
-        let adopt = |mut budget: Budget| -> Budget {
-            if let Some(token) = cancel {
-                budget = budget.with_cancel(token);
-            }
-            budget
+        let adopt = |budget: Budget| match cancel {
+            Some(token) => budget.with_cancel(token),
+            None => budget,
         };
         let overall = Instant::now();
         let budget = adopt(Budget::for_search(&self.options));
         let mut report = search_governed_warm(problem, &self.options, &budget, tracer, warm);
-        report.attempts.push(Attempt {
-            rung: Rung::Full,
-            error: report.outcome.as_ref().err().cloned(),
-            elapsed: report.elapsed,
-        });
+        report.attempts.push(attempt(Rung::Full, &report));
         let retryable = matches!(&report.outcome, Err(e) if e.is_resource_limit());
-        if !self.options.retry_ladder || !retryable {
-            report.elapsed = overall.elapsed();
-            return report;
-        }
-
-        // Rung 2: tightened term-cost and global caps (shared with the
-        // portfolio racer so both ladders run identical configurations).
-        let degraded = self.options.degraded();
-        let rung_budget = adopt(Budget::for_search(&degraded));
-        let rung = search_governed_warm(problem, &degraded, &rung_budget, tracer, warm);
-        report.stats.merge(&rung.stats);
-        report.attempts.push(Attempt {
-            rung: Rung::Degraded,
-            error: rung.outcome.as_ref().err().cloned(),
-            elapsed: rung.elapsed,
-        });
-        if rung.outcome.is_ok() {
-            report.outcome = rung.outcome;
-            report.frontier = Vec::new();
-            report.elapsed = overall.elapsed();
-            return report;
-        }
-
-        // Rung 3: the pure enumerative baseline — no hypotheses at all, so
-        // it is immune to whatever made the main engine's space explode.
-        let bopts = BaselineOptions {
-            timeout: self.options.timeout,
-            eval_fuel: self.options.eval_fuel,
-            ..BaselineOptions::default()
-        };
-        let bbudget = adopt(Budget::new(
-            self.options.timeout,
-            self.options.max_overshoot,
-        ));
-        let rung_start = Instant::now();
-        match synthesize_baseline_within(problem, &bopts, &bbudget) {
-            Ok(s) => {
-                report.stats.merge(&s.stats);
-                report.attempts.push(Attempt {
-                    rung: Rung::Baseline,
-                    error: None,
-                    elapsed: rung_start.elapsed(),
-                });
-                report.outcome = Ok(s);
-                report.frontier = Vec::new();
-            }
-            Err(e) => {
-                report.attempts.push(Attempt {
-                    rung: Rung::Baseline,
-                    error: Some(e),
-                    elapsed: rung_start.elapsed(),
-                });
-                // All rungs failed: keep the primary rung's error and
-                // frontier — they describe the most capable attempt.
+        if self.options.retry_ladder && retryable {
+            // Rung 2: tightened term-cost and global caps.
+            let degraded = self.options.degraded();
+            let budget = adopt(Budget::for_search(&degraded));
+            let mut rung = search_governed_warm(problem, &degraded, &budget, tracer, warm);
+            rung.attempts.push(attempt(Rung::Degraded, &rung));
+            if !absorb(&mut report, rung) {
+                // Rung 3: the pure enumerative baseline — no hypotheses at
+                // all, so it is immune to whatever made the main engine's
+                // space explode.
+                let bopts = BaselineOptions {
+                    timeout: self.options.timeout,
+                    eval_fuel: self.options.eval_fuel,
+                    ..BaselineOptions::default()
+                };
+                let budget = adopt(Budget::new(
+                    self.options.timeout,
+                    self.options.max_overshoot,
+                ));
+                absorb(&mut report, baseline_report(problem, &bopts, &budget));
             }
         }
         report.elapsed = overall.elapsed();
         report
     }
+}
 
-    /// [`Synthesizer::synthesize_report`] with the retry-ladder rungs
-    /// raced concurrently instead of sequentially (see
-    /// [`crate::par::portfolio_report_traced`] for the identity
-    /// guarantee). Races the ladder whether or not
-    /// [`SearchOptions::retry_ladder`] is set; the equivalence target is
-    /// the sequential report *with* the ladder enabled.
-    pub fn synthesize_report_portfolio(&self, problem: &Problem) -> SearchReport {
-        crate::par::portfolio_report(problem, &self.options)
+/// Folds a fallback rung's counters and attempts into the ladder's
+/// report, and its program when it found one (`true`). A failed rung
+/// leaves the primary rung's error and frontier in place: they describe
+/// the most capable attempt.
+fn absorb(report: &mut SearchReport, mut rung: SearchReport) -> bool {
+    report.stats.merge(&rung.stats);
+    report.attempts.append(&mut rung.attempts);
+    let solved = rung.outcome.is_ok();
+    if solved {
+        report.outcome = rung.outcome;
+        report.frontier = Vec::new();
     }
+    solved
+}
 
-    /// [`Synthesizer::synthesize_report_portfolio`] with telemetry; the
-    /// winning path's events are replayed into `tracer` in ladder order.
-    pub fn synthesize_report_portfolio_traced(
-        &self,
-        problem: &Problem,
-        tracer: &mut dyn Tracer,
-    ) -> SearchReport {
-        crate::par::portfolio_report_traced(problem, &self.options, tracer)
+/// The attempt-log entry for one rung's report.
+fn attempt(rung: Rung, report: &SearchReport) -> Attempt {
+    Attempt {
+        rung,
+        error: report.outcome.as_ref().err().cloned(),
+        elapsed: report.elapsed,
     }
 }
 
@@ -357,6 +309,21 @@ mod tests {
         let solved = report.outcome.expect("baseline rung solves identity");
         assert_eq!(solved.program.body().to_string(), "l");
         assert!(report.frontier.is_empty());
+    }
+
+    #[test]
+    fn synthesize_honors_the_retry_ladder() {
+        // `synthesize` is the report's outcome, so the same 3-pop cap that
+        // defeats the main engine is recovered by the baseline rung.
+        let s = Synthesizer::with_options(SearchOptions {
+            max_popped: 3,
+            retry_ladder: true,
+            ..SearchOptions::default()
+        });
+        let solved = s
+            .synthesize(&id_problem())
+            .expect("baseline rung solves identity");
+        assert_eq!(solved.program.body().to_string(), "l");
     }
 
     #[test]

@@ -9,9 +9,7 @@ use std::time::{Duration, Instant};
 
 use lambda2::suite::{by_name, catalog};
 use lambda2::synth::obs::NoopTracer;
-use lambda2::synth::{
-    search_governed, Budget, BudgetExceeded, Rung, SearchOptions, SynthError, Synthesizer,
-};
+use lambda2::synth::{BudgetExceeded, CancelToken, Rung, SearchOptions, SynthError, Synthesizer};
 
 /// Scheduling slack on top of the documented `timeout + max_overshoot`
 /// bound. Debug builds run the engine's slow paths ~10x slower, so the
@@ -130,14 +128,21 @@ fn cancellation_interrupts_a_running_search() {
         timeout: None,
         ..SearchOptions::default()
     };
-    let budget = Budget::for_search(&options);
-    let token = budget.cancel_token();
-    let canceller = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(30));
-        token.cancel();
-    });
+    let token = CancelToken::new();
+    let canceller = {
+        let token = token.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            token.cancel();
+        })
+    };
     let start = Instant::now();
-    let report = search_governed(&bench.problem, &options, &budget, &mut NoopTracer);
+    let report = Synthesizer::with_options(options).synthesize_report_warm(
+        &bench.problem,
+        &mut NoopTracer,
+        Some(&token),
+        None,
+    );
     let wall = start.elapsed();
     canceller.join().expect("canceller thread");
     // Either the search finished first (evens is solvable) or the cancel

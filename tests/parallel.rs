@@ -1,20 +1,15 @@
 //! Determinism suite for the parallel drivers (`lambda2::synth::par`).
 //!
 //! Parallelism may change *when* answers arrive, never *what* they are:
-//! `--jobs N` batches and `--portfolio` racing must report byte-identical
-//! programs at identical costs with identical (permutation-independent)
-//! counters, and a cancelled or crashed loser must never corrupt a
-//! winner.
+//! `--jobs N` batches must report byte-identical programs at identical
+//! costs with identical (permutation-independent) counters, and a failing
+//! task must never corrupt its neighbours.
 
 use std::time::Duration;
 
 use lambda2::suite::by_name;
-use lambda2::synth::par::{
-    portfolio_report, portfolio_report_traced, synthesize_batch, ParEngine, ParTask,
-};
-use lambda2::synth::{
-    CollectTracer, Problem, Rung, SearchOptions, Stats, SynthError, Synthesizer, TraceEvent,
-};
+use lambda2::synth::par::{synthesize_batch, ParEngine, ParTask};
+use lambda2::synth::{Problem, SearchOptions, Stats, SynthError, Synthesizer};
 
 /// Non-hard suite problems that solve in well under a second each.
 const FAST: &[&str] = &[
@@ -41,7 +36,6 @@ fn task_for(name: &str) -> ParTask {
         spec: bench.problem.clone(),
         options: options_for(name),
         engine: ParEngine::Search,
-        portfolio: false,
         collect_trace: false,
     }
 }
@@ -100,188 +94,6 @@ fn merged_totals_are_permutation_independent() {
         jobs4, jobs4_rev,
         "submission order changed the merged counters"
     );
-}
-
-#[test]
-fn portfolio_matches_the_sequential_ladder_when_the_full_rung_wins() {
-    for name in ["evens", "shiftl"] {
-        let problem = &by_name(name).unwrap().problem;
-        let options = options_for(name);
-        let sequential = Synthesizer::with_options(SearchOptions {
-            retry_ladder: true,
-            ..options.clone()
-        })
-        .synthesize_report(problem);
-        let report = portfolio_report(problem, &options);
-        let seq = sequential.outcome.expect("solves");
-        let par = report.outcome.expect("solves");
-        assert_eq!(par.program.to_string(), seq.program.to_string(), "{name}");
-        assert_eq!(par.cost, seq.cost, "{name}");
-        assert_eq!(report.attempts.len(), sequential.attempts.len(), "{name}");
-        assert_eq!(report.attempts[0].rung, Rung::Full);
-        assert!(report.attempts[0].error.is_none());
-        assert_eq!(
-            counters(&report.stats),
-            counters(&sequential.stats),
-            "{name}"
-        );
-    }
-}
-
-#[test]
-fn portfolio_walks_the_whole_ladder_on_resource_failure() {
-    // A 3-pop cap trips the full and degraded rungs; the pop-cap-free
-    // baseline rung solves identity — mirroring the sequential ladder
-    // test in the synthesizer.
-    let problem = Problem::builder("id")
-        .param("l", "[int]")
-        .returns("[int]")
-        .example(&["[1 2]"], "[1 2]")
-        .example(&["[]"], "[]")
-        .example(&["[3]"], "[3]")
-        .build()
-        .unwrap();
-    let options = SearchOptions {
-        max_popped: 3,
-        ..SearchOptions::default()
-    };
-    let sequential = Synthesizer::with_options(SearchOptions {
-        retry_ladder: true,
-        ..options.clone()
-    })
-    .synthesize_report(&problem);
-    let report = portfolio_report(&problem, &options);
-
-    let rungs: Vec<Rung> = report.attempts.iter().map(|a| a.rung).collect();
-    assert_eq!(rungs, vec![Rung::Full, Rung::Degraded, Rung::Baseline]);
-    assert_eq!(report.attempts[0].error, Some(SynthError::LimitReached));
-    assert_eq!(report.attempts[2].error, None);
-    let par = report.outcome.expect("baseline rung solves identity");
-    let seq = sequential.outcome.expect("baseline rung solves identity");
-    assert_eq!(par.program.to_string(), seq.program.to_string());
-    assert_eq!(par.program.body().to_string(), "l");
-    assert!(report.frontier.is_empty());
-    assert_eq!(
-        report.budget.exceeded, sequential.budget.exceeded,
-        "the report's budget is the full rung's budget"
-    );
-}
-
-#[test]
-fn portfolio_does_not_retry_semantic_failures() {
-    // Inconsistent examples fail every rung identically and are not a
-    // resource limit: the race must report a single Full attempt, exactly
-    // like the sequential ladder.
-    let problem = Problem::builder("bad")
-        .param("x", "int")
-        .returns("int")
-        .example(&["1"], "1")
-        .example(&["1"], "2")
-        .build()
-        .unwrap();
-    let report = portfolio_report(&problem, &SearchOptions::default());
-    assert_eq!(
-        report.outcome.unwrap_err(),
-        SynthError::InconsistentExamples
-    );
-    assert_eq!(report.attempts.len(), 1);
-    assert_eq!(report.attempts[0].rung, Rung::Full);
-}
-
-#[test]
-fn cancelled_losers_never_corrupt_the_winner() {
-    // Run the race repeatedly: whatever order the loser rungs finish or
-    // get cancelled in, the winner must be bit-for-bit stable and equal
-    // to the sequential answer.
-    let problem = &by_name("evens").unwrap().problem;
-    let options = options_for("evens");
-    let sequential = Synthesizer::with_options(options.clone())
-        .synthesize_report(problem)
-        .outcome
-        .expect("solves");
-    for round in 0..3 {
-        let report = portfolio_report(problem, &options);
-        let par = report.outcome.expect("solves");
-        assert_eq!(
-            par.program.to_string(),
-            sequential.program.to_string(),
-            "round {round}"
-        );
-        assert_eq!(par.cost, sequential.cost, "round {round}");
-        assert_eq!(par.stats.popped, sequential.stats.popped, "round {round}");
-    }
-}
-
-/// `--progress` heartbeats under `--portfolio`: the racing rungs run
-/// concurrently, but their telemetry is *replayed* into the caller's
-/// tracer after the race, in ladder order — so a progress-line renderer
-/// (the CLI's `--progress` stderr line) can never interleave heartbeats
-/// from different rungs mid-stream, and the beats within each rung stay
-/// monotone. Heartbeats are volatile observation: toggling them changes
-/// no synthesized result.
-#[test]
-fn portfolio_progress_heartbeats_replay_in_rung_order() {
-    // No total function in the search space maps these inputs to these
-    // outputs cheaply, so every rung grinds past several 200ms heartbeat
-    // intervals before its deadline.
-    let problem = Problem::builder("grind")
-        .param("l", "[int]")
-        .returns("[int]")
-        .example(&["[1 2 3]"], "[999 123 7]")
-        .example(&["[4]"], "[5612]")
-        .example(&["[9 9]"], "[17 3]")
-        .build()
-        .unwrap();
-    let options = SearchOptions {
-        progress: true,
-        timeout: Some(Duration::from_millis(700)),
-        ..SearchOptions::default()
-    };
-    let mut tracer = CollectTracer::default();
-    let report = portfolio_report_traced(&problem, &options, &mut tracer);
-    assert!(report.outcome.is_err(), "grind is inexpressible");
-
-    let beats: Vec<(u64, Duration)> = tracer
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Progress { budget, .. } => Some((budget.pops, budget.elapsed)),
-            _ => None,
-        })
-        .collect();
-    assert!(!beats.is_empty(), "no heartbeat from any rung");
-    // Replay is Full, then Degraded, then Baseline: the pop counter may
-    // reset at most at the two rung boundaries, never inside a rung — a
-    // reset mid-rung would mean interleaved (corrupted) heartbeats.
-    let resets = beats.windows(2).filter(|w| w[1].0 < w[0].0).count();
-    assert!(resets <= 2, "{resets} pop-counter resets in {beats:?}");
-
-    // Heartbeats are pure observation under the portfolio too: same
-    // programs, costs, and counters with progress off, on a problem
-    // every rung finishes deterministically (no timeout in play).
-    let problem = &by_name("evens").unwrap().problem;
-    let base = options_for("evens");
-    let run = |progress: bool| {
-        let mut tracer = CollectTracer::default();
-        let options = SearchOptions {
-            progress,
-            ..base.clone()
-        };
-        let report = portfolio_report_traced(problem, &options, &mut tracer);
-        let heartbeats = tracer
-            .events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Progress { .. }));
-        (report, heartbeats)
-    };
-    let (on, _) = run(true);
-    let (off, off_beats) = run(false);
-    assert!(!off_beats, "progress off must emit no heartbeats");
-    let s_on = on.outcome.expect("solves");
-    let s_off = off.outcome.expect("solves");
-    assert_eq!(s_on.program.to_string(), s_off.program.to_string());
-    assert_eq!(s_on.cost, s_off.cost);
-    assert_eq!(counters(&on.stats), counters(&off.stats));
 }
 
 #[test]

@@ -40,7 +40,8 @@ fn traced_run(problem: &Problem, tag: &str) -> (Trace, PathBuf) {
     let path = std::env::temp_dir().join(format!("lambda2-profile-test-{tag}.jsonl"));
     let mut tracer = JsonlTracer::create(&path).unwrap();
     Synthesizer::new()
-        .synthesize_traced(problem, &mut tracer)
+        .synthesize_report_traced(problem, &mut tracer)
+        .outcome
         .expect("solves");
     tracer.finish().unwrap();
     let trace = load_trace(&path).unwrap();

@@ -303,6 +303,38 @@ fn garbage_input_cannot_kill_the_daemon() {
     assert_eq!(summary.crashed, 0);
 }
 
+/// Hostile nesting: a frame of 100,000 nested `[` (well under the frame
+/// cap) would overflow a connection thread's stack in an unbounded
+/// recursive-descent parser and abort the whole daemon. Both parsers a
+/// request reaches — the JSON envelope and the `.l2` problem source —
+/// bound their depth, so each gets a structured `error` and the same
+/// connection still answers a ping. A request carrying the removed
+/// `portfolio` field is refused the same way rather than ignored.
+#[test]
+fn deeply_nested_and_removed_fields_get_structured_errors() {
+    let (addr, control, handle) = start(ServeConfig::default());
+    let deep_source = format!("(problem deep (params (l {})))", "[".repeat(100_000));
+    let frames = [
+        "[".repeat(100_000),
+        synth_req("deep", &deep_source, 1_000).to_string(),
+        r#"{"v":1,"op":"synth","problem":"(problem p)","portfolio":true}"#.to_owned(),
+    ];
+    let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
+    let mut reader = frame::FrameReader::new(frame::MAX_FRAME_BYTES);
+    let mut call = |payload: &[u8]| {
+        frame::write_frame(&mut raw, payload).unwrap();
+        let reply = reader.read_frame(&mut raw).unwrap().expect("a reply");
+        lambda2::synth::obs::json::parse(std::str::from_utf8(&reply).unwrap()).unwrap()
+    };
+    for payload in &frames {
+        let doc = call(payload.as_bytes());
+        assert_eq!(status_of(&doc), "error", "{doc}");
+        assert_eq!(status_of(&call(br#"{"op":"ping"}"#)), "ok");
+    }
+    let summary = stop(&control, handle);
+    assert_eq!(summary.crashed, 0);
+}
+
 /// Graceful drain: setting the control flag (what the CLI's SIGTERM
 /// handler does) answers queued work with `shutting_down`, cancels
 /// in-flight work after the grace period, and stops — well under the

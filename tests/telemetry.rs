@@ -36,7 +36,8 @@ fn jsonl_trace_is_well_formed_and_complete() {
     let path = std::env::temp_dir().join("lambda2-telemetry-test.jsonl");
     let mut tracer = JsonlTracer::create(&path).unwrap();
     let result = Synthesizer::new()
-        .synthesize_traced(&sum(), &mut tracer)
+        .synthesize_report_traced(&sum(), &mut tracer)
+        .outcome
         .expect("solves");
     let lines = tracer.finish().unwrap();
     assert!(lines > 0);
@@ -67,7 +68,8 @@ fn jsonl_trace_is_well_formed_and_complete() {
 fn collect_tracer_pop_events_match_stats() {
     let mut tracer = CollectTracer::default();
     let result = Synthesizer::new()
-        .synthesize_traced(&evens(), &mut tracer)
+        .synthesize_report_traced(&evens(), &mut tracer)
+        .outcome
         .expect("solves");
     let pops: Vec<u64> = tracer
         .events
@@ -129,7 +131,8 @@ fn disabled_tracer_receives_zero_events_and_same_answer() {
 
     let mut off = CountingDisabled { emitted: 0 };
     let traced = Synthesizer::new()
-        .synthesize_traced(&evens(), &mut off)
+        .synthesize_report_traced(&evens(), &mut off)
+        .outcome
         .expect("solves");
     assert_eq!(off.emitted, 0, "disabled tracer received events");
 
@@ -137,7 +140,8 @@ fn disabled_tracer_receives_zero_events_and_same_answer() {
     let plain = Synthesizer::new().synthesize(&evens()).expect("solves");
     let mut on = CollectTracer::default();
     let full = Synthesizer::new()
-        .synthesize_traced(&evens(), &mut on)
+        .synthesize_report_traced(&evens(), &mut on)
+        .outcome
         .expect("solves");
     assert_eq!(traced.program.to_string(), plain.program.to_string());
     assert_eq!(full.program.to_string(), plain.program.to_string());
