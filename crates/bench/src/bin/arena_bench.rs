@@ -1,7 +1,7 @@
 //! **Experiment A1** — term-core microstructure across the quick suite.
 //!
-//! Runs the non-hard catalog sequentially under the full λ² engine with
-//! metrics on and aggregates the instruments that the arena/hash-consing
+//! Runs the non-hard catalog sequentially under the full λ² engine and
+//! aggregates the metrics instruments that the arena/hash-consing
 //! refactor targets: per-pop priority (`pop_cost`), enumeration-store
 //! footprint (`store_bytes`/`store_terms`), and enumeration latency, plus
 //! total wall time. Running it before and after a representation change

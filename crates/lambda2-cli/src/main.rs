@@ -122,6 +122,7 @@ use std::time::Duration;
 
 use lambda2_synth::govern::panic_message;
 use lambda2_synth::obs::json::Json;
+use lambda2_synth::obs::jsonl;
 use lambda2_synth::par::{
     effective_jobs, synthesize_batch, tagged_event_json, ParEngine, ParOutcome, ParTask,
 };
@@ -518,13 +519,8 @@ impl Sinks {
             }
         }
         if let Some(path) = &self.stats_json_out {
-            use std::io::Write;
-            let appended = std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .and_then(|mut f| writeln!(f, "{}", measurement.to_json()));
-            if let Err(e) = appended {
-                eprintln!("warning: --stats-json {}: {e}", path.display());
+            if let Err(e) = jsonl::append(path, [measurement.to_json()]) {
+                eprintln!("warning: --stats-json {e}");
             }
         }
     }
@@ -1060,6 +1056,24 @@ fn diff_json(outcome: &DiffOutcome) -> Json {
     }
 }
 
+/// Parses one ingest input: a whole-file `BENCH_*.json` document (one
+/// carrying `"results"`) or a record file of measurements.
+fn ingest_file(raw: &str) -> Result<Vec<RunRecord>, String> {
+    use lambda2_synth::obs::corpus::ingest_fingerprint;
+    let path = std::path::Path::new(raw);
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {raw}: {e}"))?;
+    if let Ok(doc) = lambda2_synth::obs::json::parse(text.trim()) {
+        if doc.get("results").is_some() {
+            return ingest_bench(&doc).map_err(|e| format!("{raw}: {e}"));
+        }
+    }
+    // `--stats-json` lines carry no options, so every such record
+    // shares one explicit ingest fingerprint: comparable with each
+    // other, never with first-class fingerprinted runs.
+    let stats_fp = ingest_fingerprint("stats-json\n");
+    jsonl::parse(&text, path, |doc| ingest_measurement(&doc, &stats_fp)).map_err(|e| e.to_string())
+}
+
 /// `l2 corpus <ingest|list|stats|regress> ...` — the cross-run record
 /// store and its regression watchdog. Exit codes: 0 on success (for
 /// `regress`: no regression), 1 when `regress` finds a regression, 2 on
@@ -1094,37 +1108,6 @@ fn cmd_corpus(args: &[String], flags: &Flags) -> ExitCode {
         }
         load_records(&store).map_err(|e| e.to_string())
     }
-    /// Parses one ingest input: a whole-file JSON document (a bench
-    /// report, or a single measurement) or JSON Lines of measurements.
-    fn ingest_file(raw: &str) -> Result<Vec<RunRecord>, String> {
-        use lambda2_synth::obs::corpus::ingest_fingerprint;
-        use lambda2_synth::obs::json::parse;
-        let text = std::fs::read_to_string(raw).map_err(|e| format!("reading {raw}: {e}"))?;
-        // `--stats-json` lines carry no options, so every such record
-        // shares one explicit ingest fingerprint: comparable with each
-        // other, never with first-class fingerprinted runs.
-        let stats_fp = ingest_fingerprint("stats-json\n");
-        if let Ok(doc) = parse(text.trim()) {
-            if doc.get("results").is_some() {
-                return ingest_bench(&doc).map_err(|e| format!("{raw}: {e}"));
-            }
-            return ingest_measurement(&doc, &stats_fp)
-                .map(|r| vec![r])
-                .map_err(|e| format!("{raw}: {e}"));
-        }
-        let mut records = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let doc = parse(line).map_err(|e| format!("{raw}:{}: {e}", i + 1))?;
-            records.push(
-                ingest_measurement(&doc, &stats_fp).map_err(|e| format!("{raw}:{}: {e}", i + 1))?,
-            );
-        }
-        Ok(records)
-    }
-
     match (args.first().map(String::as_str), &args[1..]) {
         (Some("ingest"), [dir, files @ ..]) if !files.is_empty() => {
             let corpus = match Corpus::open(std::path::Path::new(dir)) {
@@ -1945,6 +1928,20 @@ mod tests {
         let sinks = prepare_sinks(&Flags::default()).unwrap();
         assert!(sinks.corpus.is_none());
         assert!(sinks.stats_json_out.is_none());
+    }
+
+    #[test]
+    fn ingest_refuses_foreign_schema_versions() {
+        let path = std::env::temp_dir().join(format!("l2-ingest-test-{}", std::process::id()));
+        let raw = path.to_str().unwrap();
+        std::fs::write(&path, "{\"v\":1,\"name\":\"x\",\"stats\":{}}\n").unwrap();
+        let records = ingest_file(raw).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].problem, "x");
+        std::fs::write(&path, "{\"v\":2,\"name\":\"x\",\"stats\":{}}\n").unwrap();
+        let err = ingest_file(raw).unwrap_err();
+        assert!(err.contains("unsupported schema version 2"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

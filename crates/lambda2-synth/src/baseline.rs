@@ -75,26 +75,33 @@ pub fn synthesize_baseline(
     options: &BaselineOptions,
 ) -> Result<Synthesis, SynthError> {
     let budget = Budget::new(options.timeout, DEFAULT_MAX_OVERSHOOT);
-    synthesize_baseline_within(problem, options, &budget)
+    baseline_report(problem, options, &budget).outcome
 }
 
-/// [`synthesize_baseline_within`] as a one-attempt [`SearchReport`] — the
-/// retry ladder's last rung and the batch pool's baseline engine both
-/// report through here. The baseline keeps no counters on failure, so a
-/// failed run reports empty [`Stats`].
+/// Runs the baseline enumerator under an explicit resource [`Budget`] as
+/// a one-attempt [`SearchReport`] — the retry ladder's last rung and the
+/// batch pool's baseline engine both report through here. The budget (not
+/// `options.timeout`) decides when to stop, is ticked inside the
+/// candidate loops and pool construction, and supports cooperative
+/// cancellation. The report keeps the run's counters whether or not it
+/// found a program.
 pub(crate) fn baseline_report(
     problem: &Problem,
     options: &BaselineOptions,
     budget: &Budget,
 ) -> SearchReport {
     let start = Instant::now();
-    let outcome = synthesize_baseline_within(problem, options, budget);
+    let mut stats = Stats::default();
+    let outcome =
+        enumerate(problem, options, budget, &mut stats).map(|(program, cost)| Synthesis {
+            program,
+            cost,
+            stats: stats.clone(),
+            elapsed: start.elapsed(),
+        });
     let elapsed = start.elapsed();
     SearchReport {
-        stats: outcome
-            .as_ref()
-            .map(|s| s.stats.clone())
-            .unwrap_or_default(),
+        stats,
         attempts: vec![Attempt {
             rung: Rung::Baseline,
             error: outcome.as_ref().err().cloned(),
@@ -107,23 +114,16 @@ pub(crate) fn baseline_report(
     }
 }
 
-/// [`synthesize_baseline`] under an explicit resource [`Budget`]: the
-/// budget (not `options.timeout`) decides when to stop, is ticked inside
-/// the candidate loops and pool construction, and supports cooperative
-/// cancellation.
-///
-/// # Errors
-///
-/// See [`SynthError`].
-pub(crate) fn synthesize_baseline_within(
+/// The baseline search proper: the least-cost program and its cost,
+/// counting its work into `stats` as it goes.
+fn enumerate(
     problem: &Problem,
     options: &BaselineOptions,
     budget: &Budget,
-) -> Result<Synthesis, SynthError> {
-    let start = Instant::now();
+    stats: &mut Stats,
+) -> Result<(Program, u32), SynthError> {
     let library = problem.library();
     let costs = library.costs().clone();
-    let mut stats = Stats::default();
 
     // Example environments and expected outputs.
     let envs: Vec<Env> = problem
@@ -233,16 +233,6 @@ pub(crate) fn synthesize_baseline_within(
         None
     };
 
-    let finish = |program: Program, cost: u32, mut stats: Stats, start: Instant| {
-        stats.enumerated_terms = 0;
-        Ok(Synthesis {
-            program,
-            cost,
-            stats,
-            elapsed: start.elapsed(),
-        })
-    };
-
     for k in 1..=options.max_cost {
         if let Err(e) = budget.check_now() {
             return Err(e.to_synth_error());
@@ -265,9 +255,9 @@ pub(crate) fn synthesize_baseline_within(
                     &mut level,
                     &mut terms,
                     &mut seen,
-                    &mut stats,
+                    stats,
                 ) {
-                    return finish(p, k, stats, start);
+                    return Ok((p, k));
                 }
             }
         }
@@ -281,9 +271,9 @@ pub(crate) fn synthesize_baseline_within(
                     &mut level,
                     &mut terms,
                     &mut seen,
-                    &mut stats,
+                    stats,
                 ) {
-                    return finish(p, k, stats, start);
+                    return Ok((p, k));
                 }
             }
         }
@@ -340,10 +330,10 @@ pub(crate) fn synthesize_baseline_within(
                         .collect::<Vec<_>>()
                         .into(),
                 ));
-                if let Some(p) = test_and_insert(
-                    expr, ret, sig, &mut level, &mut terms, &mut seen, &mut stats,
-                ) {
-                    return finish(p, k, stats, start);
+                if let Some(p) =
+                    test_and_insert(expr, ret, sig, &mut level, &mut terms, &mut seen, stats)
+                {
+                    return Ok((p, k));
                 }
             }
         }
@@ -461,10 +451,9 @@ pub(crate) fn synthesize_baseline_within(
                                     _ => beta.clone(),
                                 };
                                 if let Some(p) = test_and_insert(
-                                    expr, out_ty, sig, &mut level, &mut terms, &mut seen,
-                                    &mut stats,
+                                    expr, out_ty, sig, &mut level, &mut terms, &mut seen, stats,
                                 ) {
-                                    return finish(p, k, stats, start);
+                                    return Ok((p, k));
                                 }
                             }
                         }
@@ -539,6 +528,24 @@ mod tests {
             Ok(s) => assert!(s.program.satisfies_problem(&p, 10_000)),
             Err(e) => assert!(matches!(e, SynthError::Timeout | SynthError::Exhausted)),
         }
+    }
+
+    #[test]
+    fn failed_baseline_reports_keep_their_counters() {
+        // No program of cost <= 4 maps 1->7, 2->3, 3->100.
+        let p = problem(
+            &[("x", "int")],
+            "int",
+            &[(&["1"], "7"), (&["2"], "3"), (&["3"], "100")],
+        );
+        let opts = BaselineOptions {
+            max_cost: 4,
+            ..BaselineOptions::default()
+        };
+        let report = baseline_report(&p, &opts, &Budget::new(None, DEFAULT_MAX_OVERSHOOT));
+        assert_eq!(report.outcome.unwrap_err(), SynthError::Exhausted);
+        assert!(report.stats.verified > 0);
+        assert_eq!(report.attempts[0].error, Some(SynthError::Exhausted));
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub use l2file::{parse_problem, parse_problem_file, LibrarySpec, ProblemFile};
 pub use library::Library;
 pub use obs::corpus::{
     aggregate, build_rev, ingest_bench, ingest_measurement, load_records, options_fingerprint,
-    regress, Aggregate, Corpus, CorpusError, Finding, FindingKind, RegressThresholds, RunRecord,
+    regress, Aggregate, Corpus, Finding, FindingKind, RegressThresholds, RunRecord,
 };
+pub use obs::jsonl::RecordError;
 pub use obs::metrics::{Histogram, SearchMetrics};
 pub use obs::profile::{
     collapse_tree, diff_traces, load_trace, parse_trace, summarize, DiffOutcome, ProfileError,
@@ -96,8 +97,7 @@ pub use par::{
 pub use problem::{Example, Problem, ProblemBuilder, ProblemError};
 pub use search::{warm_config_fingerprint, SearchOptions, SynthError, Synthesis};
 pub use serve::{
-    load_access_log, AccessError, AccessLog, AccessRecord, AccessReport, ServeConfig, ServeSummary,
-    Server,
+    load_access_log, AccessLog, AccessRecord, AccessReport, ServeConfig, ServeSummary, Server,
 };
 pub use spec::{ExampleRow, Spec};
 pub use stats::{Measurement, Stats};

@@ -14,22 +14,21 @@
 //! Design constraints carried over from the rest of `obs`:
 //!
 //! * **Zero deps** — records serialize through the hand-rolled
-//!   [`json`] module; the fingerprint hash is an inlined FNV-1a.
+//!   [`json`](crate::obs::json) module; the fingerprint hash is an
+//!   inlined FNV-1a.
 //! * **Hermetic** — the build revision comes from the
 //!   `LAMBDA2_BUILD_REV` environment variable ([`build_rev`]), never
 //!   from invoking `git` at runtime.
-//! * **Schema-versioned** — every record line leads with `"v"` and
-//!   loading refuses versions it does not understand, exactly like the
-//!   trace parser.
+//! * **One record format** — the store is a [`jsonl`] record file:
+//!   versioned lines, whole-line appends, a tolerated torn tail.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::enumerate::EnumLimits;
-use crate::obs::json::{self, Json};
+use crate::obs::json::Json;
+use crate::obs::jsonl::{self, RecordError};
 use crate::obs::metrics::{Histogram, EXP2_BOUNDS};
 use crate::obs::SCHEMA_VERSION;
 use crate::search::SearchOptions;
@@ -37,66 +36,6 @@ use crate::stats::Measurement;
 
 /// File name of the record store inside a corpus directory.
 pub const CORPUS_FILE: &str = "runs.jsonl";
-
-/// Structured failure of a corpus operation. Every variant names the file
-/// involved, so batch tooling can report which of many inputs was bad.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CorpusError {
-    /// Filesystem failure (open, create, read, write).
-    Io {
-        /// The file or directory involved.
-        path: PathBuf,
-        /// The rendered OS error.
-        message: String,
-    },
-    /// A line was not valid JSON or not record-shaped.
-    Parse {
-        /// The file involved.
-        path: PathBuf,
-        /// 1-based line number.
-        line: u64,
-        /// What was wrong.
-        message: String,
-    },
-    /// A line carried a schema version this build does not understand.
-    Version {
-        /// The file involved.
-        path: PathBuf,
-        /// 1-based line number.
-        line: u64,
-        /// The version found (`None` when the field is missing entirely).
-        found: Option<i64>,
-    },
-}
-
-impl fmt::Display for CorpusError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CorpusError::Io { path, message } => {
-                write!(f, "{}: {message}", path.display())
-            }
-            CorpusError::Parse {
-                path,
-                line,
-                message,
-            } => write!(f, "{}:{line}: {message}", path.display()),
-            CorpusError::Version { path, line, found } => match found {
-                Some(v) => write!(
-                    f,
-                    "{}:{line}: unsupported record schema version {v} (this build reads v{SCHEMA_VERSION})",
-                    path.display()
-                ),
-                None => write!(
-                    f,
-                    "{}:{line}: record has no schema version field \"v\"",
-                    path.display()
-                ),
-            },
-        }
-    }
-}
-
-impl std::error::Error for CorpusError {}
 
 /// 64-bit FNV-1a over a byte string — the corpus' stable, dependency-free
 /// hash. Not cryptographic; collisions only risk conflating two option
@@ -114,13 +53,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// The fingerprint is the FNV-1a hash (16 hex digits) of a normalized
 /// `key=value` rendering with a fixed key order, so it is stable across
-/// CLI flag reordering and across unrelated code motion. Observation-only
-/// knobs ([`SearchOptions::metrics`], [`SearchOptions::progress`]) are
-/// deliberately excluded: they are proven (by differential test) not to
-/// change programs, costs, or counters, so toggling them must not fork a
-/// problem's baseline. Everything else — including
-/// [`SearchOptions::static_analysis`], which moves refutations between
-/// counters — is included.
+/// CLI flag reordering and across unrelated code motion. The
+/// observation-only [`SearchOptions::progress`] knob is deliberately
+/// excluded: it is proven (by differential test) not to change programs,
+/// costs, or counters, so toggling it must not fork a problem's baseline.
+/// Everything else — including [`SearchOptions::static_analysis`], which
+/// moves refutations between counters — is included.
 ///
 /// The exhaustive destructuring below means adding a `SearchOptions`
 /// field without deciding whether it belongs in the fingerprint is a
@@ -148,7 +86,6 @@ pub fn options_fingerprint(options: &SearchOptions) -> String {
         trace_probes,
         expand_blind_holes,
         jobs,
-        metrics: _,  // observation-only: never forks a baseline
         progress: _, // observation-only: never forks a baseline
     } = options;
     let EnumLimits {
@@ -243,7 +180,7 @@ pub struct RunRecord {
     /// Build revision (see [`build_rev`]).
     pub build_rev: String,
     /// The full measurement object, in [`Measurement::to_json`] shape —
-    /// counters, phase times, and (when metrics were on) histograms.
+    /// counters, phase times, and histograms.
     pub run: Json,
 }
 
@@ -290,34 +227,17 @@ impl RunRecord {
         ])
     }
 
-    fn from_json(j: &Json, path: &Path, line: u64) -> Result<RunRecord, CorpusError> {
-        let version = |found| CorpusError::Version {
-            path: path.to_owned(),
-            line,
-            found,
-        };
-        match j.get("v") {
-            None => return Err(version(None)),
-            Some(v) if v.as_u64() != Some(SCHEMA_VERSION) => {
-                return Err(version(v.as_i64()));
-            }
-            Some(_) => {}
-        }
-        let field = |key: &str| -> Result<String, CorpusError> {
+    fn from_json(j: &Json) -> Result<RunRecord, String> {
+        let field = |key: &str| {
             j.get(key)
                 .and_then(Json::as_str)
                 .map(str::to_owned)
-                .ok_or_else(|| CorpusError::Parse {
-                    path: path.to_owned(),
-                    line,
-                    message: format!("record missing string field {key:?}"),
-                })
+                .ok_or_else(|| format!("record missing string field {key:?}"))
         };
-        let run = j.get("run").cloned().ok_or_else(|| CorpusError::Parse {
-            path: path.to_owned(),
-            line,
-            message: "record missing field \"run\"".to_owned(),
-        })?;
+        let run = j
+            .get("run")
+            .cloned()
+            .ok_or("record missing field \"run\"")?;
         Ok(RunRecord {
             problem: field("problem")?,
             fingerprint: field("fingerprint")?,
@@ -372,12 +292,9 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// [`CorpusError::Io`] when the directory cannot be created.
-    pub fn open(dir: &Path) -> Result<Corpus, CorpusError> {
-        fs::create_dir_all(dir).map_err(|e| CorpusError::Io {
-            path: dir.to_owned(),
-            message: e.to_string(),
-        })?;
+    /// [`RecordError::Io`] when the directory cannot be created.
+    pub fn open(dir: &Path) -> Result<Corpus, RecordError> {
+        fs::create_dir_all(dir).map_err(|e| RecordError::io(dir, &e))?;
         Ok(Corpus {
             dir: dir.to_owned(),
         })
@@ -388,38 +305,15 @@ impl Corpus {
         self.dir.join(CORPUS_FILE)
     }
 
-    /// Appends records to the store (one JSONL line each). Append-only by
-    /// construction: history is the whole point of the corpus.
+    /// Appends records to the store (one whole line each, see
+    /// [`jsonl::append`]). Append-only by construction: history is the
+    /// whole point of the corpus.
     ///
     /// # Errors
     ///
-    /// [`CorpusError::Io`] on any write failure.
-    pub fn append(&self, records: &[RunRecord]) -> Result<(), CorpusError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let path = self.store_path();
-        let io_err = |e: std::io::Error| CorpusError::Io {
-            path: path.clone(),
-            message: e.to_string(),
-        };
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(io_err)?;
-        // One `write_all` + flush per record, no buffered writer: each
-        // record reaches the OS as a single appended line before the next
-        // begins, so a crash mid-batch can corrupt at most the final,
-        // in-flight line — which loaders skip with a warning. A long-lived
-        // multi-request writer (the serve daemon) relies on this.
-        for record in records {
-            let mut line = record.to_json().to_string();
-            line.push('\n');
-            file.write_all(line.as_bytes()).map_err(io_err)?;
-            file.flush().map_err(io_err)?;
-        }
-        Ok(())
+    /// [`RecordError::Io`] on any write failure.
+    pub fn append(&self, records: &[RunRecord]) -> Result<(), RecordError> {
+        jsonl::append(&self.store_path(), records.iter().map(RunRecord::to_json))
     }
 
     /// Loads every record in the store, in append order. A corpus whose
@@ -427,8 +321,8 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// [`CorpusError`] on IO, parse, or schema-version failure.
-    pub fn load(&self) -> Result<Vec<RunRecord>, CorpusError> {
+    /// [`RecordError`] on IO, parse, or schema-version failure.
+    pub fn load(&self) -> Result<Vec<RunRecord>, RecordError> {
         let path = self.store_path();
         if !path.exists() {
             return Ok(Vec::new());
@@ -441,44 +335,9 @@ impl Corpus {
 ///
 /// # Errors
 ///
-/// [`CorpusError`] on IO, parse, or schema-version failure.
-pub fn load_records(path: &Path) -> Result<Vec<RunRecord>, CorpusError> {
-    let text = fs::read_to_string(path).map_err(|e| CorpusError::Io {
-        path: path.to_owned(),
-        message: e.to_string(),
-    })?;
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let mut records = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let line_no = i as u64 + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = json::parse(line)
-            .map_err(|message| CorpusError::Parse {
-                path: path.to_owned(),
-                line: line_no,
-                message,
-            })
-            .and_then(|j| RunRecord::from_json(&j, path, line_no));
-        match parsed {
-            Ok(record) => records.push(record),
-            // A final line with no terminating newline is the signature of
-            // a writer that crashed mid-append (see `Corpus::append`): at
-            // most that one record is lost. Skip it with a warning rather
-            // than failing the whole load. Mid-file garbage still errors —
-            // that is corruption, not a truncated tail.
-            Err(err) if !terminated && i + 1 == lines.len() => {
-                eprintln!(
-                    "warning: {}: skipping unterminated trailing record at line {line_no}: {err}",
-                    path.display()
-                );
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    Ok(records)
+/// [`RecordError`] on IO, parse, or schema-version failure.
+pub fn load_records(path: &Path) -> Result<Vec<RunRecord>, RecordError> {
+    jsonl::load(path, |j| RunRecord::from_json(&j))
 }
 
 /// Converts measurement-shaped JSON (a `--stats-json` line or one entry
@@ -516,11 +375,8 @@ pub fn ingest_bench(doc: &Json) -> Result<Vec<RunRecord>, String> {
     let Json::Obj(pairs) = doc else {
         return Err("bench document is not a JSON object".to_owned());
     };
-    match doc.get("v").and_then(Json::as_u64) {
-        Some(SCHEMA_VERSION) => {}
-        Some(v) => return Err(format!("unsupported bench schema version {v}")),
-        None => return Err("bench document has no schema version field \"v\"".to_owned()),
-    }
+    jsonl::check_version(doc)
+        .map_err(|found| format!("bench document: {}", jsonl::version_message(found)))?;
     let results = match doc.get("results") {
         Some(Json::Arr(items)) => items,
         _ => return Err("bench document has no \"results\" array".to_owned()),
@@ -850,6 +706,7 @@ pub fn regress(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::json;
     use crate::obs::PhaseTimes;
     use crate::stats::Stats;
     use std::time::Duration;
@@ -890,7 +747,6 @@ mod tests {
         let mut b = SearchOptions::default();
         assert_eq!(options_fingerprint(&a), options_fingerprint(&b));
         // Observation-only toggles do not fork baselines...
-        b.metrics = false;
         b.progress = true;
         assert_eq!(options_fingerprint(&a), options_fingerprint(&b));
         // ...while anything search-relevant does.
@@ -940,37 +796,6 @@ mod tests {
         let loaded = corpus.load().unwrap();
         assert_eq!(loaded, vec![served]);
         assert_eq!(loaded[0].req_id(), Some("c3-r1"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_rejects_garbage_and_wrong_versions() {
-        let dir = temp_dir("reject");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(CORPUS_FILE);
-        fs::write(&path, "not json\n").unwrap();
-        assert!(matches!(
-            load_records(&path),
-            Err(CorpusError::Parse { line: 1, .. })
-        ));
-        fs::write(&path, "{\"v\":99,\"problem\":\"x\"}\n").unwrap();
-        assert!(matches!(
-            load_records(&path),
-            Err(CorpusError::Version {
-                line: 1,
-                found: Some(99),
-                ..
-            })
-        ));
-        fs::write(&path, "{\"problem\":\"x\"}\n").unwrap();
-        assert!(matches!(
-            load_records(&path),
-            Err(CorpusError::Version {
-                line: 1,
-                found: None,
-                ..
-            })
-        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

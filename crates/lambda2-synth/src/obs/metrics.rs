@@ -248,10 +248,10 @@ impl Histogram {
 /// Every histogram the synthesis engine records, snapshotted into
 /// [`Stats`](crate::stats::Stats) at the end of a run.
 ///
-/// Recording is gated by `SearchOptions::metrics` (on by default) and by
-/// construction never influences the search: the instruments observe
-/// queue state, costs, and latencies but feed nothing back. The
-/// differential test in `tests/profile.rs` holds the engine to that.
+/// Recording is always on and by construction never influences the
+/// search: the instruments observe queue state, costs, and latencies but
+/// feed nothing back. `tests/profile.rs` checks that the pop histograms
+/// agree with the pop counter.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SearchMetrics {
     /// Queue length sampled at every pop (before the popped item's

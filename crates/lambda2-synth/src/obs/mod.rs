@@ -23,6 +23,7 @@
 
 pub mod corpus;
 pub mod json;
+pub mod jsonl;
 pub mod metrics;
 pub mod profile;
 pub mod report;

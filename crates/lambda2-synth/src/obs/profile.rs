@@ -5,10 +5,10 @@
 //! substrate — the `l2 profile` subcommand family is a thin CLI over
 //! these functions:
 //!
-//! * [`load_trace`] / [`parse_trace`] — strict, versioned loading. Every
-//!   line must carry `"v": 1` ([`super::SCHEMA_VERSION`]); traces from
-//!   older or newer engines are rejected with the offending line number
-//!   instead of being silently misparsed.
+//! * [`load_trace`] / [`parse_trace`] — versioned loading through
+//!   [`jsonl`]: traces from older or newer engines are rejected with the
+//!   offending line number instead of being silently misparsed, and the
+//!   torn tail of an interrupted write is skipped.
 //! * [`summarize`] — per-combinator and per-deduction-rule attribution
 //!   (pops, plans, examples inferred, refutations, refutation yield),
 //!   plus store/verify/tier totals and — when the trace carries `t_us`
@@ -22,58 +22,37 @@
 //!   (strict prefix — a run that stopped early) from a *divergent* one.
 //!
 //! Everything here is pure string/JSON processing over the hand-rolled
-//! [`json`] module — no engine state, no extra dependencies.
+//! [`json`](super::json) module — no engine state, no extra dependencies.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use super::json::{self, Json};
+use super::json::Json;
+use super::jsonl::{self, RecordError};
 use super::SCHEMA_VERSION;
 
 /// Why a trace could not be loaded or analyzed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProfileError {
-    /// The file could not be read.
-    Io(String),
-    /// A line was not a valid JSON object.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// Parser message.
-        message: String,
-    },
-    /// A line carried a missing or unsupported `"v"` schema version.
-    Version {
-        /// 1-based line number.
-        line: usize,
-        /// The version found (`None` when the field is absent).
-        found: Option<i64>,
-    },
+    /// The trace could not be read, or a line was malformed or carried a
+    /// missing or unsupported schema version.
+    Record(RecordError),
     /// The requested analysis needs `t_us` timestamps the trace lacks
     /// (e.g. merged parallel traces carry none).
     NoTimestamps,
 }
 
+impl From<RecordError> for ProfileError {
+    fn from(e: RecordError) -> ProfileError {
+        ProfileError::Record(e)
+    }
+}
+
 impl fmt::Display for ProfileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProfileError::Io(e) => write!(f, "reading trace: {e}"),
-            ProfileError::Parse { line, message } => {
-                write!(f, "trace line {line}: not a JSON object: {message}")
-            }
-            ProfileError::Version { line, found } => match found {
-                Some(v) => write!(
-                    f,
-                    "trace line {line}: schema version {v} (this tool reads v{SCHEMA_VERSION}); \
-                     re-record the trace with a matching engine"
-                ),
-                None => write!(
-                    f,
-                    "trace line {line}: no \"v\" schema-version field — this trace predates the \
-                     versioned format (v{SCHEMA_VERSION}); re-record it with a current engine"
-                ),
-            },
+            ProfileError::Record(e) => e.fmt(f),
             ProfileError::NoTimestamps => {
                 write!(
                     f,
@@ -118,31 +97,15 @@ impl Trace {
     }
 }
 
-/// Parses trace text (one JSON object per line; blank lines ignored),
-/// validating the schema version of every line.
+/// Parses trace text as a [`jsonl`] record file (one event per line;
+/// blank lines ignored; a torn tail skipped).
 ///
 /// # Errors
 ///
-/// [`ProfileError::Parse`] for malformed lines, [`ProfileError::Version`]
-/// for missing/unsupported schema versions.
+/// [`ProfileError::Record`] for malformed lines and missing/unsupported
+/// schema versions.
 pub fn parse_trace(src: &str) -> Result<Trace, ProfileError> {
-    let mut events = Vec::new();
-    for (i, line) in src.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let n = i + 1;
-        let ev = json::parse(line).map_err(|e| ProfileError::Parse {
-            line: n,
-            message: e.to_string(),
-        })?;
-        match ev.get("v").and_then(Json::as_i64) {
-            Some(v) if v == SCHEMA_VERSION as i64 => {}
-            found => return Err(ProfileError::Version { line: n, found }),
-        }
-        events.push(ev);
-    }
+    let events = jsonl::parse(src, Path::new("trace"), Ok)?;
     Ok(Trace { events })
 }
 
@@ -150,12 +113,11 @@ pub fn parse_trace(src: &str) -> Result<Trace, ProfileError> {
 ///
 /// # Errors
 ///
-/// [`ProfileError::Io`] when the file can't be read, plus everything
+/// [`ProfileError::Record`] when the file can't be read, plus everything
 /// [`parse_trace`] reports.
 pub fn load_trace(path: &Path) -> Result<Trace, ProfileError> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| ProfileError::Io(format!("{}: {e}", path.display())))?;
-    parse_trace(&src)
+    let events = jsonl::load(path, Ok)?;
+    Ok(Trace { events })
 }
 
 // --- Event keys + diff --------------------------------------------------
@@ -766,6 +728,7 @@ pub fn collapse_tree(trace: &Trace, weight: Weight) -> Result<Vec<(String, u64)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::json;
 
     fn line(ev: &str) -> String {
         format!(r#"{{"v":1,"ev":{ev}}}"#)
@@ -776,27 +739,32 @@ mod tests {
         let ok = parse_trace(&line(r#""pop","kind":"hyp","cost":3,"sketch":"?1""#)).unwrap();
         assert_eq!(ok.len(), 1);
         let missing = parse_trace(r#"{"ev":"pop"}"#);
-        assert_eq!(
+        assert!(matches!(
             missing,
-            Err(ProfileError::Version {
+            Err(ProfileError::Record(RecordError::Version {
                 line: 1,
-                found: None
-            })
-        );
+                found: None,
+                ..
+            }))
+        ));
         let future = parse_trace(&format!(
             "{}\n{}",
             line(r#""pop""#),
             r#"{"v":99,"ev":"pop"}"#
         ));
-        assert_eq!(
+        assert!(matches!(
             future,
-            Err(ProfileError::Version {
+            Err(ProfileError::Record(RecordError::Version {
                 line: 2,
-                found: Some(99)
-            })
-        );
-        let garbage = parse_trace("not json");
-        assert!(matches!(garbage, Err(ProfileError::Parse { line: 1, .. })));
+                found: Some(99),
+                ..
+            }))
+        ));
+        let garbage = parse_trace("not json\n");
+        assert!(matches!(
+            garbage,
+            Err(ProfileError::Record(RecordError::Parse { line: 1, .. }))
+        ));
     }
 
     #[test]

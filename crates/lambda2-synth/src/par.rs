@@ -172,15 +172,12 @@ pub fn synthesize_batch(tasks: Vec<ParTask>, jobs: usize) -> Vec<ParOutcome> {
     let submitted = Instant::now();
     let results = run_pool(tasks, jobs, |_worker, _index, task| {
         let queue_wait = submitted.elapsed();
-        let metrics = task.options.metrics;
         let (mut report, events) = run_task(&task);
-        if metrics {
-            report
-                .stats
-                .metrics
-                .queue_wait_us
-                .record(queue_wait.as_micros() as u64);
-        }
+        report
+            .stats
+            .metrics
+            .queue_wait_us
+            .record(queue_wait.as_micros() as u64);
         (report, events, queue_wait)
     });
     results

@@ -161,15 +161,6 @@ pub struct SearchOptions {
     /// (Ignored when deduction is disabled: the ablation must still form
     /// hypotheses.)
     pub expand_blind_holes: bool,
-    /// Record distribution metrics ([`Stats::metrics`]) — queue depth, pop
-    /// cost, per-episode phase latency, store occupancy. On by default:
-    /// recording is a handful of integer adds per observation and by
-    /// construction feeds nothing back into the search, so the synthesized
-    /// program, its cost, and every counter are identical on/off (held to
-    /// by a differential test).
-    ///
-    /// [`Stats::metrics`]: crate::stats::Stats::metrics
-    pub metrics: bool,
     /// Worker threads for *within-problem* parallelism (1 = fully
     /// sequential, the default). With `jobs > 1` the search drains runs
     /// of equal-cost entries from the head of the priority queue and
@@ -188,8 +179,8 @@ pub struct SearchOptions {
     /// regardless of search speed). Off by default: heartbeat count and
     /// content are wall-clock driven, so they would make otherwise
     /// deterministic traces volatile under `l2 profile diff`. Purely
-    /// observational — the same differential test that covers `metrics`
-    /// proves toggling this changes no program, cost, or counter.
+    /// observational — a differential test proves toggling this changes
+    /// no program, cost, or counter.
     pub progress: bool,
 }
 
@@ -217,7 +208,6 @@ impl Default for SearchOptions {
             trace_probes: true,
             expand_blind_holes: false,
             jobs: 1,
-            metrics: true,
             progress: false,
         }
     }
@@ -239,14 +229,12 @@ impl SearchOptions {
     }
 }
 
-/// Folds one timed phase episode into the scalar phase total and, when
-/// metrics are on, the phase's per-episode latency histogram.
+/// Folds one timed phase episode into the scalar phase total and the
+/// phase's per-episode latency histogram.
 #[inline]
-fn note_phase(total: &mut Duration, hist: &mut Histogram, metrics: bool, d: Duration) {
+fn note_phase(total: &mut Duration, hist: &mut Histogram, d: Duration) {
     *total += d;
-    if metrics {
-        hist.record(d.as_micros().min(u64::MAX as u128) as u64);
-    }
+    hist.record(d.as_micros().min(u64::MAX as u128) as u64);
 }
 
 /// Why synthesis failed.
@@ -535,16 +523,14 @@ pub(crate) fn search_governed_warm(
             let aborted: Option<Result<(Program, u32), SynthError>> = 'round: {
                 while let Some(entry) = round.pop_front() {
                     stats.popped += 1;
-                    if options.metrics {
-                        // Depth after the pop, before this item's children push.
-                        // Undrained round entries would still be queued at this
-                        // point in a sequential run, so they count as depth.
-                        stats
-                            .metrics
-                            .queue_depth
-                            .record_usize(queue.len() + round.len());
-                        stats.metrics.pop_cost.record(u64::from(entry.cost));
-                    }
+                    // Depth after the pop, before this item's children push.
+                    // Undrained round entries would still be queued at this
+                    // point in a sequential run, so they count as depth.
+                    stats
+                        .metrics
+                        .queue_depth
+                        .record_usize(queue.len() + round.len());
+                    stats.metrics.pop_cost.record(u64::from(entry.cost));
                     #[cfg(feature = "check-invariants")]
                     {
                         assert!(
@@ -620,9 +606,9 @@ pub(crate) fn search_governed_warm(
                             }
                             if hyp.is_complete() {
                                 let verdict = match preruns.remove(&entry_seq) {
-                                    Some(pre) => apply_prerun(
-                                        pre, hyp.cost, options, budget, &mut stats, tracer,
-                                    ),
+                                    Some(pre) => {
+                                        apply_prerun(pre, hyp.cost, budget, &mut stats, tracer)
+                                    }
                                     None => verify_candidate(
                                         problem, &hyp.expr, hyp.cost, options, budget, &mut stats,
                                         tracer,
@@ -725,7 +711,6 @@ pub(crate) fn search_governed_warm(
                                         note_phase(
                                             &mut stats.phases.enumerate,
                                             &mut stats.metrics.enumerate_us,
-                                            options.metrics,
                                             t_enum.elapsed(),
                                         );
                                         break 'round Some(Err(e.to_synth_error()));
@@ -755,7 +740,6 @@ pub(crate) fn search_governed_warm(
                                         note_phase(
                                             &mut stats.phases.enumerate,
                                             &mut stats.metrics.enumerate_us,
-                                            options.metrics,
                                             t_enum.elapsed(),
                                         );
                                         break 'round Some(Err(e.to_synth_error()));
@@ -771,7 +755,6 @@ pub(crate) fn search_governed_warm(
                                     note_phase(
                                         &mut stats.phases.enumerate,
                                         &mut stats.metrics.enumerate_us,
-                                        options.metrics,
                                         t_enum.elapsed(),
                                     );
 
@@ -851,20 +834,14 @@ pub(crate) fn search_governed_warm(
                                                         note_phase(
                                                             &mut stats.phases.deduce,
                                                             &mut stats.metrics.deduce_us,
-                                                            options.metrics,
                                                             t_deduce.elapsed(),
                                                         );
                                                         break 'round Some(Err(e.to_synth_error()));
                                                     }
                                                     PlanOutcome::Rejected(fail) => {
                                                         refute(
-                                                            &mut stats,
-                                                            tracer,
-                                                            fail,
-                                                            comb,
-                                                            expr,
+                                                            &mut stats, tracer, fail, comb, expr,
                                                             None,
-                                                            options.metrics,
                                                         );
                                                     }
                                                     PlanOutcome::Fault(detail) => {
@@ -966,7 +943,6 @@ pub(crate) fn search_governed_warm(
                                                         note_phase(
                                                             &mut stats.phases.deduce,
                                                             &mut stats.metrics.deduce_us,
-                                                            options.metrics,
                                                             t_deduce.elapsed(),
                                                         );
                                                         break 'round Some(Err(e.to_synth_error()));
@@ -979,7 +955,6 @@ pub(crate) fn search_governed_warm(
                                                             comb,
                                                             expr,
                                                             Some(ie),
-                                                            options.metrics,
                                                         );
                                                     }
                                                     PlanOutcome::Fault(detail) => {
@@ -1009,13 +984,10 @@ pub(crate) fn search_governed_warm(
                                     note_phase(
                                         &mut stats.phases.deduce,
                                         &mut stats.metrics.deduce_us,
-                                        options.metrics,
                                         t_deduce.elapsed(),
                                     );
-                                    if options.metrics {
-                                        if let Some(pct) = abs_cache.take_hit_pct() {
-                                            stats.metrics.abs_cache_hit_pct.record(pct);
-                                        }
+                                    if let Some(pct) = abs_cache.take_hit_pct() {
+                                        stats.metrics.abs_cache_hit_pct.record(pct);
                                     }
                                     let planned = Arc::new(planned);
                                     templates.insert(tkey, Arc::clone(&planned));
@@ -1062,7 +1034,6 @@ pub(crate) fn search_governed_warm(
                             note_phase(
                                 &mut stats.phases.expand,
                                 &mut stats.metrics.expand_us,
-                                options.metrics,
                                 t_expand.elapsed(),
                             );
                             seq += 1;
@@ -1114,7 +1085,6 @@ pub(crate) fn search_governed_warm(
                                 note_phase(
                                     &mut stats.phases.enumerate,
                                     &mut stats.metrics.enumerate_us,
-                                    options.metrics,
                                     t_enum.elapsed(),
                                 );
                                 break 'round Some(Err(e.to_synth_error()));
@@ -1127,7 +1097,6 @@ pub(crate) fn search_governed_warm(
                             note_phase(
                                 &mut stats.phases.enumerate,
                                 &mut stats.metrics.enumerate_us,
-                                options.metrics,
                                 t_enum.elapsed(),
                             );
                             if tracer.enabled() {
@@ -1188,8 +1157,7 @@ pub(crate) fn search_governed_warm(
                                     let (child, verdict) = match pre_closed.pop_front() {
                                         Some((child, pre)) => {
                                             let v = apply_prerun(
-                                                pre, child_cost, options, budget, &mut stats,
-                                                tracer,
+                                                pre, child_cost, budget, &mut stats, tracer,
                                             );
                                             (child, v)
                                         }
@@ -1278,14 +1246,12 @@ pub(crate) fn search_governed_warm(
         }
     };
 
-    if options.metrics {
-        // Live stores' level histograms were not folded in by eviction;
-        // do it now (each store counted exactly once per build).
-        for (store, _) in stores.values() {
-            stats.metrics.level_terms.merge(store.level_terms());
-        }
-        stats.metrics.poll_gap_us.merge(&budget.poll_gap_us());
+    // Live stores' level histograms were not folded in by eviction; do it
+    // now (each store counted exactly once per build).
+    for (store, _) in stores.values() {
+        stats.metrics.level_terms.merge(store.level_terms());
     }
+    stats.metrics.poll_gap_us.merge(&budget.poll_gap_us());
     if let Some(warm) = warm {
         // Park live stores for the next search, most recently used last so
         // the cache's LRU order mirrors this search's.
@@ -1449,7 +1415,6 @@ fn preverify(
 fn apply_prerun(
     pre: PreRun,
     cost: u32,
-    options: &SearchOptions,
     budget: &Budget,
     stats: &mut Stats,
     tracer: &mut dyn Tracer,
@@ -1458,7 +1423,6 @@ fn apply_prerun(
     note_phase(
         &mut stats.phases.verify,
         &mut stats.metrics.verify_us,
-        options.metrics,
         pre.elapsed,
     );
     match pre.run {
@@ -1539,7 +1503,6 @@ fn verify_candidate(
     note_phase(
         &mut stats.phases.verify,
         &mut stats.metrics.verify_us,
-        options.metrics,
         t_verify.elapsed(),
     );
     match run {
@@ -1724,13 +1687,11 @@ fn touch_store<'a>(
     if warmed {
         stats.warm_hits += 1;
     }
-    if options.metrics {
-        stats.metrics.store_terms.record_usize(entry.0.len());
-        stats
-            .metrics
-            .store_bytes
-            .record_usize(entry.0.approx_bytes());
-    }
+    stats.metrics.store_terms.record_usize(entry.0.len());
+    stats
+        .metrics
+        .store_bytes
+        .record_usize(entry.0.approx_bytes());
     if tracer.enabled() {
         tracer.emit(TraceEvent::Store {
             action: if hit || warmed {
@@ -1753,7 +1714,6 @@ fn refute(
     comb: Comb,
     coll: &Arc<lambda2_lang::ast::Expr>,
     init: Option<&Arc<lambda2_lang::ast::Expr>>,
-    record_metrics: bool,
 ) {
     let reason = match fail {
         ExpandFail::Refuted => {
@@ -1771,14 +1731,12 @@ fn refute(
             } else {
                 stats.static_refutations += 1;
             }
-            if record_metrics {
-                // 1-based DOMAIN_ORDER index, so histogram buckets line
-                // up with the coarse-to-fine domain table.
-                stats
-                    .metrics
-                    .static_refute_domain
-                    .record(domain.order_index() as u64 + 1);
-            }
+            // 1-based DOMAIN_ORDER index, so histogram buckets line up
+            // with the coarse-to-fine domain table.
+            stats
+                .metrics
+                .static_refute_domain
+                .record(domain.order_index() as u64 + 1);
             if tracer.enabled() {
                 tracer.emit(TraceEvent::StaticRefute {
                     comb: comb.name(),
@@ -1843,9 +1801,7 @@ fn evict_stores(
                     // search end for live ones. A store evicted and later
                     // rebuilt counts again — the histogram measures work
                     // done, like `Stats::enumerated_terms`.
-                    if options.metrics {
-                        stats.metrics.level_terms.merge(store.level_terms());
-                    }
+                    stats.metrics.level_terms.merge(store.level_terms());
                 }
                 stats.store_evictions += 1;
                 if tracer.enabled() {

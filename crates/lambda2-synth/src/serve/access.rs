@@ -12,14 +12,9 @@
 //!
 //! Design constraints carried over from the rest of the tree:
 //!
-//! * **Schema-versioned** — every line leads with `"v"`
-//!   ([`crate::obs::SCHEMA_VERSION`]); the loader refuses versions it
-//!   does not understand, exactly like the trace and corpus parsers.
-//! * **Crash-tolerant** — the writer emits one `write_all` + flush per
-//!   line under a mutex, so concurrent workers can never tear a record
-//!   and a crash corrupts at most the final, in-flight line — which
-//!   [`load_access_log`] skips with a warning, mirroring the corpus
-//!   loader.
+//! * **One record format** — the log is a [`jsonl`] record file:
+//!   versioned lines, whole-line appends (under a mutex, so concurrent
+//!   workers can never tear a record), a tolerated torn tail.
 //! * **Observation-only** — nothing in this module feeds back into
 //!   admission, scheduling, or search; the differential test in
 //!   `tests/serve.rs` proves served programs/costs/ladders are
@@ -30,74 +25,14 @@
 //! throughput over the logged span.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::obs::json::{self, Json};
+use crate::obs::json::Json;
+use crate::obs::jsonl::{self, RecordError};
 use crate::obs::metrics::{Histogram, EXP2_BOUNDS};
 use crate::obs::SCHEMA_VERSION;
-
-/// Structured failure of an access-log operation, mirroring
-/// [`CorpusError`](crate::obs::corpus::CorpusError): every variant names
-/// the file involved so batch tooling can say which input was bad.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AccessError {
-    /// Filesystem failure (open, create, read, write).
-    Io {
-        /// The file involved.
-        path: PathBuf,
-        /// The rendered OS error.
-        message: String,
-    },
-    /// A line was not valid JSON or not record-shaped.
-    Parse {
-        /// The file involved.
-        path: PathBuf,
-        /// 1-based line number.
-        line: u64,
-        /// What was wrong.
-        message: String,
-    },
-    /// A line carried a schema version this build does not understand.
-    Version {
-        /// The file involved.
-        path: PathBuf,
-        /// 1-based line number.
-        line: u64,
-        /// The version found (`None` when the field is missing entirely).
-        found: Option<i64>,
-    },
-}
-
-impl fmt::Display for AccessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AccessError::Io { path, message } => write!(f, "{}: {message}", path.display()),
-            AccessError::Parse {
-                path,
-                line,
-                message,
-            } => write!(f, "{}:{line}: {message}", path.display()),
-            AccessError::Version { path, line, found } => match found {
-                Some(v) => write!(
-                    f,
-                    "{}:{line}: unsupported access-log schema version {v} (this build reads v{SCHEMA_VERSION})",
-                    path.display()
-                ),
-                None => write!(
-                    f,
-                    "{}:{line}: access record has no schema version field \"v\"",
-                    path.display()
-                ),
-            },
-        }
-    }
-}
-
-impl std::error::Error for AccessError {}
 
 /// One access-log line: the complete server-side account of one request.
 #[derive(Clone, Debug, PartialEq)]
@@ -173,26 +108,12 @@ impl AccessRecord {
         Json::Obj(pairs)
     }
 
-    fn from_json(j: &Json, path: &Path, line: u64) -> Result<AccessRecord, AccessError> {
-        let version = |found| AccessError::Version {
-            path: path.to_owned(),
-            line,
-            found,
-        };
-        match j.get("v") {
-            None => return Err(version(None)),
-            Some(v) if v.as_u64() != Some(SCHEMA_VERSION) => return Err(version(v.as_i64())),
-            Some(_) => {}
-        }
-        let field = |key: &str| -> Result<String, AccessError> {
+    fn from_json(j: &Json) -> Result<AccessRecord, String> {
+        let field = |key: &str| {
             j.get(key)
                 .and_then(Json::as_str)
                 .map(str::to_owned)
-                .ok_or_else(|| AccessError::Parse {
-                    path: path.to_owned(),
-                    line,
-                    message: format!("access record missing string field {key:?}"),
-                })
+                .ok_or_else(|| format!("access record missing string field {key:?}"))
         };
         Ok(AccessRecord {
             t_ms: j.get("t_ms").and_then(Json::as_f64).unwrap_or(0.0),
@@ -218,11 +139,10 @@ impl AccessRecord {
 /// The append-only access-log writer shared by every connection and
 /// worker thread of one daemon.
 ///
-/// Each [`append`](AccessLog::append) renders the record to one line and
-/// issues a single `write_all` + flush while holding the internal mutex:
-/// concurrent writers interleave *whole lines only* (the saturation test
-/// in `tests/serve.rs` parses every line of a loaded run to prove it),
-/// and a crash can corrupt at most the final, in-flight line.
+/// Each [`append`](AccessLog::append) is one `jsonl::write_line` while
+/// holding the internal mutex: concurrent writers interleave *whole lines
+/// only* (the saturation test in `tests/serve.rs` parses every line of a
+/// loaded run to prove it).
 #[derive(Debug)]
 pub struct AccessLog {
     path: PathBuf,
@@ -234,19 +154,11 @@ impl AccessLog {
     ///
     /// # Errors
     ///
-    /// [`AccessError::Io`] when the file cannot be opened for append.
-    pub fn open(path: &Path) -> Result<AccessLog, AccessError> {
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| AccessError::Io {
-                path: path.to_owned(),
-                message: e.to_string(),
-            })?;
+    /// [`RecordError::Io`] when the file cannot be opened for append.
+    pub fn open(path: &Path) -> Result<AccessLog, RecordError> {
         Ok(AccessLog {
             path: path.to_owned(),
-            file: Mutex::new(file),
+            file: Mutex::new(jsonl::open_append(path)?),
         })
     }
 
@@ -259,16 +171,11 @@ impl AccessLog {
     ///
     /// # Errors
     ///
-    /// [`AccessError::Io`] on any write failure. Callers in the serve hot
+    /// [`RecordError::Io`] on any write failure. Callers in the serve hot
     /// path report the error and keep serving — telemetry must never
     /// take down a request.
-    pub fn append(&self, record: &AccessRecord) -> Result<(), AccessError> {
-        let mut line = record.to_json().to_string();
-        line.push('\n');
-        let io_err = |e: std::io::Error| AccessError::Io {
-            path: self.path.clone(),
-            message: e.to_string(),
-        };
+    pub fn append(&self, record: &AccessRecord) -> Result<(), RecordError> {
+        let line = record.to_json();
         // A poisoned lock means another thread panicked while appending;
         // the file is still line-consistent (single write per line), so
         // recover rather than wedge every later request.
@@ -276,52 +183,17 @@ impl AccessLog {
             .file
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        file.write_all(line.as_bytes()).map_err(io_err)?;
-        file.flush().map_err(io_err)
+        jsonl::write_line(&mut *file, &self.path, &line)
     }
 }
 
-/// Parses an access-log file in append order. Version-validated per line;
-/// an unparseable *final* line of an unterminated file is the signature
-/// of a writer that crashed mid-append and is skipped with a warning
-/// (mid-file garbage still errors — that is corruption, not a truncated
-/// tail), exactly like the corpus loader.
+/// Parses an access-log file in append order (see [`jsonl::parse`]).
 ///
 /// # Errors
 ///
-/// [`AccessError`] on IO, parse, or schema-version failure.
-pub fn load_access_log(path: &Path) -> Result<Vec<AccessRecord>, AccessError> {
-    let text = fs::read_to_string(path).map_err(|e| AccessError::Io {
-        path: path.to_owned(),
-        message: e.to_string(),
-    })?;
-    let terminated = text.ends_with('\n');
-    let lines: Vec<&str> = text.lines().collect();
-    let mut records = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        let line_no = i as u64 + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = json::parse(line)
-            .map_err(|message| AccessError::Parse {
-                path: path.to_owned(),
-                line: line_no,
-                message,
-            })
-            .and_then(|j| AccessRecord::from_json(&j, path, line_no));
-        match parsed {
-            Ok(record) => records.push(record),
-            Err(err) if !terminated && i + 1 == lines.len() => {
-                eprintln!(
-                    "warning: {}: skipping unterminated trailing record at line {line_no}: {err}",
-                    path.display()
-                );
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    Ok(records)
+/// [`RecordError`] on IO, parse, or schema-version failure.
+pub fn load_access_log(path: &Path) -> Result<Vec<AccessRecord>, RecordError> {
+    jsonl::load(path, |j| AccessRecord::from_json(&j))
 }
 
 /// Per-client request breakdown inside an [`AccessReport`].
@@ -594,53 +466,6 @@ mod tests {
         log.append(&b).unwrap();
         let loaded = load_access_log(&path).unwrap();
         assert_eq!(loaded, vec![a, b]);
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn loader_rejects_garbage_and_wrong_versions() {
-        let path = temp_path("reject");
-        fs::write(&path, "not json\n").unwrap();
-        assert!(matches!(
-            load_access_log(&path),
-            Err(AccessError::Parse { line: 1, .. })
-        ));
-        fs::write(&path, "{\"v\":99,\"req_id\":\"x\"}\n").unwrap();
-        assert!(matches!(
-            load_access_log(&path),
-            Err(AccessError::Version {
-                line: 1,
-                found: Some(99),
-                ..
-            })
-        ));
-        fs::write(&path, "{\"req_id\":\"x\"}\n").unwrap();
-        assert!(matches!(
-            load_access_log(&path),
-            Err(AccessError::Version {
-                line: 1,
-                found: None,
-                ..
-            })
-        ));
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn loader_skips_an_unterminated_trailing_line_only() {
-        let path = temp_path("tail");
-        let line = record("c1-r1", "ok", Some(3.0)).to_json().to_string();
-        // A crash mid-append: complete line, then a truncated one with no
-        // terminating newline — loaded minus the tail.
-        fs::write(&path, format!("{line}\n{{\"v\":1,\"req_id\"")).unwrap();
-        let loaded = load_access_log(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        // The same garbage mid-file (newline-terminated) is corruption.
-        fs::write(&path, format!("{{\"v\":1,\"req_id\"\n{line}\n")).unwrap();
-        assert!(matches!(
-            load_access_log(&path),
-            Err(AccessError::Parse { line: 1, .. })
-        ));
         let _ = fs::remove_file(&path);
     }
 

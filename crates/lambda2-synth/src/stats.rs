@@ -58,8 +58,8 @@ pub struct Stats {
     /// Wall-time spent per search phase.
     pub phases: PhaseTimes,
     /// Distribution instruments (queue depth, pop cost, phase-episode
-    /// latencies, store occupancy, …). Empty when `SearchOptions::metrics`
-    /// is off; never influences the search.
+    /// latencies, store occupancy, …). Always recorded; never influences
+    /// the search.
     pub metrics: SearchMetrics,
 }
 

@@ -203,15 +203,14 @@ fn corpus_round_trip_and_regression_watchdog_over_real_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Observation-only knobs share a fingerprint (so toggling them never
-/// forks a baseline), while search-relevant option changes fork it.
+/// The observation-only progress knob shares a fingerprint (so toggling it
+/// never forks a baseline), while search-relevant option changes fork it.
 #[test]
 fn fingerprints_fork_on_search_options_only() {
     let (_, base) = quick_options("sum");
     let fp = options_fingerprint(&base);
     let mut observed = base.clone();
     observed.progress = true;
-    observed.metrics = !observed.metrics;
     assert_eq!(fp, options_fingerprint(&observed));
     let mut forked = base.clone();
     forked.timeout = Some(Duration::from_secs(31));
