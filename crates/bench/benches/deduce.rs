@@ -73,7 +73,7 @@ fn bench_deduce(c: &mut Criterion) {
     for &n in &[2usize, 8, 32] {
         let (rows, coll) = map_rows(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| deduce(Comb::Map, &rows, &coll, None, &[x], true))
+            b.iter(|| deduce(Comb::Map, &rows, &coll, None, &[x], true, true))
         });
     }
     group.finish();
@@ -82,7 +82,7 @@ fn bench_deduce(c: &mut Criterion) {
     for &n in &[2usize, 8, 32] {
         let (rows, coll, inits) = fold_rows(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| deduce(Comb::Foldl, &rows, &coll, Some(&inits), &[a, x], true))
+            b.iter(|| deduce(Comb::Foldl, &rows, &coll, Some(&inits), &[a, x], true, true))
         });
     }
     group.finish();
@@ -100,7 +100,7 @@ fn bench_deduce(c: &mut Criterion) {
         var: Some(l),
     };
     group.bench_function("length-mismatch", |b| {
-        b.iter(|| deduce(Comb::Map, &rows, &coll, None, &[x], true))
+        b.iter(|| deduce(Comb::Map, &rows, &coll, None, &[x], true, true))
     });
     group.finish();
 }

@@ -1,15 +1,14 @@
 //! **Experiment F7** — the static-pruning ablation.
 //!
-//! Per benchmark: λ² with the pruning tier of the abstract-interpretation
-//! pre-pass on (the default) vs off (`--no-static-prune`). The pruning
-//! tier refutes hypotheses deduction would keep, so — unlike the
-//! attribution ablation (`fig_static_refute`) — the search frontier
-//! genuinely shrinks: `enumerated_terms` and `popped` may only *drop*
-//! with pruning on, and must drop *strictly* on the duplicate-bearing
-//! problem family built for it. The synthesized program and its cost must
+//! Per benchmark: λ² with deduction's pruning check on (the default) vs
+//! off (`--no-static-prune`). The check refutes hypotheses necessary-row
+//! inference would keep, so the search frontier genuinely shrinks:
+//! `enumerated_terms` and `popped` may only *drop* with pruning on, and
+//! must drop *strictly* on the duplicate-bearing problem family built for
+//! it. The synthesized program and its cost must
 //! stay byte-identical — pruning removes only refutable work, never the
 //! minimal solution. This binary asserts all of that and reports the
-//! per-problem deltas plus per-domain pruned-refutation counts.
+//! per-problem deltas plus the pruned-refutation counts.
 //!
 //! Usage: `cargo run -p bench --release --bin fig_static_prune [-- --quick]`
 //!
@@ -18,7 +17,6 @@
 
 use bench::{ms, options_for, record, render_table, run_problem, write_bench_json, Engine, Json};
 use lambda2_bench_suite::{catalog, Benchmark};
-use lambda2_synth::analyze::{Tier, DOMAIN_ORDER};
 use lambda2_synth::Measurement;
 
 fn run(bench: &Benchmark, prune: bool) -> Measurement {
@@ -36,20 +34,9 @@ fn main() {
         .filter(|b| !(quick && b.hard))
         .collect();
 
-    // One pruning-tier domain exists today (cardinality); attribute the
-    // whole pruned count to it. If a second pruning domain lands, this
-    // needs the per-domain metrics histogram instead — the assert below
-    // makes that impossible to miss.
-    let pruning_domains: Vec<_> = DOMAIN_ORDER
-        .iter()
-        .filter(|d| d.tier() == Tier::Pruning)
-        .collect();
-    assert_eq!(
-        pruning_domains.len(),
-        1,
-        "per-domain attribution assumes a single pruning domain"
-    );
-    let domain = pruning_domains[0].name();
+    // Cardinality is the only pruning check; the records keep the
+    // per-domain shape of earlier reports.
+    let domain = "cardinality";
 
     let mut rows = Vec::new();
     let mut records = Vec::new();
@@ -138,7 +125,7 @@ fn main() {
         ]);
     }
 
-    println!("F7: static-pruning ablation (pruning tier on vs off)\n");
+    println!("F7: static-pruning ablation (pruning on vs off)\n");
     println!(
         "{}",
         render_table(
@@ -169,7 +156,7 @@ fn main() {
         Err(e) => eprintln!("warning: could not write BENCH_static_prune.json: {e}"),
     }
     assert_eq!(divergences, 0, "pruning changed a synthesis outcome");
-    assert!(pruned_total > 0, "the pruning tier refuted nothing");
+    assert!(pruned_total > 0, "pruning refuted nothing");
     assert!(
         strict_drops >= 10,
         "pruning strictly shrank only {strict_drops} problems (need 10)"

@@ -37,11 +37,9 @@
 //!                           sequential). Several problems: fan the batch
 //!                           across the pool. One problem: parallelize
 //!                           *within* its search (byte-identical results)
-//!   --no-static-analysis    disable the abstract-interpretation refutation
-//!                           pre-pass entirely (both tiers; same results)
-//!   --no-static-prune       keep the pre-pass but disable its pruning
-//!                           tier (the ablation arm: same programs and
-//!                           costs, strictly more search work)
+//!   --no-static-prune       disable deduction's pruning check (the
+//!                           ablation arm: same programs and costs,
+//!                           strictly more search work)
 //!
 //! flags (lint):
 //!   --json                  one JSON object per diagnostic per line
@@ -161,9 +159,7 @@ struct Flags {
     /// Worker threads for batch commands (`None` = sequential, 0 = one
     /// per CPU).
     jobs: Option<usize>,
-    /// Disable the abstract-interpretation refutation pre-pass.
-    no_static_analysis: bool,
-    /// Keep the pre-pass but disable its pruning tier (ablation arm).
+    /// Disable deduction's pruning check (ablation arm).
     no_static_prune: bool,
     /// `lint`/`profile`: print machine-readable JSON instead of human text.
     json: bool,
@@ -313,7 +309,6 @@ impl Flags {
                         format!("--jobs: `{raw}` is not a whole number of workers")
                     })?);
                 }
-                "--no-static-analysis" => flags.no_static_analysis = true,
                 "--no-static-prune" => flags.no_static_prune = true,
                 "--json" => flags.json = true,
                 "--out" => match it.next() {
@@ -355,9 +350,6 @@ impl Flags {
         }
         if self.retry_ladder {
             options.retry_ladder = true;
-        }
-        if self.no_static_analysis {
-            options.static_analysis = false;
         }
         if self.no_static_prune {
             options.static_prune = false;
@@ -413,7 +405,7 @@ fn main() -> ExitCode {
                  flags: --trace <path>  --stats-json[=<path>]  --corpus <dir>  \
                  --progress  --timeout-ms <n>  \
                  --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  \
-                 --no-static-analysis  --no-static-prune\n\
+                 --no-static-prune\n\
                  profile flags: --json  --weight pops|time  --out <path>\n\
                  corpus flags: --json  --wall-ratio <f>  --wall-floor-ms <n>  \
                  --no-wall-check\n\
@@ -1737,28 +1729,22 @@ mod tests {
 
     #[test]
     fn lint_and_analysis_flags_parse_and_apply() {
-        let mut args: Vec<String> = [
-            "lint",
-            "--json",
-            "p.l2",
-            "--no-static-analysis",
-            "--no-static-prune",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
+        let mut args: Vec<String> = ["lint", "--json", "p.l2", "--no-static-prune"]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
         let flags = Flags::extract(&mut args).unwrap();
         assert!(flags.json);
-        assert!(flags.no_static_analysis);
         assert!(flags.no_static_prune);
         assert_eq!(args, vec!["lint".to_owned(), "p.l2".to_owned()]);
 
         let opts = flags.apply(SearchOptions::default());
-        assert!(!opts.static_analysis);
         assert!(!opts.static_prune);
         let defaults = Flags::default().apply(SearchOptions::default());
-        assert!(defaults.static_analysis);
         assert!(defaults.static_prune, "pruning ships on by default");
+        // The removed pre-pass's flag is a usage error, not a no-op.
+        let mut removed: Vec<String> = vec!["--no-static-analysis".into()];
+        assert!(Flags::extract(&mut removed).is_err());
     }
 
     #[test]

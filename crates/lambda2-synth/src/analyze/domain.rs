@@ -1,26 +1,16 @@
-//! Composable abstract domains over λ² values.
+//! Abstract values shared by the lint-side analyses.
 //!
-//! Three domains abstract concrete [`Value`]s for the refutation engine
-//! and the lint-side reachability analysis:
-//!
-//! * **length/size intervals** ([`Interval`], [`AbsShape`]) — list length,
-//!   tree node count and tree height as `[lo, hi]` intervals;
-//! * **element provenance** ([`multiset_included`]) — which multiset of
-//!   elements a collection was built from;
-//! * **ordering** ([`is_subsequence`]) — relative element order, the
-//!   "sortedness" of an output with respect to its source collection.
-//!
-//! Concrete example values abstract to *singleton* intervals; the lint
-//! reachability analysis ([`crate::analyze::reach`]) joins intervals
-//! across whole input sets, which is where the lattice structure earns
-//! its keep.
+//! * **length/size intervals** ([`Interval`]) — the collection-growth
+//!   bounds of [`crate::analyze::reach`];
+//! * **element multisets** ([`value_counts`]) — order-insensitive
+//!   comparison of list outputs in [`crate::analyze::lint`].
 
 use std::collections::HashMap;
 
 use lambda2_lang::value::Value;
 
 /// A closed interval `[lo, hi]` over unsigned sizes; `hi = None` means
-/// unbounded above (the lattice top has `lo = 0, hi = None`).
+/// unbounded above.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interval {
     /// Inclusive lower bound.
@@ -30,141 +20,24 @@ pub struct Interval {
 }
 
 impl Interval {
-    /// The singleton interval `[n, n]`.
-    pub const fn exact(n: u64) -> Interval {
-        Interval { lo: n, hi: Some(n) }
-    }
-
     /// The interval `[0, n]`.
     pub const fn at_most(n: u64) -> Interval {
         Interval { lo: 0, hi: Some(n) }
-    }
-
-    /// The top element `[0, +∞)`.
-    pub const fn top() -> Interval {
-        Interval { lo: 0, hi: None }
-    }
-
-    /// Least upper bound: the smallest interval containing both.
-    pub fn join(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: match (self.hi, other.hi) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            },
-        }
     }
 
     /// Whether the concrete size `n` is in the interval.
     pub fn contains(self, n: u64) -> bool {
         n >= self.lo && self.hi.is_none_or(|h| n <= h)
     }
-
-    /// `true` when *every* size in `self` exceeds *every* size in `other`
-    /// — i.e. the concretizations are provably ordered. This is the
-    /// refuting comparison: a `filter` output whose length interval
-    /// definitely exceeds the collection's cannot exist.
-    pub fn definitely_exceeds(self, other: Interval) -> bool {
-        match other.hi {
-            Some(h) => self.lo > h,
-            None => false,
-        }
-    }
-
-    /// `true` when the intervals share no concrete size — e.g. a `map`
-    /// output length disjoint from the collection length.
-    pub fn disjoint(self, other: Interval) -> bool {
-        self.definitely_exceeds(other) || other.definitely_exceeds(self)
-    }
 }
 
-/// The shape-level abstraction of one concrete value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AbsShape {
-    /// An integer or boolean scalar.
-    Scalar,
-    /// A list with its length interval.
-    List(Interval),
-    /// A tree with its node-count and height intervals.
-    Tree {
-        /// Node count.
-        size: Interval,
-        /// Height (0 for the empty tree).
-        height: Interval,
-    },
-    /// A pair.
-    Pair,
-}
-
-/// Abstracts a concrete value: lists and trees become exact size
-/// intervals, everything else collapses to its shape.
-pub fn abs_of(v: &Value) -> AbsShape {
-    match v {
-        Value::List(xs) => AbsShape::List(Interval::exact(xs.len() as u64)),
-        Value::Tree(t) => AbsShape::Tree {
-            size: Interval::exact(t.size() as u64),
-            height: Interval::exact(t.height() as u64),
-        },
-        Value::Pair(_) => AbsShape::Pair,
-        _ => AbsShape::Scalar,
-    }
-}
-
-/// Element-provenance check: `true` when `sub`'s multiset of elements is
-/// included in `sup`'s — every output element occurs at least as often in
-/// the source collection. Reshaping combinators (`filter`) can only drop
-/// occurrences, never invent or duplicate them.
-pub fn multiset_included(sub: &[Value], sup: &[Value]) -> bool {
-    if sub.len() > sup.len() {
-        return false;
-    }
-    let mut avail: HashMap<&Value, usize> = HashMap::new();
-    for v in sup {
-        *avail.entry(v).or_default() += 1;
-    }
-    sub.iter().all(|v| match avail.get_mut(v) {
-        Some(n) if *n > 0 => {
-            *n -= 1;
-            true
-        }
-        _ => false,
-    })
-}
-
-/// Multiset of element occurrence counts — the carrier of the
-/// cardinality domain.
+/// Multiset of element occurrence counts.
 pub fn value_counts(xs: &[Value]) -> HashMap<&Value, usize> {
     let mut counts: HashMap<&Value, usize> = HashMap::new();
     for v in xs {
         *counts.entry(v).or_default() += 1;
     }
     counts
-}
-
-/// Cardinality-domain check: `true` when every distinct value of `sup`
-/// occurs in `sub` either zero times or exactly as often as in `sup`
-/// (and `sub` introduces no foreign values). A `filter` predicate closes
-/// over a fixed environment within one row, so equal elements get the
-/// same verdict: the output keeps *all* or *none* of each value's
-/// occurrences. Together with [`is_subsequence`] this is *complete* for
-/// filter refutation — an output passing both equals `filter_K(sup)` for
-/// the kept-value set `K = {v : count_sub(v) > 0}`.
-pub fn counts_all_or_none(sub: &[Value], sup: &[Value]) -> bool {
-    let have = value_counts(sup);
-    let kept = value_counts(sub);
-    kept.iter()
-        .all(|(v, n)| have.get(v).is_some_and(|m| n == m))
-}
-
-/// Ordering-domain check: `true` if `sub` is an order-preserving
-/// subsequence of `sup`. Subsumes [`multiset_included`] and the length
-/// comparison; the deduction rule for `filter` refutes on exactly this
-/// condition, which is why the coarser domains above are *sound*
-/// pre-checks for it.
-pub fn is_subsequence(sub: &[Value], sup: &[Value]) -> bool {
-    let mut it = sup.iter();
-    sub.iter().all(|s| it.any(|v| v == s))
 }
 
 #[cfg(test)]
@@ -177,80 +50,21 @@ mod tests {
     }
 
     #[test]
-    fn interval_lattice_laws() {
-        let a = Interval::exact(3);
-        let b = Interval::exact(7);
-        let j = a.join(b);
-        assert_eq!(j, Interval { lo: 3, hi: Some(7) });
-        assert!(j.contains(3) && j.contains(5) && j.contains(7));
-        assert!(!j.contains(2) && !j.contains(8));
-        // Join with top is top; join is commutative and idempotent.
-        assert_eq!(a.join(Interval::top()), Interval::top());
-        assert_eq!(a.join(b), b.join(a));
-        assert_eq!(a.join(a), a);
-        assert!(Interval::top().contains(u64::MAX));
-        assert_eq!(Interval::at_most(4).lo, 0);
+    fn interval_membership() {
+        let i = Interval::at_most(4);
+        assert!(i.contains(0) && i.contains(4));
+        assert!(!i.contains(5));
+        assert!(Interval { lo: 2, hi: None }.contains(u64::MAX));
+        assert!(!Interval { lo: 2, hi: None }.contains(1));
     }
 
     #[test]
-    fn interval_comparisons() {
-        assert!(Interval::exact(5).definitely_exceeds(Interval::exact(4)));
-        assert!(!Interval::exact(5).definitely_exceeds(Interval::exact(5)));
-        assert!(!Interval::exact(5).definitely_exceeds(Interval::top()));
-        assert!(Interval::exact(5).disjoint(Interval::exact(4)));
-        assert!(Interval::exact(4).disjoint(Interval::exact(5)));
-        assert!(!Interval::exact(5).disjoint(Interval { lo: 4, hi: Some(6) }));
-    }
-
-    #[test]
-    fn abstraction_of_values() {
-        assert_eq!(abs_of(&Value::Int(3)), AbsShape::Scalar);
+    fn value_counts_are_order_insensitive_multisets() {
         assert_eq!(
-            abs_of(&parse_value("[1 2 3]").unwrap()),
-            AbsShape::List(Interval::exact(3))
+            value_counts(&vals("[5 7 5]")),
+            value_counts(&vals("[5 5 7]"))
         );
-        match abs_of(&parse_value("{1 {2} {3 {4}}}").unwrap()) {
-            AbsShape::Tree { size, height } => {
-                assert_eq!(size, Interval::exact(4));
-                assert_eq!(height, Interval::exact(3));
-            }
-            other => panic!("expected a tree abstraction, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn multiset_inclusion() {
-        assert!(multiset_included(&vals("[2 1]"), &vals("[1 2 3]")));
-        assert!(multiset_included(&vals("[]"), &vals("[]")));
-        assert!(!multiset_included(&vals("[1 1]"), &vals("[1 2]")));
-        assert!(!multiset_included(&vals("[4]"), &vals("[1 2 3]")));
-    }
-
-    #[test]
-    fn all_or_none_cardinality() {
-        // Keep all 5s and no 7s: fine.
-        assert!(counts_all_or_none(&vals("[5 5]"), &vals("[5 7 5]")));
-        // Keep nothing / everything: fine.
-        assert!(counts_all_or_none(&vals("[]"), &vals("[5 7 5]")));
-        assert!(counts_all_or_none(&vals("[5 7 5]"), &vals("[5 7 5]")));
-        // Keep one of two 5s: refuted — no predicate can split equals.
-        assert!(!counts_all_or_none(&vals("[5]"), &vals("[5 7 5]")));
-        assert!(!counts_all_or_none(&vals("[8 3]"), &vals("[8 3 8]")));
-        // Foreign values are refuted too (provenance usually fires first).
-        assert!(!counts_all_or_none(&vals("[9]"), &vals("[5 7]")));
-        // Duplicate-free rows are never refuted by cardinality.
-        assert!(counts_all_or_none(&vals("[2]"), &vals("[1 2 3]")));
-    }
-
-    #[test]
-    fn subsequence_is_strictly_finer_than_multiset_inclusion() {
-        // Reordered: included as a multiset but not a subsequence.
-        let sub = vals("[2 1]");
-        let sup = vals("[1 2 3]");
-        assert!(multiset_included(&sub, &sup));
-        assert!(!is_subsequence(&sub, &sup));
-        // And subsequence implies inclusion.
-        assert!(is_subsequence(&vals("[1 3]"), &sup));
-        assert!(multiset_included(&vals("[1 3]"), &sup));
+        assert_ne!(value_counts(&vals("[5 7]")), value_counts(&vals("[5 7 5]")));
+        assert_eq!(value_counts(&vals("[5 7 5]"))[&Value::Int(5)], 2);
     }
 }

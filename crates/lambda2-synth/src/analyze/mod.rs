@@ -1,226 +1,26 @@
-//! Abstract-interpretation refutation engine.
+//! Static analysis over problems and example values.
 //!
-//! λ²'s deduction rules ([`crate::deduce`]) are small static analyses in
-//! disguise: each refutes a combinator hypothesis from example shapes
-//! without enumerating its holes. This module makes the analysis explicit
-//! and reusable. It abstracts example values into composable domains
-//! ([`domain`]) — length/size intervals, element provenance, ordering —
-//! and runs one transfer function per combinator ([`refute_expansion`])
-//! as a *pre-enumeration refuter* in the search loop, before deduction.
-//! The same framework powers the `lambda2 lint` static checker via
-//! whole-problem reachability analyses ([`reach`]) and the diagnostic
-//! pass ([`lint`]).
+//! Deduction ([`crate::deduce`]) is the search's only refuter; this module
+//! holds the analyses around it:
 //!
-//! # Two tiers: attribution domains and pruning domains
+//! * [`lint`] — the `l2 lint` diagnostic pass over `.l2` problem files;
+//! * [`reach`] — whole-problem reachability (collection-growth bounds,
+//!   unusable library items) that `lint` reports from;
+//! * [`domain`] — the abstract values those analyses share (size
+//!   intervals, element multisets);
+//! * [`oracle`] — a bounded brute-force check that a `filter` hypothesis
+//!   has no completion. Under the `check-invariants` cargo feature it
+//!   re-proves every pruned refutation ([`crate::deduce::Outcome::Pruned`])
+//!   at the `deduce_filter` site, where deduction's own necessary-row
+//!   inference cannot confirm it.
 //!
-//! Every domain is a *sound* refuter — a refuted hypothesis provably has
-//! no completion satisfying the examples — but domains differ in how they
-//! relate to deduction, and the search accounts for them separately:
-//!
-//! * **Attribution tier** ([`Tier::Attribution`]): the check is strictly
-//!   implied by the refutation condition of the corresponding deduction
-//!   rule. Toggling these never changes which expansions the search
-//!   plans — only the accounting moves (refutations land in
-//!   `stats.static_refutations` instead of `stats.refuted`, and planning
-//!   skips the row-decomposition work of the full rules).
-//! * **Pruning tier** ([`Tier::Pruning`]): the check refutes hypotheses
-//!   deduction would *keep*, so it removes real search work. These run
-//!   only under `SearchOptions::static_prune` and are counted in
-//!   `stats.pruned_refutations`.
-//!
-//! | combinator | analyzer check (domain, tier) | deduction rule condition |
-//! |---|---|---|
-//! | `map` | in/out are lists (shape); equal lengths (length); equal elements map equally within a row (congruence) | same checks — pointwise conflicts within one row surface as functional conflicts |
-//! | `filter` | lists (shape); out ≤ in (length); multiset ⊆ (provenance); subsequence (order); **all-or-none multiplicity (cardinality, pruning)** | `is_subsequence` — deduction deliberately skips partially-kept duplicates |
-//! | `foldl`/`foldr`/`recl` | colls are lists (shape); empty-coll row = init (init) | same checks, plus chain-row conflicts |
-//! | `mapt` | trees (shape); equal size+height (length); equal shape (shape); node congruence (congruence) | `same_shape` + pointwise conflicts |
-//! | `foldt` | colls are trees (shape); empty-tree row = init (init) | same checks, plus child-chain conflicts |
-//!
-//! **Why cardinality is sound for `filter`:** within one example row the
-//! predicate closes over a fixed environment, so equal input elements
-//! receive the same verdict — a filter output keeps either *all* or
-//! *none* of the occurrences of each distinct value. Moreover the
-//! condition is *complete* for filter refutation: an output that is a
-//! subsequence of the input with all-or-none multiplicity equals
-//! `filter_K(input)` for the kept-value set `K = {v : count_out(v) > 0}`,
-//! and conversely every predicate induces such a `K`. Deduction's
-//! `deduce_filter` explicitly skips rows with partially-kept duplicates
-//! ("ambiguous under duplicates"), which is exactly the gap this domain
-//! closes.
-//!
-//! **Why congruence stays attribution-tier:** a `map`/`mapt` row whose
-//! collection contains equal elements mapped to different outputs also
-//! produces conflicting pointwise sub-spec rows, which
-//! `spec_or_refute` in deduction refutes. Cross-row linking would be
-//! unsound (different rows bind different environments), and the
-//! analyzer never attempts it.
-//!
-//! The `check-invariants` cargo feature re-proves every static
-//! refutation at the refutation site: attribution-tier verdicts by
-//! re-running deduction, pruning-tier verdicts by the bounded
-//! brute-force [`oracle`] (deduction is strictly weaker there). The
-//! soundness differential suite (`tests/static_analysis.rs`) checks the
-//! end-to-end identity — byte-identical programs and costs with pruning
-//! on/off while `enumerated_terms` only drops — plus, by bounded brute
-//! force, that refuted hypotheses really have no consistent completion.
-//!
-//! Folds admit no additional sound refutations beyond the init check:
-//! the step function sees the binder environment (including the whole
-//! collection variable), so any relation between rows can be broken by a
-//! body that inspects it.
+//! The soundness suite (`tests/static_analysis.rs`) checks the pruning
+//! end to end — byte-identical programs and costs with
+//! `SearchOptions::static_prune` on and off while `enumerated_terms` only
+//! drops — plus, by bounded brute force, that refuted hypotheses really
+//! have no consistent completion.
 
-pub mod cache;
 pub mod domain;
 pub mod lint;
 pub mod oracle;
 pub mod reach;
-mod transfer;
-
-pub use cache::{AbsArgs, AbsCache, TermAbs};
-pub use transfer::{refute_expansion, refute_expansion_abs, refute_expansion_tiered};
-
-/// Result of statically analyzing a hypothesis against its examples.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Verdict {
-    /// No completion of the hypothesis can satisfy the examples; the
-    /// domain that proved it is attached.
-    Refuted(RefuteDomain),
-    /// The analysis cannot decide; enumeration/deduction must proceed.
-    Unknown,
-}
-
-/// The abstract domain that proved a refutation — the *weakest* one that
-/// sufficed, when several apply.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RefuteDomain {
-    /// Value-constructor mismatch (expected a list/tree, found otherwise,
-    /// or mismatched tree shapes).
-    Shape,
-    /// List-length / tree-size interval mismatch.
-    Length,
-    /// Output elements not drawn from the input collection's multiset.
-    Provenance,
-    /// Output elements reordered relative to the input collection.
-    Order,
-    /// A fold's empty-collection row disagrees with its initial value.
-    Init,
-    /// A `filter` output keeping some but not all occurrences of a value
-    /// — impossible because a predicate gives equal elements the same
-    /// verdict within a row. Pruning tier: refutes where deduction can't.
-    Cardinality,
-    /// Equal elements within one `map`/`mapt` row mapped to different
-    /// outputs — the hole is a function of the element alone.
-    Congruence,
-}
-
-/// Which accounting tier a refutation domain belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// Strictly implied by deduction: toggling never changes the planned
-    /// expansion set, only where the refutation is counted.
-    Attribution,
-    /// Strictly stronger than deduction: removes real search work, runs
-    /// only under `SearchOptions::static_prune`.
-    Pruning,
-}
-
-/// The coarse-to-fine domain order shared by the transfer functions and
-/// reporting: when several domains refute the same hypothesis, the
-/// *earliest* entry here is the one reported — the weakest sufficient
-/// evidence. The transfer dispatch iterates this table directly, so the
-/// order is enforced by construction, not convention. Length precedes
-/// Shape because size/height *intervals* are coarser evidence than exact
-/// constructor/shape equality (the two never compete on lists: a length
-/// comparison presupposes both sides are lists).
-pub const DOMAIN_ORDER: [RefuteDomain; 7] = [
-    RefuteDomain::Length,
-    RefuteDomain::Shape,
-    RefuteDomain::Provenance,
-    RefuteDomain::Order,
-    RefuteDomain::Init,
-    RefuteDomain::Cardinality,
-    RefuteDomain::Congruence,
-];
-
-impl RefuteDomain {
-    /// Stable machine-readable name, used in trace events and diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            RefuteDomain::Shape => "shape",
-            RefuteDomain::Length => "length",
-            RefuteDomain::Provenance => "provenance",
-            RefuteDomain::Order => "order",
-            RefuteDomain::Init => "init",
-            RefuteDomain::Cardinality => "cardinality",
-            RefuteDomain::Congruence => "congruence",
-        }
-    }
-
-    /// The accounting tier: attribution domains are implied by deduction,
-    /// pruning domains refute where deduction can't.
-    pub fn tier(self) -> Tier {
-        match self {
-            RefuteDomain::Cardinality => Tier::Pruning,
-            RefuteDomain::Shape
-            | RefuteDomain::Length
-            | RefuteDomain::Provenance
-            | RefuteDomain::Order
-            | RefuteDomain::Init
-            | RefuteDomain::Congruence => Tier::Attribution,
-        }
-    }
-
-    /// Position in [`DOMAIN_ORDER`] (0-based): lower = coarser evidence.
-    pub fn order_index(self) -> usize {
-        DOMAIN_ORDER
-            .iter()
-            .position(|d| *d == self)
-            .expect("every domain appears in DOMAIN_ORDER")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn domain_names_are_stable() {
-        let names: Vec<_> = DOMAIN_ORDER.iter().map(|d| d.name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "length",
-                "shape",
-                "provenance",
-                "order",
-                "init",
-                "cardinality",
-                "congruence"
-            ]
-        );
-        // Names are distinct (they key trace events and bench columns).
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), DOMAIN_ORDER.len());
-    }
-
-    #[test]
-    fn domain_order_is_total_and_indexable() {
-        for (i, d) in DOMAIN_ORDER.iter().enumerate() {
-            assert_eq!(d.order_index(), i);
-        }
-    }
-
-    #[test]
-    fn only_cardinality_is_pruning_tier() {
-        for d in DOMAIN_ORDER {
-            let expect = if d == RefuteDomain::Cardinality {
-                Tier::Pruning
-            } else {
-                Tier::Attribution
-            };
-            assert_eq!(d.tier(), expect, "{}", d.name());
-        }
-    }
-}

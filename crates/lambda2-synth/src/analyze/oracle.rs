@@ -1,10 +1,11 @@
-//! Bounded brute-force re-proof oracle for pruning-tier refutations.
+//! Bounded brute-force re-proof oracle for pruned refutations.
 //!
-//! Attribution-tier static refutations are re-proved (under
-//! `check-invariants`) by re-running deduction; pruning-tier refutations
-//! cannot be — deduction is strictly weaker there by design. This module
-//! supplies the replacement: an *exact, library-independent* semantic
-//! check that no completion of the hypothesis exists.
+//! Deduction's pruned refutations ([`crate::deduce::Outcome::Pruned`])
+//! go beyond its necessary-row inference, so nothing inside deduction
+//! can confirm them. This module supplies an *exact, library-independent*
+//! semantic check that no completion of the hypothesis exists; under
+//! `check-invariants` the `filter` rule asserts it at every pruned
+//! refutation.
 //!
 //! For `filter` the check rests on a completeness fact: within one
 //! example row the predicate closes over a fixed environment, so it acts
@@ -22,10 +23,8 @@
 
 use std::collections::HashSet;
 
-use lambda2_lang::ast::Comb;
 use lambda2_lang::value::Value;
 
-use super::{RefuteDomain, Tier};
 use crate::spec::ExampleRow;
 
 /// Largest distinct-value count for which the oracle sweeps every kept
@@ -35,8 +34,8 @@ pub const SUBSET_SWEEP_LIMIT: usize = 12;
 
 /// `true` when some example row provably admits *no* filter completion:
 /// no kept-value set over the row's collection reproduces the output.
-/// Rows whose collection or output is not a list are skipped (the shape
-/// domain owns those).
+/// Rows whose collection or output is not a list are skipped (deduction
+/// refutes those on shape).
 pub fn no_filter_completion(rows: &[ExampleRow], coll: &[Value]) -> bool {
     rows.iter()
         .zip(coll)
@@ -72,27 +71,6 @@ fn row_has_kept_set(xs: &[Value], ys: &[Value]) -> bool {
 fn filter_matches(xs: &[Value], kept: &HashSet<&Value>, ys: &[Value]) -> bool {
     let filtered: Vec<&Value> = xs.iter().filter(|v| kept.contains(v)).collect();
     filtered.len() == ys.len() && filtered.iter().zip(ys).all(|(a, b)| *a == b)
-}
-
-/// Re-proves a pruning-tier refutation at its site: `true` when the
-/// bounded brute-force oracle confirms no completion exists. Panics on
-/// attribution-tier domains — those are re-proved by deduction instead.
-pub fn reprove_pruned(
-    comb: Comb,
-    domain: RefuteDomain,
-    rows: &[ExampleRow],
-    coll: &[Value],
-) -> bool {
-    assert_eq!(
-        domain.tier(),
-        Tier::Pruning,
-        "attribution-tier {} refutations are re-proved by deduction",
-        domain.name()
-    );
-    match (comb, domain) {
-        (Comb::Filter, RefuteDomain::Cardinality) => no_filter_completion(rows, coll),
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +115,8 @@ mod tests {
     #[test]
     fn non_subset_outputs_are_refuted_by_the_oracle_too() {
         // The oracle is complete for filter, so it also re-proves what
-        // the coarser domains catch (foreign values, reorderings).
+        // deduction's subsequence check catches (foreign values,
+        // reorderings).
         for (input, output) in [("[1 2]", "[3]"), ("[1 2]", "[2 1]"), ("[1 2]", "[1 2 3]")] {
             let (r, c) = rows(&[(input, output)]);
             assert!(no_filter_completion(&r, &c), "{input} -> {output}");
@@ -156,30 +135,5 @@ mod tests {
             "[1 2 3 4 5 6 7 8 9 10 11 12 13]",
         )]);
         assert!(no_filter_completion(&r, &c));
-    }
-
-    #[test]
-    fn reprove_dispatches_on_domain() {
-        let (r, c) = rows(&[("[5 7 5]", "[5]")]);
-        assert!(reprove_pruned(
-            Comb::Filter,
-            RefuteDomain::Cardinality,
-            &r,
-            &c
-        ));
-        let (r, c) = rows(&[("[5 7 5]", "[5 5]")]);
-        assert!(!reprove_pruned(
-            Comb::Filter,
-            RefuteDomain::Cardinality,
-            &r,
-            &c
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "re-proved by deduction")]
-    fn reprove_rejects_attribution_domains() {
-        let (r, c) = rows(&[("[1 2]", "[2 1]")]);
-        reprove_pruned(Comb::Filter, RefuteDomain::Order, &r, &c);
     }
 }

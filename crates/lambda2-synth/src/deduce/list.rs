@@ -35,9 +35,20 @@ pub fn deduce_map(rows: &[ExampleRow], coll: &CollectionArg, x: Symbol) -> Outco
 /// `filter ◻p c`: every row's output must be an order-preserving
 /// sub-multiset of the collection. Elements whose occurrences are all kept
 /// must satisfy `◻p`; elements entirely absent from the output must
-/// falsify it; elements partially kept are ambiguous and contribute no row.
-pub fn deduce_filter(rows: &[ExampleRow], coll: &CollectionArg, x: Symbol) -> Outcome {
+/// falsify it.
+///
+/// An element *partially* kept is impossible: within one row the
+/// predicate closes over a fixed environment, so equal elements get the
+/// same verdict. With `prune` on that refutes the hypothesis as
+/// [`Outcome::Pruned`] — but only once every row has passed the shape and
+/// subsequence checks, so those refutations stay [`Outcome::Refuted`].
+/// With `prune` off the element contributes no row and final verification
+/// constrains it. The two checks together are complete for `filter`: an
+/// output passing both equals `filter_K(c)` for the kept-value set
+/// `K = {v : v occurs in the output}`.
+pub fn deduce_filter(rows: &[ExampleRow], coll: &CollectionArg, x: Symbol, prune: bool) -> Outcome {
     let mut fun_rows = Vec::new();
+    let mut partially_kept = false;
     for (row, cv) in rows.iter().zip(&coll.values) {
         let (Some(xs), Some(ys)) = (cv.as_list(), row.output.as_list()) else {
             return Outcome::Refuted;
@@ -75,10 +86,18 @@ pub fn deduce_filter(rows: &[ExampleRow], coll: &CollectionArg, x: Symbol) -> Ou
                     row.env.bind(x, v.clone()),
                     Value::Bool(false),
                 ));
+            } else {
+                partially_kept = true;
             }
-            // Partially kept values are ambiguous under duplicates; the
-            // final verification still constrains them.
         }
+    }
+    if prune && partially_kept {
+        #[cfg(feature = "check-invariants")]
+        assert!(
+            crate::analyze::oracle::no_filter_completion(rows, &coll.values),
+            "pruned filter refutation not confirmed by the oracle"
+        );
+        return Outcome::Pruned;
     }
     match spec_or_refute(fun_rows) {
         Ok(fun_spec) => Outcome::Deduced(Deduction {
@@ -104,7 +123,7 @@ mod tests {
     fn fun_spec(out: Outcome) -> crate::spec::Spec {
         match out {
             Outcome::Deduced(d) => d.fun_spec,
-            Outcome::Refuted => panic!("unexpected refutation"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -166,7 +185,7 @@ mod tests {
     #[test]
     fn filter_deducts_kept_and_dropped() {
         let (rows, coll) = rows_on_var("l", &[("[1 2 3 4]", "[2 4]")]);
-        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x")));
+        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x"), true));
         assert_eq!(spec.len(), 4);
         for row in spec.rows() {
             let x = row.env.lookup(sym("x")).unwrap().as_int().unwrap();
@@ -181,7 +200,7 @@ mod tests {
         // pick the enumerator's probe environments, so a scrambled order
         // made term counts flap between otherwise identical runs.
         let (rows, coll) = rows_on_var("l", &[("[4 1 3 2]", "[4 2]")]);
-        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x")));
+        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x"), true));
         let got: Vec<(i64, Value)> = spec
             .rows()
             .iter()
@@ -207,7 +226,7 @@ mod tests {
     fn filter_refutes_on_reordering() {
         let (rows, coll) = rows_on_var("l", &[("[1 2]", "[2 1]")]);
         assert!(matches!(
-            deduce_filter(&rows, &coll, sym("x")),
+            deduce_filter(&rows, &coll, sym("x"), true),
             Outcome::Refuted
         ));
     }
@@ -216,7 +235,7 @@ mod tests {
     fn filter_refutes_on_foreign_elements() {
         let (rows, coll) = rows_on_var("l", &[("[1 2]", "[3]")]);
         assert!(matches!(
-            deduce_filter(&rows, &coll, sym("x")),
+            deduce_filter(&rows, &coll, sym("x"), true),
             Outcome::Refuted
         ));
     }
@@ -225,16 +244,47 @@ mod tests {
     fn filter_refutes_on_multiplicity_increase() {
         let (rows, coll) = rows_on_var("l", &[("[1 2]", "[1 1]")]);
         assert!(matches!(
-            deduce_filter(&rows, &coll, sym("x")),
+            deduce_filter(&rows, &coll, sym("x"), true),
+            Outcome::Refuted
+        ));
+    }
+
+    #[test]
+    fn filter_prunes_partially_kept_duplicates() {
+        // One of the two 5s is kept: no predicate can split equal
+        // elements within a row, so pruning refutes the hypothesis.
+        let (rows, coll) = rows_on_var("l", &[("[5 7 5]", "[5]")]);
+        assert!(matches!(
+            deduce_filter(&rows, &coll, sym("x"), true),
+            Outcome::Pruned
+        ));
+        // Keeping every occurrence (or none) is realizable: `x = 5`.
+        let (rows, coll) = rows_on_var("l", &[("[5 7 5]", "[5 5]")]);
+        assert!(matches!(
+            deduce_filter(&rows, &coll, sym("x"), true),
+            Outcome::Deduced(_)
+        ));
+    }
+
+    #[test]
+    fn filter_refutes_before_it_prunes() {
+        // Row 0 keeps one of two 5s (prunable), but row 1 is not a
+        // subsequence: the subsequence refutation wins regardless of row
+        // order, so `pruned_refutations` counts only hypotheses the
+        // shape and subsequence checks keep.
+        let (rows, coll) = rows_on_var("l", &[("[5 7 5]", "[5]"), ("[1 2]", "[2 1]")]);
+        assert!(matches!(
+            deduce_filter(&rows, &coll, sym("x"), true),
             Outcome::Refuted
         ));
     }
 
     #[test]
     fn filter_skips_ambiguous_duplicates() {
-        // One of the two 5s is kept: p(5) is ambiguous, p(7) is determined.
+        // With pruning off, p(5) is ambiguous and contributes no row;
+        // p(7) is determined.
         let (rows, coll) = rows_on_var("l", &[("[5 7 5]", "[5]")]);
-        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x")));
+        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x"), false));
         assert_eq!(spec.len(), 1);
         let row = &spec.rows()[0];
         assert_eq!(row.env.lookup(sym("x")), Some(&Value::Int(7)));
@@ -249,7 +299,7 @@ mod tests {
         // x=3 with l=[3] → true; x=3 with l=[3 4] → false; x=4 → true.
         // Envs differ in l, so this is consistent (the predicate may
         // inspect l): three deduced rows, no refutation.
-        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x")));
+        let spec = fun_spec(deduce_filter(&rows, &coll, sym("x"), true));
         assert_eq!(spec.len(), 3);
     }
 

@@ -17,6 +17,12 @@
 //! (a property test in `tests/` checks this on random programs). Inferred
 //! row sets that are not functionally consistent refute the hypothesis.
 //!
+//! Deduction is the search's only refuter. With pruning on, the `filter`
+//! rule additionally refutes rows that keep some but not all occurrences
+//! of a value — a condition its necessary-row inference skips — and
+//! reports those as [`Outcome::Pruned`] so the search can count the work
+//! they remove separately.
+//!
 //! Final verification of complete programs never depends on deduction, so
 //! the synthesizer is sound even where a rule chooses to infer nothing.
 
@@ -47,6 +53,12 @@ pub struct CollectionArg {
 pub enum Outcome {
     /// No completion of the hypothesis can satisfy the rows.
     Refuted,
+    /// No completion can satisfy the rows, proved by a check that goes
+    /// beyond necessary-row inference: a `filter` row keeps some but not
+    /// all occurrences of a value (cardinality), which no predicate can
+    /// do. Only returned when pruning is on; with it off the rule infers
+    /// what it can and leaves the hypothesis open.
+    Pruned,
     /// Inferred specifications for the hypothesis's holes.
     Deduced(Deduction),
 }
@@ -89,7 +101,9 @@ impl Deduction {
 ///
 /// When `enabled` is `false` (the paper's deduction ablation), every
 /// structural check is skipped and empty specs are returned — hypotheses
-/// are then pruned only by types and final verification.
+/// are then pruned only by types and final verification. `prune` turns
+/// on the checks that refute beyond necessary-row inference
+/// ([`Outcome::Pruned`]); it is ignored when `enabled` is `false`.
 ///
 /// # Panics
 ///
@@ -102,6 +116,7 @@ pub fn deduce(
     init: Option<&[Value]>,
     binders: &[Symbol],
     enabled: bool,
+    prune: bool,
 ) -> Outcome {
     debug_assert_eq!(binders.len(), comb.fun_arity());
     debug_assert_eq!(coll.values.len(), rows.len());
@@ -114,7 +129,7 @@ pub fn deduce(
     }
     match comb {
         Comb::Map => list::deduce_map(rows, coll, binders[0]),
-        Comb::Filter => list::deduce_filter(rows, coll, binders[0]),
+        Comb::Filter => list::deduce_filter(rows, coll, binders[0], prune),
         Comb::Foldl => fold::deduce_foldl(
             rows,
             coll,
@@ -157,6 +172,7 @@ pub fn deduce(
 ///
 /// Propagates the budget's (latched) [`BudgetExceeded`] verdict; no rule
 /// runs in that case.
+#[allow(clippy::too_many_arguments)] // one budget handle over `deduce`'s signature
 pub fn deduce_within(
     comb: Comb,
     rows: &[ExampleRow],
@@ -164,12 +180,13 @@ pub fn deduce_within(
     init: Option<&[Value]>,
     binders: &[Symbol],
     enabled: bool,
+    prune: bool,
     budget: &Budget,
 ) -> Result<Outcome, BudgetExceeded> {
     for _ in 0..rows.len().max(1) {
         budget.tick()?;
     }
-    Ok(deduce(comb, rows, coll, init, binders, enabled))
+    Ok(deduce(comb, rows, coll, init, binders, enabled, prune))
 }
 
 /// Builds a [`Spec`], mapping inconsistency to refutation.
@@ -260,10 +277,10 @@ mod tests {
     #[test]
     fn disabled_deduction_returns_empty_specs() {
         let (rows, coll) = rows_on_var("l", &[("[1 2]", "[2 3]")]);
-        let out = deduce(Comb::Map, &rows, &coll, None, &[sym("x")], false);
+        let out = deduce(Comb::Map, &rows, &coll, None, &[sym("x")], false, true);
         match out {
             Outcome::Deduced(d) => assert!(d.fun_spec.is_empty()),
-            Outcome::Refuted => panic!("disabled deduction must not refute"),
+            other => panic!("disabled deduction must not refute: {other:?}"),
         }
         // Even a mismatching init is not checked when deduction is off.
         let init = vec![val("[99]")];
@@ -274,10 +291,11 @@ mod tests {
             Some(&init),
             &[sym("a"), sym("x")],
             false,
+            true,
         );
         match out {
             Outcome::Deduced(d) => assert!(d.fun_spec.is_empty()),
-            Outcome::Refuted => panic!("disabled deduction must not refute"),
+            other => panic!("disabled deduction must not refute: {other:?}"),
         }
     }
 
@@ -285,13 +303,31 @@ mod tests {
     fn deduce_within_respects_a_tripped_budget() {
         let (rows, coll) = rows_on_var("l", &[("[1 2]", "[2 3]")]);
         let budget = Budget::unlimited();
-        let out = deduce_within(Comb::Map, &rows, &coll, None, &[sym("x")], true, &budget)
-            .expect("unlimited budget");
+        let out = deduce_within(
+            Comb::Map,
+            &rows,
+            &coll,
+            None,
+            &[sym("x")],
+            true,
+            true,
+            &budget,
+        )
+        .expect("unlimited budget");
         assert!(matches!(out, Outcome::Deduced(_)));
 
         budget.force_expire();
-        let err = deduce_within(Comb::Map, &rows, &coll, None, &[sym("x")], true, &budget)
-            .expect_err("expired budget refuses to run");
+        let err = deduce_within(
+            Comb::Map,
+            &rows,
+            &coll,
+            None,
+            &[sym("x")],
+            true,
+            true,
+            &budget,
+        )
+        .expect_err("expired budget refuses to run");
         assert_eq!(err, BudgetExceeded::Deadline);
     }
 

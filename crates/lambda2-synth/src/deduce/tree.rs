@@ -138,7 +138,7 @@ mod tests {
     fn deduction(out: Outcome) -> Deduction {
         match out {
             Outcome::Deduced(d) => d,
-            Outcome::Refuted => panic!("unexpected refutation"),
+            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -20,9 +20,6 @@ use lambda2_lang::symbol::Symbol;
 use lambda2_lang::ty::{Subst, Type};
 use lambda2_lang::value::Value;
 
-use crate::analyze::{
-    refute_expansion_abs, refute_expansion_tiered, AbsArgs, RefuteDomain, Verdict,
-};
 use crate::cost::CostModel;
 use crate::deduce::{deduce_within, CollectionArg, Outcome};
 use crate::govern::{Budget, BudgetExceeded};
@@ -35,13 +32,11 @@ pub enum ExpandFail {
     IllTyped,
     /// Deduction proved no completion can satisfy the hole's rows.
     Refuted,
-    /// The abstract-interpretation pre-pass ([`crate::analyze`]) proved no
-    /// completion can satisfy the hole's rows, before deduction ran.
-    /// Attribution-tier domains only change *attribution* (deduction
-    /// would refute too); pruning-tier domains (`RefuteDomain::tier()`)
-    /// remove templates deduction would have planned — still sound, the
-    /// refuted hypothesis has no completion.
-    StaticRefuted(RefuteDomain),
+    /// Deduction's pruning check ([`Outcome::Pruned`], on under
+    /// `SearchOptions::static_prune`) proved no completion can satisfy the
+    /// hole's rows — a hypothesis necessary-row inference alone would
+    /// have kept, so each one is search work removed.
+    Pruned,
     /// The resource budget tripped mid-planning; the caller should abort
     /// its planning sweep, not count a refutation.
     Budget(BudgetExceeded),
@@ -111,9 +106,8 @@ impl Template {
 /// # Errors
 ///
 /// [`ExpandFail::IllTyped`] when the hole/collection/init types don't fit
-/// the combinator; [`ExpandFail::StaticRefuted`] when the abstract
-/// pre-pass rules out the child; [`ExpandFail::Refuted`] when deduction
-/// does.
+/// the combinator; [`ExpandFail::Refuted`] when deduction rules out the
+/// child; [`ExpandFail::Pruned`] when its pruning check does.
 ///
 /// # Panics
 ///
@@ -134,13 +128,12 @@ pub fn plan_expansion(
         costs,
         deduction_enabled,
         true,
-        true,
-        None,
         &Budget::unlimited(),
     )
 }
 
-/// [`plan_expansion`] under a resource [`Budget`]: deduction runs through
+/// [`plan_expansion`] under a resource [`Budget`] and with deduction's
+/// pruning check switched by `prune`: deduction runs through
 /// [`deduce_within`], so a deadline or cancellation surfaces as
 /// [`ExpandFail::Budget`] mid-planning instead of waiting for the next
 /// queue pop.
@@ -161,9 +154,7 @@ pub fn plan_expansion_within(
     init_cand: Option<&Candidate<'_>>,
     costs: &CostModel,
     deduction_enabled: bool,
-    analysis: bool,
     prune: bool,
-    abs: Option<AbsArgs<'_>>,
     budget: &Budget,
 ) -> Result<Template, ExpandFail> {
     debug_assert_eq!(init_cand.is_some(), comb.init_index().is_some());
@@ -240,78 +231,6 @@ pub fn plan_expansion_within(
     let taken: Vec<Symbol> = info.scope.iter().map(|(sym, _)| *sym).collect();
     let binders = binder_symbols(comb, &taken);
 
-    // --- Abstract pre-pass --------------------------------------------------
-    // Runs only when deduction is on: attribution-tier checks are strictly
-    // weaker than the corresponding deduction rule, so with deduction off
-    // (the paper's ablation) the analyzer must not prune either. The
-    // pruning tier rides the same gate — its refutations replace work
-    // deduction *and* enumeration would otherwise do.
-    let init_values = init_cand.map(|c| c.values.as_slice());
-    if analysis && deduction_enabled {
-        // With memoized abstractions in hand (the search's `AbsCache`
-        // path), consume them; otherwise build them locally.
-        let verdict = match abs {
-            Some(a) => {
-                refute_expansion_abs(comb, info.spec.rows(), &cand.values, a, init_values, prune)
-            }
-            None => {
-                refute_expansion_tiered(comb, info.spec.rows(), &cand.values, init_values, prune)
-            }
-        };
-        #[cfg(feature = "check-invariants")]
-        if abs.is_some() {
-            // Cached abstractions must be indistinguishable from fresh
-            // ones at the verdict level.
-            assert_eq!(
-                verdict,
-                refute_expansion_tiered(comb, info.spec.rows(), &cand.values, init_values, prune),
-                "memoized abstraction changed the verdict for {comb:?}"
-            );
-        }
-        if let Verdict::Refuted(domain) = verdict {
-            #[cfg(feature = "check-invariants")]
-            {
-                // Soundness cross-check at the refutation site, by tier:
-                // attribution verdicts must be confirmed by deduction
-                // (analyzer ⊆ deduction); pruning verdicts can't be —
-                // deduction is strictly weaker there — so the bounded
-                // brute-force oracle re-proves them instead.
-                match domain.tier() {
-                    crate::analyze::Tier::Attribution => {
-                        let arg = CollectionArg {
-                            values: cand.values.clone(),
-                            var: None,
-                        };
-                        let outcome = crate::deduce::deduce(
-                            comb,
-                            info.spec.rows(),
-                            &arg,
-                            init_values,
-                            &binders,
-                            true,
-                        );
-                        assert!(
-                            matches!(outcome, Outcome::Refuted),
-                            "static refutation ({domain:?}) not confirmed by deduction for {comb:?}"
-                        );
-                    }
-                    crate::analyze::Tier::Pruning => {
-                        assert!(
-                            crate::analyze::oracle::reprove_pruned(
-                                comb,
-                                domain,
-                                info.spec.rows(),
-                                &cand.values,
-                            ),
-                            "pruned refutation ({domain:?}) not confirmed by the oracle for {comb:?}"
-                        );
-                    }
-                }
-            }
-            return Err(ExpandFail::StaticRefuted(domain));
-        }
-    }
-
     // --- Deduction ----------------------------------------------------------
     let coll_arg = CollectionArg {
         values: cand.values.clone(),
@@ -327,11 +246,13 @@ pub fn plan_expansion_within(
         init_cand.map(|c| c.values.as_slice()),
         &binders,
         deduction_enabled,
+        prune,
         budget,
     )
     .map_err(ExpandFail::Budget)?
     {
         Outcome::Refuted => return Err(ExpandFail::Refuted),
+        Outcome::Pruned => return Err(ExpandFail::Pruned),
         Outcome::Deduced(d) => d,
     };
 
@@ -671,26 +592,6 @@ mod tests {
             true,
         )
         .unwrap_err();
-        // The length domain of the abstract pre-pass catches this before
-        // deduction runs; with the analyzer off, deduction refutes instead.
-        assert_eq!(err, ExpandFail::StaticRefuted(RefuteDomain::Length));
-        let err = plan_expansion_within(
-            &info,
-            Comb::Map,
-            &var_candidate(
-                &expr,
-                &ty,
-                root_with_examples(&[("[1 2]", "[2]")], Type::list(Type::Int)).1,
-            ),
-            None,
-            &CostModel::default(),
-            true,
-            false,
-            false,
-            None,
-            &Budget::unlimited(),
-        )
-        .unwrap_err();
         assert_eq!(err, ExpandFail::Refuted);
     }
 
@@ -701,10 +602,9 @@ mod tests {
         let info = info.clone();
         let expr = Arc::new(Expr::var("l"));
         let ty = Type::list(Type::Int);
-        // With pruning on, the cardinality domain refutes before deduction
-        // runs — and under `check-invariants` the brute-force oracle
-        // re-proves the verdict at this site (deduction cannot: it skips
-        // partially-kept duplicates).
+        // With pruning on, deduction's cardinality check refutes — and
+        // under `check-invariants` the brute-force oracle re-proves the
+        // verdict at the `deduce_filter` site.
         let err = plan_expansion(
             &info,
             Comb::Filter,
@@ -714,7 +614,7 @@ mod tests {
             true,
         )
         .unwrap_err();
-        assert_eq!(err, ExpandFail::StaticRefuted(RefuteDomain::Cardinality));
+        assert_eq!(err, ExpandFail::Pruned);
         // With pruning off, deduction keeps the hypothesis open and a
         // template is planned — exactly the work pruning removes.
         let t = plan_expansion_within(
@@ -724,9 +624,7 @@ mod tests {
             None,
             &CostModel::default(),
             true,
-            true,
             false,
-            None,
             &Budget::unlimited(),
         );
         assert!(t.is_ok(), "{t:?}");
@@ -813,7 +711,7 @@ mod tests {
             &mut next,
         )
         .unwrap_err();
-        assert_eq!(err, ExpandFail::StaticRefuted(RefuteDomain::Init));
+        assert_eq!(err, ExpandFail::Refuted);
     }
 
     #[test]

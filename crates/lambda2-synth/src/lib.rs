@@ -69,7 +69,6 @@ pub mod synthesizer;
 pub mod verify;
 
 pub use analyze::lint::{lint_source, Diagnostic};
-pub use analyze::{RefuteDomain, Verdict};
 pub use cost::CostModel;
 pub use enumerate::{WarmCache, WarmStores};
 pub use govern::{

@@ -57,8 +57,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// observation-only [`SearchOptions::progress`] knob is deliberately
 /// excluded: it is proven (by differential test) not to change programs,
 /// costs, or counters, so toggling it must not fork a problem's baseline.
-/// Everything else — including [`SearchOptions::static_analysis`], which
-/// moves refutations between counters — is included.
+/// Everything else is included.
 ///
 /// The exhaustive destructuring below means adding a `SearchOptions`
 /// field without deciding whether it belongs in the fingerprint is a
@@ -66,7 +65,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn options_fingerprint(options: &SearchOptions) -> String {
     let SearchOptions {
         deduction,
-        static_analysis,
         static_prune,
         max_term_cost,
         max_term_cost_blind,
@@ -134,7 +132,6 @@ pub fn options_fingerprint(options: &SearchOptions) -> String {
         ("max_terms", max_terms.to_string()),
         ("max_total_fuel", max_total_fuel.to_string()),
         ("retry_ladder", retry_ladder.to_string()),
-        ("static_analysis", static_analysis.to_string()),
         ("synthetic_probes", synthetic_probes.to_string()),
         ("timeout_ms", timeout_ms),
         ("trace_probes", trace_probes.to_string()),

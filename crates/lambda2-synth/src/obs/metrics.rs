@@ -50,18 +50,6 @@ pub const COST_BOUNDS: &[u64] = &{
     bounds
 };
 
-/// Inclusive 5-step percentage bounds `5, 10, …, 100` — for ratio
-/// instruments recorded as whole percentages (abstract-cache hit rate).
-pub const PCT_BOUNDS: &[u64] = &{
-    let mut bounds = [0u64; 20];
-    let mut i = 0;
-    while i < 20 {
-        bounds[i] = (i as u64 + 1) * 5;
-        i += 1;
-    }
-    bounds
-};
-
 /// A fixed-bucket histogram over `u64` observations.
 ///
 /// Buckets are defined by a static slice of *inclusive* upper bounds in
@@ -285,16 +273,6 @@ pub struct SearchMetrics {
     ///
     /// [`synthesize_batch`]: crate::par::synthesize_batch
     pub queue_wait_us: Histogram,
-    /// Abstract-value cache hit rate per planning sweep, as a whole
-    /// percentage (hits / lookups × 100), recorded once per sweep that
-    /// performed at least one lookup.
-    pub abs_cache_hit_pct: Histogram,
-    /// 1-based [`DOMAIN_ORDER`] index of the domain behind every static
-    /// refutation — bucket `i` counts refutations proved by the `i`-th
-    /// coarse-to-fine domain, giving per-domain refutation yield.
-    ///
-    /// [`DOMAIN_ORDER`]: crate::analyze::DOMAIN_ORDER
-    pub static_refute_domain: Histogram,
 }
 
 impl SearchMetrics {
@@ -312,13 +290,11 @@ impl SearchMetrics {
             level_terms: Histogram::new(EXP2_BOUNDS),
             poll_gap_us: Histogram::new(EXP2_BOUNDS),
             queue_wait_us: Histogram::new(EXP2_BOUNDS),
-            abs_cache_hit_pct: Histogram::new(PCT_BOUNDS),
-            static_refute_domain: Histogram::new(COST_BOUNDS),
         }
     }
 
     /// Instrument names and histograms, in stable serialization order.
-    pub fn instruments(&self) -> [(&'static str, &Histogram); 13] {
+    pub fn instruments(&self) -> [(&'static str, &Histogram); 11] {
         [
             ("queue_depth", &self.queue_depth),
             ("pop_cost", &self.pop_cost),
@@ -331,8 +307,6 @@ impl SearchMetrics {
             ("level_terms", &self.level_terms),
             ("poll_gap_us", &self.poll_gap_us),
             ("queue_wait_us", &self.queue_wait_us),
-            ("abs_cache_hit_pct", &self.abs_cache_hit_pct),
-            ("static_refute_domain", &self.static_refute_domain),
         ]
     }
 
@@ -355,8 +329,6 @@ impl SearchMetrics {
         self.level_terms.merge(&other.level_terms);
         self.poll_gap_us.merge(&other.poll_gap_us);
         self.queue_wait_us.merge(&other.queue_wait_us);
-        self.abs_cache_hit_pct.merge(&other.abs_cache_hit_pct);
-        self.static_refute_domain.merge(&other.static_refute_domain);
     }
 
     /// Serializes every instrument as one JSON object.
@@ -378,11 +350,9 @@ mod tests {
 
     #[test]
     fn bucket_bounds_are_strictly_increasing() {
-        for bounds in [EXP2_BOUNDS, COST_BOUNDS, PCT_BOUNDS] {
+        for bounds in [EXP2_BOUNDS, COST_BOUNDS] {
             assert!(bounds.windows(2).all(|w| w[0] < w[1]));
         }
-        assert_eq!(PCT_BOUNDS[0], 5);
-        assert_eq!(*PCT_BOUNDS.last().unwrap(), 100);
         assert_eq!(EXP2_BOUNDS[0], 1);
         assert_eq!(*EXP2_BOUNDS.last().unwrap(), 1 << 40);
         assert_eq!(COST_BOUNDS[0], 1);

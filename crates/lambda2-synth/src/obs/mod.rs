@@ -150,8 +150,13 @@ pub enum TraceEvent {
         /// Why it was rejected.
         reason: RefuteReason,
     },
-    /// The abstract-interpretation pre-pass ([`crate::analyze`]) refuted a
-    /// combinator expansion before deduction ran.
+    /// Deduction's pruning check refuted a combinator expansion
+    /// ([`crate::expand::ExpandFail::Pruned`]): work necessary-row
+    /// inference would have kept. The search emits it only for the
+    /// `cardinality` domain with `pruned` set; the other domain names
+    /// (`shape`, `length`, `provenance`, `order`, `init`, `congruence`)
+    /// and `pruned: false` appear in traces from builds that ran a
+    /// separate abstract pre-pass, which `l2 profile` still reads.
     StaticRefute {
         /// Combinator name.
         comb: &'static str,
@@ -159,13 +164,11 @@ pub enum TraceEvent {
         coll: String,
         /// Rendered initial-value candidate (folds only).
         init: Option<String>,
-        /// Stable name of the abstract domain that proved the refutation
-        /// (`shape`, `length`, `provenance`, `order`, `init`,
-        /// `cardinality`, `congruence`).
+        /// Stable name of the domain that proved the refutation.
         domain: &'static str,
-        /// `true` for pruning-tier domains: the refutation removed work
-        /// deduction would have kept (serialized only when set, so
-        /// attribution-tier events keep their historical shape).
+        /// `true` when the refutation removed work deduction would have
+        /// kept (serialized only when set, so older attribution events
+        /// keep their historical shape).
         pruned: bool,
     },
     /// A closing stream advanced to a new term-cost tier.

@@ -269,10 +269,12 @@ pub struct Summary {
     /// Deduction-rule refutations by reason (`deduction`, `ill-typed`,
     /// `init-mismatch`).
     pub refute_reasons: BTreeMap<String, u64>,
-    /// Static refutations by abstract domain (`length`, `shape`, …).
+    /// Unpruned `static-refute` events by domain (`length`, `shape`, …).
+    /// Only traces from builds that ran a separate abstract pre-pass
+    /// carry them; current builds leave this empty.
     pub static_domains: BTreeMap<String, u64>,
-    /// Pruning-tier static refutations by domain (`cardinality`, …):
-    /// refutations deduction could not have made, subtracted from real
+    /// Pruned refutations by domain (`cardinality`): refutations
+    /// necessary-row inference could not have made, subtracted from real
     /// search work. Disjoint from [`Summary::static_domains`].
     pub pruned_domains: BTreeMap<String, u64>,
     /// Verification passes.
@@ -823,6 +825,9 @@ mod tests {
 
     #[test]
     fn summary_attributes_combs_rules_and_time() {
+        // The `mapt`/`shape` line is an attribution-tier event from a
+        // build with the abstract pre-pass: older v1 traces must keep
+        // loading and summarizing.
         let src = [
             r#"{"v":1,"t_us":0,"ev":"pop","kind":"hyp","cost":1,"holes":1,"sketch":"?1"}"#,
             r#"{"v":1,"t_us":100,"ev":"store","action":"create","terms":0,"bytes":0}"#,

@@ -41,7 +41,6 @@ use lambda2_lang::ast::{Comb, Expr, HoleId};
 use lambda2_lang::env::Env;
 use lambda2_lang::ty::Type;
 
-use crate::analyze::{AbsArgs, AbsCache, TermAbs};
 use crate::cost::CostModel;
 use crate::enumerate::{canonical, EnumLimits, StoreKey, TermStore, WarmCache};
 use crate::expand::{
@@ -67,25 +66,15 @@ pub struct SearchOptions {
     /// Enable deduction (refutation + example propagation). Disabling this
     /// is the paper's "λ² without deduction" ablation.
     pub deduction: bool,
-    /// Enable the abstract-interpretation pre-pass ([`crate::analyze`])
-    /// that refutes combinator expansions before deduction runs. The
-    /// analyzer's checks are strictly weaker than deduction's, so toggling
-    /// this never changes the synthesized program or its cost — only which
-    /// counter ([`Stats::static_refutations`] vs [`Stats::refuted`])
-    /// attributes each refutation. Ignored when `deduction` is off.
-    ///
-    /// [`Stats::static_refutations`]: crate::stats::Stats::static_refutations
-    /// [`Stats::refuted`]: crate::stats::Stats::refuted
-    pub static_analysis: bool,
-    /// Additionally run the analyzer's *pruning-tier* domains
-    /// (cardinality), which refute hypotheses deduction would keep and so
-    /// remove real search work. Sound: pruned hypotheses provably have no
-    /// completion, so the synthesized program and its cost are identical
-    /// on/off while `enumerated_terms` only drops (held to by the
-    /// differential suite in `tests/static_analysis.rs`). Pruned
-    /// refutations are counted in [`Stats::pruned_refutations`] and
-    /// re-proved by a brute-force oracle under `check-invariants`.
-    /// Ignored when `static_analysis` or `deduction` is off.
+    /// Enable deduction's pruning check (cardinality: a `filter` row
+    /// keeping some but not all occurrences of a value), which refutes
+    /// hypotheses necessary-row inference would keep and so removes real
+    /// search work. Sound: pruned hypotheses provably have no completion,
+    /// so the synthesized program and its cost are identical on/off while
+    /// `enumerated_terms` only drops (held to by the differential suite in
+    /// `tests/static_analysis.rs`). Pruned refutations are counted in
+    /// [`Stats::pruned_refutations`] and re-proved by a brute-force oracle
+    /// under `check-invariants`. Ignored when `deduction` is off.
     ///
     /// [`Stats::pruned_refutations`]: crate::stats::Stats::pruned_refutations
     pub static_prune: bool,
@@ -188,7 +177,6 @@ impl Default for SearchOptions {
     fn default() -> SearchOptions {
         SearchOptions {
             deduction: true,
-            static_analysis: true,
             static_prune: true,
             max_term_cost: 12,
             max_term_cost_blind: 6,
@@ -454,10 +442,6 @@ pub(crate) fn search_governed_warm(
     let mut stores: HashMap<StoreKey, (TermStore, u64)> = HashMap::new();
     let mut store_tick: u64 = 0;
     let mut templates: HashMap<(StoreKey, Type), Arc<Vec<Planned>>> = HashMap::new();
-    // Memoized per-term abstractions for the refutation pre-pass, keyed
-    // like the stores whose arenas mint the term ids; a small slice of
-    // the term byte budget bounds it.
-    let mut abs_cache: AbsCache<StoreKey> = AbsCache::new(options.max_store_bytes / 8);
     let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
     let mut seq: u64 = 0;
     let mut next_hole: HoleId = 1;
@@ -749,7 +733,7 @@ pub(crate) fn search_governed_warm(
                                         .error_free(arg_cost)
                                         .into_iter()
                                         .map(|(t, vals)| {
-                                            (store.expr_of(t), t.ty.clone(), vals, t.cost, t.term)
+                                            (store.expr_of(t), t.ty.clone(), vals, t.cost)
                                         })
                                         .collect();
                                     note_phase(
@@ -759,9 +743,6 @@ pub(crate) fn search_governed_warm(
                                     );
 
                                     let t_deduce = Instant::now();
-                                    // The spec's output abstraction is shared by every
-                                    // (combinator, candidate) pair of this sweep.
-                                    let out_abs = TermAbs::of_outputs(info.spec.rows());
                                     let mut planned = Vec::new();
                                     for &comb in library.combs() {
                                         // Cheap shape pre-filter on the hole type.
@@ -777,7 +758,7 @@ pub(crate) fn search_governed_warm(
                                         if !hole_ok {
                                             continue;
                                         }
-                                        for (expr, ty, vals, cost, term) in &pool {
+                                        for (expr, ty, vals, cost) in &pool {
                                             // Shape pre-filter on the collection.
                                             let coll_ok = *cost <= options.max_collection_cost
                                                 && if comb.is_tree() {
@@ -788,17 +769,6 @@ pub(crate) fn search_governed_warm(
                                             if !coll_ok {
                                                 continue;
                                             }
-                                            // The candidate's abstraction is memoized per
-                                            // term id: combinator number two onward (and
-                                            // any later sweep reusing this store) hits.
-                                            let coll_abs =
-                                                abs_cache.get_or_insert(&tkey.0, *term, || {
-                                                    TermAbs::of_values(vals)
-                                                });
-                                            let abs = AbsArgs {
-                                                coll: &coll_abs,
-                                                out: &out_abs,
-                                            };
                                             let cand = Candidate {
                                                 expr,
                                                 ty,
@@ -813,9 +783,7 @@ pub(crate) fn search_governed_warm(
                                                     None,
                                                     &costs,
                                                     options.deduction,
-                                                    options.static_analysis,
                                                     options.static_prune,
-                                                    Some(abs),
                                                     budget,
                                                 ) {
                                                     PlanOutcome::Planned(t) => {
@@ -888,7 +856,7 @@ pub(crate) fn search_governed_warm(
                                             } else {
                                                 options.max_init_cost
                                             };
-                                            for (ie, ity, ivals, icost, _) in &pool {
+                                            for (ie, ity, ivals, icost) in &pool {
                                                 if *icost > init_budget
                                                     || !crate::enumerate::unifiable(ity, &info.ty)
                                                 {
@@ -922,9 +890,7 @@ pub(crate) fn search_governed_warm(
                                                     Some(&init),
                                                     &costs,
                                                     options.deduction,
-                                                    options.static_analysis,
                                                     options.static_prune,
-                                                    Some(abs),
                                                     budget,
                                                 ) {
                                                     PlanOutcome::Planned(t) => {
@@ -986,9 +952,6 @@ pub(crate) fn search_governed_warm(
                                         &mut stats.metrics.deduce_us,
                                         t_deduce.elapsed(),
                                     );
-                                    if let Some(pct) = abs_cache.take_hit_pct() {
-                                        stats.metrics.abs_cache_hit_pct.record(pct);
-                                    }
                                     let planned = Arc::new(planned);
                                     templates.insert(tkey, Arc::clone(&planned));
                                     evict_stores(
@@ -1561,9 +1524,7 @@ fn plan_isolated(
     init: Option<&Candidate<'_>>,
     costs: &CostModel,
     deduction: bool,
-    analysis: bool,
     prune: bool,
-    abs: Option<AbsArgs<'_>>,
     budget: &Budget,
 ) -> PlanOutcome {
     let injected = failpoints::check("deduce.plan");
@@ -1571,9 +1532,7 @@ fn plan_isolated(
         if let Some(FailAction::Panic) = injected {
             panic!("injected panic at deduce.plan");
         }
-        plan_expansion_within(
-            info, comb, cand, init, costs, deduction, analysis, prune, abs, budget,
-        )
+        plan_expansion_within(info, comb, cand, init, costs, deduction, prune, budget)
     }));
     match run {
         Ok(Ok(t)) => PlanOutcome::Planned(t),
@@ -1720,30 +1679,19 @@ fn refute(
             stats.refuted += 1;
             RefuteReason::Deduction
         }
-        ExpandFail::StaticRefuted(domain) => {
-            // Static refutations get their own counters and trace event —
-            // disjoint from `refuted`, so on/off ablations compare
-            // cleanly; pruning-tier verdicts are split out again because
-            // each one is work deduction would *not* have removed.
-            let pruned = domain.tier() == crate::analyze::Tier::Pruning;
-            if pruned {
-                stats.pruned_refutations += 1;
-            } else {
-                stats.static_refutations += 1;
-            }
-            // 1-based DOMAIN_ORDER index, so histogram buckets line up
-            // with the coarse-to-fine domain table.
-            stats
-                .metrics
-                .static_refute_domain
-                .record(domain.order_index() as u64 + 1);
+        ExpandFail::Pruned => {
+            // Pruned refutations get their own counter and trace event —
+            // disjoint from `refuted`, because each one is work
+            // necessary-row inference would *not* have removed, so the
+            // on/off ablation compares cleanly.
+            stats.pruned_refutations += 1;
             if tracer.enabled() {
                 tracer.emit(TraceEvent::StaticRefute {
                     comb: comb.name(),
                     coll: coll.to_string(),
                     init: init.map(|e| e.to_string()),
-                    domain: domain.name(),
-                    pruned,
+                    domain: "cardinality",
+                    pruned: true,
                 });
             }
             return;

@@ -17,16 +17,16 @@ pub struct Stats {
     pub expansions: u64,
     /// Combinator expansions refuted by deduction.
     pub refuted: u64,
-    /// Combinator expansions refuted by the abstract-interpretation
-    /// pre-pass ([`crate::analyze`]) before deduction ran, in an
-    /// *attribution-tier* domain — deduction would have refuted too.
-    /// Disjoint from `refuted`: each hypothesis is counted in exactly one
-    /// of the two.
+    /// Retired: counted refutations by a separate abstract pre-pass that
+    /// ran before deduction. Deduction is now the only refuter, so the
+    /// search always leaves this 0; the field stays because records
+    /// written by earlier builds carry it and readers of `--stats-json`
+    /// and the corpus still parse it.
     pub static_refutations: u64,
-    /// Combinator expansions refuted by a *pruning-tier* domain
-    /// (`SearchOptions::static_prune`) — hypotheses deduction would have
-    /// kept, so each one is search work genuinely removed. Disjoint from
-    /// both `refuted` and `static_refutations`.
+    /// Combinator expansions refuted by deduction's pruning check
+    /// (`SearchOptions::static_prune`) — hypotheses necessary-row
+    /// inference would have kept, so each one is search work genuinely
+    /// removed. Disjoint from `refuted`.
     pub pruned_refutations: u64,
     /// Combinator expansions rejected by typing.
     pub ill_typed: u64,
@@ -120,13 +120,12 @@ impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "popped={} expansions={} refuted={} static-refuted={} pruned={} ill-typed={} \
+            "popped={} expansions={} refuted={} pruned={} ill-typed={} \
              closings={} verified={} (failed {}) terms={} store-hits={} store-evictions={} \
              faults={}",
             self.popped,
             self.expansions,
             self.refuted,
-            self.static_refutations,
             self.pruned_refutations,
             self.ill_typed,
             self.closings,
@@ -266,7 +265,6 @@ mod tests {
             "popped",
             "expansions",
             "refuted",
-            "static-refuted",
             "pruned",
             "closings",
             "verified",

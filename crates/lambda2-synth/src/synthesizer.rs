@@ -67,18 +67,7 @@ impl Synthesizer {
         self
     }
 
-    /// Enables or disables the abstract-interpretation refutation pre-pass
-    /// (chainable); see [`SearchOptions::static_analysis`]. Its
-    /// attribution-tier domains never change the result — only refutation
-    /// attribution in [`crate::Stats`] — while its pruning tier (gated
-    /// separately by [`Synthesizer::static_prune`]) removes search work.
-    pub fn static_analysis(mut self, enabled: bool) -> Synthesizer {
-        self.options.static_analysis = enabled;
-        self
-    }
-
-    /// Enables or disables the pruning tier of the static pre-pass
-    /// (chainable); see [`SearchOptions::static_prune`]. Sound: the
+    /// Enables or disables deduction's pruning check (chainable); see [`SearchOptions::static_prune`]. Sound: the
     /// synthesized program and its cost are byte-identical either way
     /// (differentially tested); only the amount of enumeration and
     /// deduction work spent getting there changes.
@@ -246,14 +235,12 @@ mod tests {
         let s = Synthesizer::new()
             .timeout(Duration::from_secs(3))
             .deduction(false)
-            .static_analysis(false)
             .static_prune(false)
             .max_cost(17)
             .max_overshoot(Duration::from_millis(40))
             .retry_ladder(true);
         assert_eq!(s.options().timeout, Some(Duration::from_secs(3)));
         assert!(!s.options().deduction);
-        assert!(!s.options().static_analysis);
         assert!(!s.options().static_prune);
         assert_eq!(s.options().max_cost, 17);
         assert_eq!(s.options().max_overshoot, Duration::from_millis(40));

@@ -139,8 +139,9 @@ fn deduced_rows_are_necessary() {
             init_vals.as_deref(),
             &binders(comb),
             true,
+            true,
         ) {
-            Outcome::Refuted => {
+            Outcome::Refuted | Outcome::Pruned => {
                 panic!("deduction refuted its own ground truth {program}")
             }
             Outcome::Deduced(d) => assert!(
@@ -171,7 +172,15 @@ fn map_length_mismatch_always_refutes() {
             var: Some(l),
         };
         assert!(matches!(
-            deduce(Comb::Map, &rows, &coll, None, &[Symbol::intern("x")], true),
+            deduce(
+                Comb::Map,
+                &rows,
+                &coll,
+                None,
+                &[Symbol::intern("x")],
+                true,
+                true
+            ),
             Outcome::Refuted
         ));
     }
@@ -212,6 +221,7 @@ fn filter_reorder_always_refutes() {
                 &coll,
                 None,
                 &[Symbol::intern("x")],
+                true,
                 true
             ),
             Outcome::Refuted
@@ -240,13 +250,13 @@ fn fold_base_check_is_exact() {
 
         let good = vec![Value::Int(expected)];
         assert!(matches!(
-            deduce(Comb::Foldl, &rows, &coll, Some(&good), &bs, true),
+            deduce(Comb::Foldl, &rows, &coll, Some(&good), &bs, true, true),
             Outcome::Deduced(_)
         ));
 
         let bad = vec![Value::Int(expected + wrong_delta)];
         assert!(matches!(
-            deduce(Comb::Foldl, &rows, &coll, Some(&bad), &bs, true),
+            deduce(Comb::Foldl, &rows, &coll, Some(&bad), &bs, true, true),
             Outcome::Refuted
         ));
     }

@@ -1,30 +1,22 @@
-//! Soundness of the abstract-interpretation refutation pre-pass.
+//! Soundness of deduction's refutations, pruning included.
 //!
-//! The analyzer ([`lambda2::synth::analyze`]) has two tiers with distinct
-//! contracts, and both are tested differentially here:
-//!
-//! 1. **Attribution identity** — the attribution-tier checks are strictly
-//!    weaker than the deduction rules they shadow, so synthesis with the
-//!    analyzer on (pruning pinned off) returns a byte-identical program at
-//!    an identical cost *and identical search counters* to synthesis with
-//!    it off, while the *sum* of refutation counters is preserved
-//!    (`refuted + static` on == `refuted` off).
-//! 2. **Pruning soundness** — the pruning tier (cardinality) refutes
-//!    hypotheses deduction keeps, so `enumerated_terms`/`popped` may only
-//!    *drop* with it on, while the synthesized program and cost stay
+//! 1. **Pruning soundness** — the pruning check (cardinality, under
+//!    `SearchOptions::static_prune`) refutes hypotheses necessary-row
+//!    inference keeps, so `enumerated_terms`/`popped` may only *drop*
+//!    with it on, while the synthesized program and cost stay
 //!    byte-identical: pruning removes only refutable work, never the
 //!    minimal solution.
-//! 3. **Brute-force refutation witness** — for hypotheses the analyzer
-//!    refutes (including pruning-tier ones), no small lambda body
-//!    completes them: every candidate body up to a bounded depth fails
-//!    some example row.
+//! 2. **Brute-force refutation witness** — for hypotheses deduction
+//!    refutes (pruned ones included), no small lambda body completes
+//!    them: every candidate body up to a bounded depth fails some example
+//!    row.
 
 use std::time::Duration;
 
 use lambda2::suite::catalog;
-use lambda2::synth::analyze::{refute_expansion, RefuteDomain, Verdict};
+use lambda2::synth::deduce::{deduce, CollectionArg, Outcome};
 use lambda2::synth::spec::ExampleRow;
-use lambda2::synth::{parse_problem, Problem, SearchOptions, Synthesizer};
+use lambda2::synth::{Problem, SearchOptions, Synthesizer};
 use lambda2_lang::ast::Comb;
 use lambda2_lang::env::Env;
 use lambda2_lang::eval::eval_default;
@@ -32,165 +24,10 @@ use lambda2_lang::parser::{parse_expr, parse_value};
 use lambda2_lang::symbol::Symbol;
 use lambda2_lang::value::Value;
 
-fn synthesizer(analysis: bool, secs: u64) -> Synthesizer {
-    Synthesizer::with_options(SearchOptions {
-        timeout: Some(Duration::from_secs(secs)),
-        ..SearchOptions::default()
-    })
-    .static_analysis(analysis)
-    // The attribution differential compares against deduction alone;
-    // pruning genuinely changes the frontier and has its own suite below.
-    .static_prune(false)
-}
-
-/// Synthesizes `problem` with the analyzer on and off and asserts the
-/// results are byte-identical; returns the on-run's static refutations.
-fn assert_identical_on_off(problem: &Problem, opts: Option<SearchOptions>, secs: u64) -> u64 {
-    differential_on_off(problem, opts, secs).unwrap_or_else(|msg| panic!("{msg}"))
-}
-
-/// Like [`assert_identical_on_off`], but a *timeout-induced* solvability
-/// mismatch is returned as `Err` instead of panicking: the comparison is
-/// deterministic except for the wall clock, so a problem solved right at
-/// its budget can legitimately flip under load. Callers retry those with
-/// a larger budget — a genuine false refutation persists at any budget
-/// (the pruned program stays pruned), a timing flake does not.
-fn differential_on_off(
-    problem: &Problem,
-    opts: Option<SearchOptions>,
-    secs: u64,
-) -> Result<u64, String> {
-    let build = |analysis: bool| match &opts {
-        Some(o) => Synthesizer::with_options(o.clone())
-            .static_analysis(analysis)
-            .static_prune(false),
-        None => synthesizer(analysis, secs),
-    };
-    let on = build(true).synthesize(problem);
-    let off = build(false).synthesize(problem);
-    if on.is_ok() != off.is_ok() {
-        let timed_out = [&on, &off]
-            .iter()
-            .any(|r| matches!(r, Err(lambda2::synth::SynthError::Timeout)));
-        if timed_out {
-            return Err(format!(
-                "{}: solvability flipped at the wall-clock budget (on: {}, off: {})",
-                problem.name(),
-                on.is_ok(),
-                off.is_ok()
-            ));
-        }
-    }
-    Ok(match (on, off) {
-        (Ok(on), Ok(off)) => {
-            assert_eq!(
-                on.program.body().to_string(),
-                off.program.body().to_string(),
-                "{}: analyzer changed the synthesized program",
-                problem.name()
-            );
-            assert_eq!(
-                on.cost,
-                off.cost,
-                "{}: analyzer changed the program cost",
-                problem.name()
-            );
-            // The analyzer only re-attributes refutations; the planned
-            // search is identical, so every other counter matches and the
-            // refutation *sum* is preserved.
-            assert_eq!(
-                on.stats.refuted + on.stats.static_refutations,
-                off.stats.refuted,
-                "{}: refutation sum changed (false or missed refutations)",
-                problem.name()
-            );
-            assert_eq!(off.stats.static_refutations, 0);
-            assert_eq!(on.stats.popped, off.stats.popped, "{}", problem.name());
-            assert_eq!(
-                on.stats.expansions,
-                off.stats.expansions,
-                "{}",
-                problem.name()
-            );
-            assert_eq!(
-                on.stats.ill_typed,
-                off.stats.ill_typed,
-                "{}",
-                problem.name()
-            );
-            assert_eq!(on.stats.closings, off.stats.closings, "{}", problem.name());
-            assert_eq!(on.stats.verified, off.stats.verified, "{}", problem.name());
-            on.stats.static_refutations
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "{}: analyzer changed the failure mode",
-                problem.name()
-            );
-            0
-        }
-        (on, off) => panic!(
-            "{}: analyzer changed solvability (on: {}, off: {})",
-            problem.name(),
-            on.is_ok(),
-            off.is_ok()
-        ),
-    })
-}
-
 /// Problems cheap enough to double-run (on + off) in a debug build.
 const QUICK: &[&str] = &["ident", "incr", "evens", "sum", "reverse"];
 
-/// Quick differential sweep: a fixed set of easy suite problems plus every
-/// committed problem file, in debug-friendly time. At least one static
-/// refutation must fire across the sweep — the pre-pass must actually
-/// participate.
-#[test]
-fn quick_suite_and_problem_files_are_identical_on_and_off() {
-    let mut static_total = 0u64;
-    for name in QUICK {
-        let bench = lambda2::suite::by_name(name).expect("known benchmark");
-        static_total += assert_identical_on_off(&bench.problem, None, 30);
-    }
-    for problem in committed_problem_files() {
-        static_total += assert_identical_on_off(&problem, None, 30);
-    }
-    assert!(
-        static_total > 0,
-        "the analyzer refuted nothing across the quick suite"
-    );
-}
-
-/// Full differential sweep over the whole catalog — hard problems under
-/// their tuned options. Slow in debug builds; CI runs it in release with
-/// `--include-ignored`.
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "slow in debug builds; run in release (cargo test --release -- --include-ignored)"
-)]
-fn full_suite_is_identical_on_and_off() {
-    for bench in catalog() {
-        let options = bench.tune(SearchOptions::default());
-        // Timeout-marginal problems can flip solvability under load (the
-        // wall clock is the only nondeterminism in the comparison); retry
-        // those with doubled budgets before calling it a soundness bug.
-        let mut outcome = Ok(0);
-        for secs in [120u64, 240, 480] {
-            let mut options = options.clone();
-            options.timeout = Some(Duration::from_secs(secs));
-            outcome = differential_on_off(&bench.problem, Some(options), secs);
-            if outcome.is_ok() {
-                break;
-            }
-        }
-        outcome.unwrap_or_else(|msg| panic!("{msg} — persists across retries"));
-    }
-}
-
-// --- Pruning-tier differential -----------------------------------------
+// --- Pruning differential ----------------------------------------------
 
 /// Outcome of one prune-on vs prune-off comparison.
 struct PruneDelta {
@@ -201,11 +38,14 @@ struct PruneDelta {
     popped_off: u64,
 }
 
-/// Synthesizes `problem` with the pruning tier on and off (analyzer on in
-/// both arms) and asserts pruning is *conservative*: identical program and
-/// cost, search counters only ever drop. Timeout-induced solvability
-/// flips are returned as `Err` for the caller to retry, as in
-/// [`differential_on_off`].
+/// Synthesizes `problem` with pruning on and off and asserts pruning is
+/// *conservative*: identical program and cost, search counters only ever
+/// drop. A *timeout-induced* solvability mismatch is returned as `Err`
+/// instead of panicking: the comparison is deterministic except for the
+/// wall clock, so a problem solved right at its budget can legitimately
+/// flip under load. Callers retry those with a larger budget — a genuine
+/// false refutation persists at any budget (the pruned program stays
+/// pruned), a timing flake does not.
 fn prune_differential(
     problem: &Problem,
     opts: Option<SearchOptions>,
@@ -320,7 +160,7 @@ fn quick_prune_differential_is_conservative_and_productive() {
     }
     assert!(
         pruned_total > 0,
-        "the pruning tier refuted nothing across the quick sweep"
+        "pruning refuted nothing across the quick sweep"
     );
     assert!(
         strict_drops > 0,
@@ -329,7 +169,7 @@ fn quick_prune_differential_is_conservative_and_productive() {
 }
 
 /// The sentinel: `rmall` is a genuine filter whose examples keep
-/// all-or-none occurrences of every value, so the cardinality domain must
+/// all-or-none occurrences of every value, so the cardinality check must
 /// stay silent on the solution hypothesis and the filter program must
 /// survive pruning.
 #[test]
@@ -385,11 +225,11 @@ fn full_suite_prune_differential_is_conservative_and_productive() {
     );
 }
 
-/// The `check-invariants` re-prove hook: under the feature, every
-/// pruning-tier refutation is re-proved *at the refutation site* by the
-/// bounded brute-force oracle (not by deduction, which is strictly weaker
-/// there). This test makes the hook fire on a real search: the examples
-/// carry a partially-kept duplicate, so the filter hypothesis over `l` is
+/// The `check-invariants` re-prove hook: under the feature, every pruned
+/// refutation is re-proved *at the `deduce_filter` site* by the bounded
+/// brute-force oracle (necessary-row inference cannot confirm it). This
+/// test makes the hook fire on a real search: the examples carry a
+/// partially-kept duplicate, so the filter hypothesis over `l` is
 /// cardinality-pruned — an unsound verdict would panic inside the hook.
 #[cfg(feature = "check-invariants")]
 #[test]
@@ -410,22 +250,8 @@ fn pruned_refutations_reprove_under_check_invariants() {
     .expect("dup_tail is solvable (cdr)");
     assert!(
         result.stats.pruned_refutations > 0,
-        "expected the cardinality domain to prune the filter hypothesis"
+        "expected the cardinality check to prune the filter hypothesis"
     );
-}
-
-fn committed_problem_files() -> Vec<Problem> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/problems");
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("problems/ exists") {
-        let path = entry.expect("readable dir entry").path();
-        if path.extension().is_some_and(|e| e == "l2") {
-            let src = std::fs::read_to_string(&path).expect("readable problem file");
-            out.push(parse_problem(&src).expect("committed problem files parse"));
-        }
-    }
-    assert!(out.len() >= 2, "expected committed problem files in {dir}");
-    out
 }
 
 // --- Brute-force refutation witnesses ----------------------------------
@@ -464,10 +290,33 @@ fn bool_terms(vars: &[&str]) -> Vec<String> {
     out
 }
 
-/// Asserts that the analyzer refutes `comb` on `rows`/`coll`/`init`, and
-/// that the refutation is *true*: no candidate body from `bodies`
-/// completes the hypothesis `comb (λ binders. body) [init] coll` on every
-/// row.
+/// Example rows over the list variable `l`, with `l`'s per-row values as
+/// the collection argument.
+fn rows_on_l(pairs: &[(&str, &str)]) -> (Vec<ExampleRow>, CollectionArg) {
+    let l = Symbol::intern("l");
+    let mut rows = Vec::new();
+    let mut values = Vec::new();
+    for (i, o) in pairs {
+        let iv = parse_value(i).unwrap();
+        rows.push(ExampleRow::new(
+            Env::empty().bind(l, iv.clone()),
+            parse_value(o).unwrap(),
+        ));
+        values.push(iv);
+    }
+    (
+        rows,
+        CollectionArg {
+            values,
+            var: Some(l),
+        },
+    )
+}
+
+/// Asserts that deduction (pruning on) refutes `comb` on the rows and
+/// `init`, and that the refutation is *true*: no candidate body from
+/// `bodies` completes the hypothesis `comb (λ binders. body) [init] l` on
+/// every row.
 fn assert_refutation_has_no_completion(
     comb: Comb,
     pairs: &[(&str, &str)],
@@ -475,22 +324,21 @@ fn assert_refutation_has_no_completion(
     binders: &[&str],
     bodies: &[String],
 ) {
-    let l = Symbol::intern("l");
-    let mut rows = Vec::new();
-    let mut coll = Vec::new();
-    for (i, o) in pairs {
-        let iv = parse_value(i).unwrap();
-        rows.push(ExampleRow::new(
-            Env::empty().bind(l, iv.clone()),
-            parse_value(o).unwrap(),
-        ));
-        coll.push(iv);
-    }
+    let (rows, coll) = rows_on_l(pairs);
     let init_vals: Option<Vec<Value>> = init.map(|e| vec![parse_value(e).unwrap(); rows.len()]);
-    let verdict = refute_expansion(comb, &rows, &coll, init_vals.as_deref());
+    let binder_syms: Vec<Symbol> = binders.iter().map(|b| Symbol::intern(b)).collect();
+    let outcome = deduce(
+        comb,
+        &rows,
+        &coll,
+        init_vals.as_deref(),
+        &binder_syms,
+        true,
+        true,
+    );
     assert!(
-        matches!(verdict, Verdict::Refuted(_)),
-        "analyzer should refute {comb:?} on {pairs:?}"
+        matches!(outcome, Outcome::Refuted | Outcome::Pruned),
+        "deduction should refute {comb:?} on {pairs:?}"
     );
 
     let binder_list = binders.join(" ");
@@ -506,7 +354,7 @@ fn assert_refutation_has_no_completion(
             .all(|row| eval_default(&expr, &row.env).is_ok_and(|out| out == row.output));
         assert!(
             !fits,
-            "analyzer-refuted hypothesis completed by `{program}` — false refutation"
+            "refuted hypothesis completed by `{program}` — false refutation"
         );
         checked += 1;
     }
@@ -576,25 +424,25 @@ fn refuted_foldt_has_no_small_completion() {
     );
 }
 
-/// Asserts the analyzer's verdict on a filter hypothesis is a refutation
-/// by exactly the cardinality domain — i.e. deduction's coarser domains
-/// (length, provenance, order) all pass, so the refutation is pruning-tier
-/// work the deduction rules could not have done.
+/// Asserts deduction prunes a filter hypothesis by the cardinality check
+/// — and that with pruning off it keeps the hypothesis open, i.e. the
+/// shape and subsequence checks all pass, so the refutation is work
+/// necessary-row inference could not have done.
 fn assert_cardinality_verdict(pairs: &[(&str, &str)]) {
-    let l = Symbol::intern("l");
-    let mut rows = Vec::new();
-    let mut coll = Vec::new();
-    for (i, o) in pairs {
-        let iv = parse_value(i).unwrap();
-        rows.push(ExampleRow::new(
-            Env::empty().bind(l, iv.clone()),
-            parse_value(o).unwrap(),
-        ));
-        coll.push(iv);
-    }
-    assert_eq!(
-        refute_expansion(Comb::Filter, &rows, &coll, None),
-        Verdict::Refuted(RefuteDomain::Cardinality),
+    let (rows, coll) = rows_on_l(pairs);
+    let x = [Symbol::intern("x")];
+    assert!(
+        matches!(
+            deduce(Comb::Filter, &rows, &coll, None, &x, true, true),
+            Outcome::Pruned
+        ),
+        "{pairs:?}"
+    );
+    assert!(
+        matches!(
+            deduce(Comb::Filter, &rows, &coll, None, &x, true, false),
+            Outcome::Deduced(_)
+        ),
         "{pairs:?}"
     );
 }
@@ -603,8 +451,8 @@ fn assert_cardinality_verdict(pairs: &[(&str, &str)]) {
 fn cardinality_refuted_filter_has_no_small_completion() {
     // [5 7 5] -> [5] keeps one of two 5s: a predicate gives equal
     // elements the same verdict, so no filter body exists — yet the
-    // output is a subsequence drawn from the input multiset, so the
-    // attribution-tier domains (and deduction) all pass.
+    // output is a subsequence drawn from the input multiset, so
+    // necessary-row inference alone keeps the hypothesis.
     assert_cardinality_verdict(&[("[5 7 5]", "[5]")]);
     assert_refutation_has_no_completion(
         Comb::Filter,
