@@ -34,9 +34,9 @@
 //!   --retry-ladder          on resource exhaustion, retry with degraded
 //!                           options, then the enumerative baseline
 //!   --jobs <n>              worker threads (0 = one per CPU; default 1,
-//!                           sequential). Several problems: fan the batch
-//!                           across the pool. One problem: parallelize
-//!                           *within* its search (byte-identical results)
+//!                           sequential) to fan a batch of problems
+//!                           across; one problem has nothing to fan out
+//!                           and runs sequentially
 //!   --no-static-prune       disable deduction's pruning check (the
 //!                           ablation arm: same programs and costs,
 //!                           strictly more search work)
@@ -97,10 +97,8 @@
 //! `--jobs`, problems fan out across a worker pool but results are
 //! printed in input order, and `--trace` events carry `problem`/`worker`
 //! tags, so output is deterministic up to timings. A single-problem
-//! invocation instead spends `--jobs` *inside* the search
-//! ([`SearchOptions::jobs`]): candidate verification fans out to worker
-//! threads while the program, cost, counters, and trace stay
-//! byte-identical to the sequential run.
+//! invocation has nothing to fan out and runs sequentially, whatever
+//! `--jobs` says.
 //!
 //! Problem files are s-expressions:
 //!
@@ -132,6 +130,32 @@ use lambda2_synth::{
     JsonlTracer, Measurement, Problem, RegressThresholds, RunRecord, SearchOptions, SearchReport,
     ServeConfig, Server, Synthesis, Synthesizer, TraceEvent, Tracer, Weight,
 };
+
+/// The usage text: printed to stdout by `--help`/`-h`, and to stderr on
+/// a malformed command line.
+const USAGE: &str = "usage:\n  l2 [flags] synth <problem.l2>...\n  \
+     l2 [flags] run <problem.l2> <arg>...\n  \
+     l2 eval <expr> [x=v]...\n  \
+     l2 [--json] lint <problem.l2>...\n  \
+     l2 [flags] bench <name>...\n  l2 list\n  \
+     l2 profile summary|tree|diff|report <trace.jsonl>...\n  \
+     l2 corpus ingest|list|stats|regress ...\n  \
+     l2 serve [serve flags]\n  \
+     l2 serve report <access.jsonl> [--json] [--out <html>]\n  \
+     l2 client synth <problem.l2>... | ping | stats | shutdown\n\
+     flags: --trace <path>  --stats-json[=<path>]  --corpus <dir>  \
+     --progress  --timeout-ms <n>  \
+     --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  \
+     --no-static-prune\n\
+     profile flags: --json  --weight pops|time  --out <path>\n\
+     corpus flags: --json  --wall-ratio <f>  --wall-floor-ms <n>  \
+     --no-wall-check\n\
+     serve flags: --addr <a>  --jobs <n>  --queue <n>  --timeout-ms <n>  \
+     --max-timeout-ms <n>  --warm-bytes <n>  --drain-grace-ms <n>  \
+     --corpus <dir>  --access-log <path>  --slow-trace-ms <n>  \
+     --slow-trace-dir <dir>\n\
+     client flags: --addr <a>  --retries <n>  --backoff-ms <n>  \
+     --seed <n>  --timeout-ms <n>  --json";
 
 /// Default daemon address shared by `l2 serve` and `l2 client`.
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7207";
@@ -168,6 +192,8 @@ struct Flags {
     out: Option<PathBuf>,
     /// `profile tree`: weight stacks by `pops` (default) or `time`.
     weight: Option<String>,
+    /// `--help`/`-h`: print the usage text and exit 0.
+    help: bool,
     /// `corpus regress`: wall-time ratio threshold (default 1.5).
     wall_ratio: Option<f64>,
     /// `corpus regress`: wall-time absolute floor in ms (default 100).
@@ -224,6 +250,7 @@ impl Flags {
                     None => return Err("--corpus requires a directory path".into()),
                 },
                 "--progress" => flags.progress = true,
+                "--help" | "-h" => flags.help = true,
                 "--no-wall-check" => flags.no_wall_check = true,
                 "--wall-ratio" => {
                     let raw = it
@@ -379,6 +406,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if flags.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match args.first().map(String::as_str) {
         Some("synth") if args.len() >= 2 => cmd_synth(&args[1..], &flags),
         Some("run") if args.len() >= 3 => cmd_run(&args[1], &args[2..], &flags),
@@ -391,31 +422,7 @@ fn main() -> ExitCode {
         Some("serve") => return cmd_serve(&args[1..], &flags),
         Some("client") if args.len() >= 2 => return cmd_client(&args[1..], &flags),
         _ => {
-            eprintln!(
-                "usage:\n  l2 [flags] synth <problem.l2>...\n  \
-                 l2 [flags] run <problem.l2> <arg>...\n  \
-                 l2 eval <expr> [x=v]...\n  \
-                 l2 [--json] lint <problem.l2>...\n  \
-                 l2 [flags] bench <name>...\n  l2 list\n  \
-                 l2 profile summary|tree|diff|report <trace.jsonl>...\n  \
-                 l2 corpus ingest|list|stats|regress ...\n  \
-                 l2 serve [serve flags]\n  \
-                 l2 serve report <access.jsonl> [--json] [--out <html>]\n  \
-                 l2 client synth <problem.l2>... | ping | stats | shutdown\n\
-                 flags: --trace <path>  --stats-json[=<path>]  --corpus <dir>  \
-                 --progress  --timeout-ms <n>  \
-                 --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  \
-                 --no-static-prune\n\
-                 profile flags: --json  --weight pops|time  --out <path>\n\
-                 corpus flags: --json  --wall-ratio <f>  --wall-floor-ms <n>  \
-                 --no-wall-check\n\
-                 serve flags: --addr <a>  --jobs <n>  --queue <n>  --timeout-ms <n>  \
-                 --max-timeout-ms <n>  --warm-bytes <n>  --drain-grace-ms <n>  \
-                 --corpus <dir>  --access-log <path>  --slow-trace-ms <n>  \
-                 --slow-trace-dir <dir>\n\
-                 client flags: --addr <a>  --retries <n>  --backoff-ms <n>  \
-                 --seed <n>  --timeout-ms <n>  --json"
-            );
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
@@ -661,8 +668,7 @@ fn report(
 
 fn cmd_synth(paths: &[String], flags: &Flags) -> Result<(), String> {
     let sinks = prepare_sinks(flags)?;
-    // A single problem has no batch to fan out: `--jobs` becomes
-    // within-problem parallelism inside the one search instead.
+    // A single problem has no batch to fan out: it runs sequentially.
     if flags.effective_jobs() <= 1 || paths.len() == 1 {
         let mut failed = 0usize;
         for path in paths {
@@ -673,7 +679,7 @@ fn cmd_synth(paths: &[String], flags: &Flags) -> Result<(), String> {
                         problem.name(),
                         problem.examples().len()
                     );
-                    let synthesizer = synthesizer_single(flags);
+                    let synthesizer = synthesizer_for(flags);
                     if run_synthesis(&synthesizer, &problem, flags, &sinks)?.is_none() {
                         failed += 1;
                     }
@@ -777,7 +783,7 @@ fn cmd_run(path: &str, run_args: &[String], flags: &Flags) -> Result<(), String>
         problem.name(),
         problem.examples().len()
     );
-    let synthesizer = synthesizer_single(flags);
+    let synthesizer = synthesizer_for(flags);
     let Some(solved) = run_synthesis(&synthesizer, &problem, flags, &sinks)? else {
         return Err(format!("`{}` was not solved", problem.name()));
     };
@@ -808,8 +814,7 @@ fn cmd_eval(expr: &str, bindings: &[String]) -> Result<(), String> {
 
 fn cmd_bench(names: &[String], flags: &Flags) -> Result<(), String> {
     let sinks = prepare_sinks(flags)?;
-    // One benchmark: `--jobs` parallelizes within the search rather than
-    // fanning a one-item batch across the pool.
+    // One benchmark has no batch to fan out: it runs sequentially.
     let parallel = flags.effective_jobs() > 1 && names.len() > 1;
     let mut failed = 0usize;
     let mut tasks = Vec::new();
@@ -821,11 +826,7 @@ fn cmd_bench(names: &[String], flags: &Flags) -> Result<(), String> {
         };
         let mut options = bench.tune(SearchOptions::default());
         options.timeout = Some(Duration::from_secs(if bench.hard { 180 } else { 60 }));
-        let mut options = flags.apply(options);
-        if names.len() == 1 {
-            options.jobs = flags.effective_jobs();
-        }
-        let synthesizer = Synthesizer::with_options(options);
+        let synthesizer = Synthesizer::with_options(flags.apply(options));
         if parallel {
             tasks.push(par_task(&bench.problem, synthesizer, flags));
             continue;
@@ -1578,19 +1579,6 @@ fn synthesizer_for(flags: &Flags) -> Synthesizer {
         timeout: Some(Duration::from_secs(60)),
         ..SearchOptions::default()
     });
-    Synthesizer::with_options(options)
-}
-
-/// [`synthesizer_for`] with `--jobs` applied as *within-problem*
-/// parallelism ([`SearchOptions::jobs`]): a single-problem invocation has
-/// no batch to fan out, so the workers verify candidates of the one
-/// search instead. Results are byte-identical to `--jobs 1`.
-fn synthesizer_single(flags: &Flags) -> Synthesizer {
-    let mut options = flags.apply(SearchOptions {
-        timeout: Some(Duration::from_secs(60)),
-        ..SearchOptions::default()
-    });
-    options.jobs = flags.effective_jobs();
     Synthesizer::with_options(options)
 }
 

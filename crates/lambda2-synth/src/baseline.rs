@@ -235,7 +235,7 @@ fn enumerate(
 
     for k in 1..=options.max_cost {
         if let Err(e) = budget.check_now() {
-            return Err(e.to_synth_error());
+            return Err(e.into());
         }
         let mut level: Vec<usize> = Vec::new();
 
@@ -309,7 +309,7 @@ fn enumerate(
             };
             for combo in combos {
                 if let Err(e) = budget.tick() {
-                    return Err(e.to_synth_error());
+                    return Err(e.into());
                 }
                 let atys: Vec<Type> = combo.iter().map(|&i| terms[i].ty.clone()).collect();
                 let Some(ret) = op_result_type(op, &atys) else {
@@ -378,7 +378,7 @@ fn enumerate(
                         library,
                         budget,
                     ) {
-                        return Err(e.to_synth_error());
+                        return Err(e.into());
                     }
 
                     let has_init = comb.init_index().is_some();
@@ -426,7 +426,7 @@ fn enumerate(
                                 Expr::Lambda(bnames.clone().into(), Arc::new((**body).clone()));
                             for (init, ci) in &splits {
                                 if let Err(e) = budget.tick() {
-                                    return Err(e.to_synth_error());
+                                    return Err(e.into());
                                 }
                                 let mut args = vec![lam.clone()];
                                 if let Some(ii) = init {

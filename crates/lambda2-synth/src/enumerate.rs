@@ -133,7 +133,7 @@ pub struct TermStore {
     inserted: u64,
     /// Terms surviving dedup per *completed* enumeration level — one
     /// observation per level built. The search folds this into
-    /// `Stats::metrics` (once per store build; see `evict_stores`).
+    /// `Stats::metrics` (once per store build; see `Search::evict`).
     level_terms: Histogram,
 }
 

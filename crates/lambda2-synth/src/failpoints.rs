@@ -16,7 +16,6 @@
 //! | `enumerate.level`   | `ExpireDeadline`                 |
 //! | `store.evict`       | `EvictStores`                    |
 //! | `serve.request`     | `Panic`                          |
-//! | `par.worker`        | `Delay`                          |
 //!
 //! Arming a site with an action it does not honor is a no-op (the site
 //! consumes the trigger but injects nothing). `serve.request` sits in
@@ -44,12 +43,6 @@ pub enum FailAction {
     ExpireDeadline,
     /// Force an LRU sweep that evicts every other enumeration store.
     EvictStores,
-    /// Stagger parallel verification workers' startup (worker *w* sleeps
-    /// `2·w` ms before its first steal) to perturb work-stealing order.
-    /// The determinism suite arms this to show `--jobs N` results are
-    /// schedule-independent. Checked on the coordinating thread (the
-    /// registry is thread-local); workers receive the decision.
-    Delay,
 }
 
 #[cfg(feature = "failpoints")]

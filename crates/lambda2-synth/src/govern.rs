@@ -66,10 +66,13 @@ impl BudgetExceeded {
             BudgetExceeded::FuelLimit => "fuel-limit",
         }
     }
+}
 
-    /// Maps the exceeded limit onto the engine's error vocabulary.
-    pub fn to_synth_error(self) -> SynthError {
-        match self {
+/// Maps the exceeded limit onto the engine's error vocabulary, so a budget
+/// abort propagates with `?`.
+impl From<BudgetExceeded> for SynthError {
+    fn from(e: BudgetExceeded) -> SynthError {
+        match e {
             BudgetExceeded::Deadline => SynthError::Timeout,
             BudgetExceeded::Cancelled => SynthError::Cancelled,
             BudgetExceeded::PopLimit => SynthError::LimitReached,
@@ -614,7 +617,7 @@ mod tests {
         // ...and every subsequent tick fails identically (latched).
         assert_eq!(b.tick().unwrap_err(), BudgetExceeded::Deadline);
         assert_eq!(b.snapshot().exceeded, Some(BudgetExceeded::Deadline));
-        assert_eq!(e.to_synth_error(), SynthError::Timeout);
+        assert_eq!(SynthError::from(e), SynthError::Timeout);
     }
 
     #[test]
@@ -627,7 +630,7 @@ mod tests {
         assert!(token.is_cancelled());
         assert_eq!(b.check_now().unwrap_err(), BudgetExceeded::Cancelled);
         assert_eq!(
-            BudgetExceeded::Cancelled.to_synth_error(),
+            SynthError::from(BudgetExceeded::Cancelled),
             SynthError::Cancelled
         );
     }
@@ -646,7 +649,7 @@ mod tests {
         b.charge_fuel(9).unwrap();
         assert_eq!(b.charge_fuel(1).unwrap_err(), BudgetExceeded::FuelLimit);
         assert_eq!(
-            BudgetExceeded::FuelLimit.to_synth_error(),
+            SynthError::from(BudgetExceeded::FuelLimit),
             SynthError::FuelExhausted
         );
     }

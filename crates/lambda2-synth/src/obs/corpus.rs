@@ -83,7 +83,6 @@ pub fn options_fingerprint(options: &SearchOptions) -> String {
         constructor_hypotheses,
         trace_probes,
         expand_blind_holes,
-        jobs,
         progress: _, // observation-only: never forks a baseline
     } = options;
     let EnumLimits {
@@ -102,14 +101,6 @@ pub fn options_fingerprint(options: &SearchOptions) -> String {
         ("eval_fuel", eval_fuel.to_string()),
         ("expand_blind_holes", expand_blind_holes.to_string()),
     ];
-    // `jobs` is proven byte-identical to sequential (the determinism
-    // suite), so jobs=1 — every record written before the field existed —
-    // must keep its fingerprint; a non-default value is still rendered so
-    // parallel runs fork their own baselines (their wall-clock
-    // distributions differ even though counters do not).
-    if *jobs != 1 {
-        pairs.push(("jobs", jobs.to_string()));
-    }
     // Pruning is proven (by differential test) to keep programs and costs
     // byte-identical, and it ships default-on — so the default keeps the
     // fingerprints of every record written before the flag existed, and
@@ -750,6 +741,15 @@ mod tests {
         b.max_cost += 1;
         assert_ne!(options_fingerprint(&a), options_fingerprint(&b));
         assert_eq!(options_fingerprint(&a).len(), 16);
+        // `l2 bench` runs the quick catalog at the defaults with a 60 s
+        // timeout. Every committed baseline in `results/corpus` carries
+        // that fingerprint, so an options edit that changes it orphans
+        // them (re-record the corpus, then update this literal).
+        let bench = SearchOptions {
+            timeout: Some(std::time::Duration::from_secs(60)),
+            ..SearchOptions::default()
+        };
+        assert_eq!(options_fingerprint(&bench), "0cb6444a5e112478");
     }
 
     #[test]

@@ -15,10 +15,7 @@
 //! no rayon): it fans independent problems across workers, each under its
 //! own [`Budget`] with panic isolation, and returns outputs in submission
 //! order, so batch output is deterministic no matter how the scheduler
-//! interleaves workers.
-//!
-//! For parallelism *within* a single search (one shared queue, verification
-//! fan-out) see [`crate::search::SearchOptions::jobs`].
+//! interleaves workers. A single search is always sequential.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};

@@ -32,7 +32,7 @@
 //! ladder.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 use lambda2_lang::ast::{Comb, Expr, HoleId};
 use lambda2_lang::env::Env;
 use lambda2_lang::ty::Type;
+use lambda2_lang::value::Value;
 
 use crate::cost::CostModel;
 use crate::enumerate::{canonical, EnumLimits, StoreKey, TermStore, WarmCache};
@@ -150,18 +151,6 @@ pub struct SearchOptions {
     /// (Ignored when deduction is disabled: the ablation must still form
     /// hypotheses.)
     pub expand_blind_holes: bool,
-    /// Worker threads for *within-problem* parallelism (1 = fully
-    /// sequential, the default). With `jobs > 1` the search drains runs
-    /// of equal-cost entries from the head of the priority queue and
-    /// verifies the complete candidates among them on up to `jobs`
-    /// threads stealing from a shared index; every verdict is applied
-    /// back on the coordinating thread in deterministic `(cost, seq)`
-    /// order. Enumeration, deduction planning, and store management stay
-    /// on the coordinating thread. The synthesized program, its cost,
-    /// every counter, and the trace are byte-identical to a sequential
-    /// run (wall-clock phase histograms excepted — they measure real
-    /// time); only speed changes.
-    pub jobs: usize,
     /// Emit periodic [`TraceEvent::Progress`] heartbeats into the tracer,
     /// riding the governing budget's adaptive poll cadence (at most one
     /// per [`crate::govern::HEARTBEAT_INTERVAL`], so overhead is bounded
@@ -195,7 +184,6 @@ impl Default for SearchOptions {
             constructor_hypotheses: false,
             trace_probes: true,
             expand_blind_holes: false,
-            jobs: 1,
             progress: false,
         }
     }
@@ -307,9 +295,9 @@ impl Planned {
     fn instantiate(
         &self,
         hyp: &Hypothesis,
-        hole: lambda2_lang::ast::HoleId,
+        hole: HoleId,
         costs: &CostModel,
-        next_hole: &mut lambda2_lang::ast::HoleId,
+        next_hole: &mut HoleId,
     ) -> Hypothesis {
         match self {
             Planned::Comb(t) => t.instantiate(hyp, hole, costs, next_hole),
@@ -365,6 +353,20 @@ impl Ord for Entry {
     }
 }
 
+/// A term drawn from an enumeration store for expansion planning: its
+/// expression, type, value in each row of the hole's spec, and cost.
+type PoolTerm = (Arc<Expr>, Type, Vec<Value>, u32);
+
+/// `true` for the empty list and the empty tree — the values whose rows
+/// pin a fold's initial value.
+fn is_empty_collection(v: &Value) -> bool {
+    match v {
+        Value::List(xs) => xs.is_empty(),
+        Value::Tree(t) => t.is_empty(),
+        _ => false,
+    }
+}
+
 /// Runs best-first synthesis on `problem` under an explicit resource
 /// [`Budget`], returning a structured [`SearchReport`] on *every* path —
 /// success, exhaustion, timeout, cancellation, resource caps, injected
@@ -401,12 +403,25 @@ pub(crate) fn search_governed_warm(
     warm: Option<&WarmCache>,
 ) -> SearchReport {
     let start = Instant::now();
-    let library = problem.library();
-    let costs = library.costs().clone();
-    let warm_config = warm_config_fingerprint(library, options);
-    let mut stats = Stats::default();
+    let Some(root) = root_hypothesis(problem) else {
+        return SearchReport {
+            outcome: Err(SynthError::InconsistentExamples),
+            frontier: Vec::new(),
+            stats: Stats::default(),
+            elapsed: start.elapsed(),
+            budget: budget.snapshot(),
+            attempts: Vec::new(),
+        };
+    };
+    let mut search = Search::new(problem, options, budget, tracer, warm);
+    search.push(root.cost, Kind::Hyp(root));
+    let outcome = search.run();
+    search.finish(outcome, start)
+}
 
-    // Root spec: the user's examples, verbatim.
+/// The root hypothesis: one hole whose spec is the user's examples,
+/// verbatim. `None` when the examples contradict each other.
+fn root_hypothesis(problem: &Problem) -> Option<Hypothesis> {
     let rows: Vec<ExampleRow> = problem
         .examples()
         .iter()
@@ -418,833 +433,836 @@ pub(crate) fn search_governed_warm(
             ExampleRow::new(env, ex.output.clone())
         })
         .collect();
-    let root_spec = match Spec::new(rows) {
-        Ok(spec) => spec,
-        Err(_) => {
-            return SearchReport {
-                outcome: Err(SynthError::InconsistentExamples),
-                frontier: Vec::new(),
-                stats,
-                elapsed: start.elapsed(),
-                budget: budget.snapshot(),
-                attempts: Vec::new(),
-            }
-        }
-    };
-    let root_info = HoleInfo::new(
+    let spec = Spec::new(rows).ok()?;
+    let info = HoleInfo::new(
         problem.return_type().clone(),
         problem.params().to_vec(),
-        root_spec,
+        spec,
     );
+    Some(Hypothesis::root(info, problem.library().costs()))
+}
 
-    // Stores carry a last-used tick for LRU eviction under the global
-    // term budget.
-    let mut stores: HashMap<StoreKey, (TermStore, u64)> = HashMap::new();
-    let mut store_tick: u64 = 0;
-    let mut templates: HashMap<(StoreKey, Type), Arc<Vec<Planned>>> = HashMap::new();
-    let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
-    let mut seq: u64 = 0;
-    let mut next_hole: HoleId = 1;
-
-    let root = Hypothesis::root(root_info, &costs);
-    queue.push(Entry {
-        cost: root.cost,
-        seq,
-        kind: Kind::Hyp(root),
-    });
-
-    // Queue admissibility check: best-first popping must see monotonically
-    // non-decreasing costs, or the first program found is not minimal.
+/// The state of one best-first search. [`Search::run`] pops the cheapest
+/// queue item and takes its step — verify a complete hypothesis, open an
+/// incomplete one, instantiate the next planned expansion, or materialize
+/// a closing tier — until a program verifies, the queue drains, or the
+/// budget aborts. A budget abort inside any step propagates out as `Err`.
+struct Search<'a> {
+    problem: &'a Problem,
+    library: &'a Library,
+    costs: &'a CostModel,
+    options: &'a SearchOptions,
+    budget: &'a Budget,
+    tracer: &'a mut dyn Tracer,
+    warm: Option<&'a WarmCache>,
+    warm_config: u64,
+    stats: Stats,
+    /// Enumeration stores by hole context, each with a last-used tick for
+    /// LRU eviction under [`SearchOptions::max_store_bytes`].
+    stores: HashMap<StoreKey, (TermStore, u64)>,
+    store_tick: u64,
+    /// Planned expansions per hole context (store key + hole type).
+    templates: HashMap<(StoreKey, Type), Arc<Vec<Planned>>>,
+    queue: BinaryHeap<Entry>,
+    seq: u64,
+    next_hole: HoleId,
+    /// Queue admissibility check: best-first popping must see
+    /// monotonically non-decreasing costs, or the first program found is
+    /// not minimal.
     #[cfg(feature = "check-invariants")]
-    let mut last_popped_cost: u32 = 0;
+    last_popped_cost: u32,
+}
 
-    let jobs = options.jobs.max(1);
-    let outcome: Result<(Program, u32), SynthError> = 'search: {
-        while let Some(first) = queue.pop() {
-            // Parallel rounds (`jobs > 1`): drain the run of equal-cost
-            // entries at the head of the queue and speculatively verify
-            // the complete hypotheses among them on worker threads, then
-            // process every entry strictly in original `seq` order on
-            // this thread, consuming the precomputed verdicts. The round
-            // is order-safe: any child an entry pushes carries a strictly
-            // larger `seq` than every drained entry, so even a sequential
-            // run would pop the whole run before any of their children.
-            // All accounting happens at apply time, in apply order, which
-            // is what makes `--jobs N` byte-identical to `--jobs 1`.
-            let round_cost = first.cost;
-            let mut round: VecDeque<Entry> = VecDeque::new();
-            round.push_back(first);
-            if jobs > 1 {
-                while round.len() < ROUND_CAP && queue.peek().is_some_and(|e| e.cost == round_cost)
-                {
-                    round.push_back(queue.pop().expect("peeked entry exists"));
-                }
-            }
-            let mut preruns: HashMap<u64, PreRun> = HashMap::new();
-            if jobs > 1 {
-                let complete: Vec<&Entry> = round
-                    .iter()
-                    .filter(|e| match &e.kind {
-                        Kind::Hyp(h) => h.cost <= options.max_cost && h.is_complete(),
-                        _ => false,
-                    })
-                    .collect();
-                if complete.len() >= 2 {
-                    // Fail-point decisions are taken here, on the
-                    // coordinating thread, in seq order — workers only
-                    // execute what they are handed.
-                    let tasks: Vec<(&Expr, Option<FailAction>)> = complete
-                        .iter()
-                        .map(|e| match &e.kind {
-                            Kind::Hyp(h) => (&h.expr, failpoints::check("verify.candidate")),
-                            _ => unreachable!("filtered to hypotheses"),
-                        })
-                        .collect();
-                    let runs = preverify(problem, options.eval_fuel, jobs, &tasks);
-                    preruns = complete.iter().map(|e| e.seq).zip(runs).collect();
-                }
-            }
-            let aborted: Option<Result<(Program, u32), SynthError>> = 'round: {
-                while let Some(entry) = round.pop_front() {
-                    stats.popped += 1;
-                    // Depth after the pop, before this item's children push.
-                    // Undrained round entries would still be queued at this
-                    // point in a sequential run, so they count as depth.
-                    stats
-                        .metrics
-                        .queue_depth
-                        .record_usize(queue.len() + round.len());
-                    stats.metrics.pop_cost.record(u64::from(entry.cost));
-                    #[cfg(feature = "check-invariants")]
-                    {
-                        assert!(
-                            entry.cost >= last_popped_cost,
-                            "queue admissibility violated: popped cost {} after {}",
-                            entry.cost,
-                            last_popped_cost
-                        );
-                        last_popped_cost = entry.cost;
-                    }
-                    if tracer.enabled() {
-                        let (kind, hyp) = match &entry.kind {
-                            Kind::Hyp(h) => (PopKind::Hypothesis, h),
-                            Kind::Apply { hyp, .. } => (PopKind::Apply, hyp),
-                            Kind::Close { hyp, .. } => (PopKind::Close, hyp),
-                        };
-                        tracer.emit(TraceEvent::Pop {
-                            n: stats.popped,
-                            kind,
-                            cost: entry.cost,
-                            holes: hyp.holes().len(),
-                            sketch: hyp.expr.to_string(),
-                        });
-                    }
-                    if let Some(FailAction::ExpireDeadline) = failpoints::check("search.pop") {
-                        budget.force_expire();
-                    }
-                    if let Err(e) = budget.note_pop() {
-                        break 'round Some(Err(e.to_synth_error()));
-                    }
-                    // Live-progress heartbeat: consumes the governor's poll-armed
-                    // flag, so cadence (and overhead) is bounded by the heartbeat
-                    // interval however fast pops are. Observation-only: nothing
-                    // here feeds back into the search.
-                    if options.progress && budget.take_heartbeat() {
-                        tracer.emit(TraceEvent::Progress {
-                            budget: budget.snapshot(),
-                            queue: queue.len() + round.len(),
-                            best_cost: entry.cost,
-                            phases: stats.phases,
-                        });
-                    }
-                    if stats.popped % 65_536 == 0
-                        && std::env::var_os("LAMBDA2_STORE_DEBUG").is_some()
-                    {
-                        let rss = std::fs::read_to_string("/proc/self/status")
-                            .ok()
-                            .and_then(|s| {
-                                s.lines()
-                                    .find(|l| l.starts_with("VmRSS"))
-                                    .map(|l| l.trim().to_owned())
-                            })
-                            .unwrap_or_default();
-                        eprintln!(
-                    "[debug] popped {}k queue {} stores {} terms {} ~{}MB templates {} (sum {} max {}) {rss}",
-                    stats.popped / 1024,
-                    queue.len() + round.len(),
-                    stores.len(),
-                    stores.values().map(|(s, _)| s.len()).sum::<usize>(),
-                    stores.values().map(|(s, _)| s.approx_bytes()).sum::<usize>() / 1_048_576,
-                    templates.len(),
-                    templates.values().map(|t| t.len()).sum::<usize>(),
-                    templates.values().map(|t| t.len()).max().unwrap_or(0),
-                );
-                    }
+impl<'a> Search<'a> {
+    fn new(
+        problem: &'a Problem,
+        options: &'a SearchOptions,
+        budget: &'a Budget,
+        tracer: &'a mut dyn Tracer,
+        warm: Option<&'a WarmCache>,
+    ) -> Search<'a> {
+        let library = problem.library();
+        Search {
+            problem,
+            library,
+            costs: library.costs(),
+            options,
+            budget,
+            tracer,
+            warm,
+            warm_config: warm_config_fingerprint(library, options),
+            stats: Stats::default(),
+            stores: HashMap::new(),
+            store_tick: 0,
+            templates: HashMap::new(),
+            queue: BinaryHeap::new(),
+            seq: 0,
+            next_hole: 1,
+            #[cfg(feature = "check-invariants")]
+            last_popped_cost: 0,
+        }
+    }
 
-                    let entry_cost = entry.cost;
-                    let entry_seq = entry.seq;
-                    match entry.kind {
-                        Kind::Hyp(hyp) => {
-                            if hyp.cost > options.max_cost {
-                                continue;
-                            }
-                            if hyp.is_complete() {
-                                let verdict = match preruns.remove(&entry_seq) {
-                                    Some(pre) => {
-                                        apply_prerun(pre, hyp.cost, budget, &mut stats, tracer)
-                                    }
-                                    None => verify_candidate(
-                                        problem, &hyp.expr, hyp.cost, options, budget, &mut stats,
-                                        tracer,
-                                    ),
-                                };
-                                match verdict {
-                                    Verdict::Pass(program) => {
-                                        if std::env::var_os("LAMBDA2_STORE_DEBUG").is_some() {
-                                            let mut sizes: Vec<usize> =
-                                                stores.values().map(|(s, _)| s.len()).collect();
-                                            sizes.sort_unstable_by(|a, b| b.cmp(a));
-                                            eprintln!(
-                                                "[debug] {} stores, sizes top10 {:?}, total {}",
-                                                sizes.len(),
-                                                &sizes[..sizes.len().min(10)],
-                                                sizes.iter().sum::<usize>()
-                                            );
-                                        }
-                                        break 'round Some(Ok((program, hyp.cost)));
-                                    }
-                                    Verdict::Fail => {
-                                        stats.verify_failures += 1;
-                                        continue;
-                                    }
-                                    Verdict::Fault => continue,
-                                    Verdict::Budget(e) => {
-                                        break 'round Some(Err(e.to_synth_error()))
-                                    }
-                                }
-                            }
+    /// Queues an item; `seq` breaks cost ties first-in, first-out.
+    fn push(&mut self, cost: u32, kind: Kind) {
+        self.seq += 1;
+        self.queue.push(Entry {
+            cost,
+            seq: self.seq,
+            kind,
+        });
+    }
 
-                            let (hole, info) = hyp.first_hole().expect("incomplete has a hole");
-                            let info = Arc::clone(info);
-
-                            // (a) Closing stream for this hole, starting at the
-                            // cheapest term tier.
-                            let tier0 = costs.hole_min();
-                            seq += 1;
-                            queue.push(Entry {
-                                cost: hyp.cost - costs.hole_min() + tier0,
-                                seq,
-                                kind: Kind::Close {
-                                    hyp: hyp.clone(),
-                                    hole,
-                                    tier: tier0,
-                                },
-                            });
-
-                            // (b) Combinator expansions, via the per-hole-context
-                            // template cache. Skip planning entirely when even the
-                            // cheapest conceivable template (comb + lambda + two
-                            // leaves) cannot fit the global budget — deep holes near
-                            // the cost ceiling otherwise pay for stores they never use.
-                            let min_comb_cost = library
-                                .combs()
-                                .iter()
-                                .map(|c| costs.comb_cost(*c))
-                                .min()
-                                .unwrap_or(u32::MAX);
-                            let min_delta = min_comb_cost
-                                .saturating_add(costs.lambda)
-                                .saturating_add(2 * costs.hole_min());
-                            if hyp.cost - costs.hole_min() + min_delta > options.max_cost {
-                                continue;
-                            }
-                            if options.deduction
-                                && !options.expand_blind_holes
-                                && info.spec.is_empty()
-                            {
-                                // Deduction had nothing to say about this hole;
-                                // closings (first-order terms) remain available.
-                                continue;
-                            }
-                            let tkey = (info.store_key.clone(), canonical(&info.ty));
-                            let planned = match templates.get(&tkey) {
-                                Some(ts) => Arc::clone(ts),
-                                None => {
-                                    let t_enum = Instant::now();
-                                    let store = touch_store(
-                                        &mut stores,
-                                        &mut store_tick,
-                                        &info,
-                                        options,
-                                        &mut stats,
-                                        tracer,
-                                        warm,
-                                        warm_config,
-                                    );
-                                    // The collection pool is cheap (cost <= 3); the
-                                    // larger init pool is only materialized when some
-                                    // collection candidate actually has empty-collection
-                                    // rows to constrain it.
-                                    let before = store.inserted();
-                                    if let Err(e) = store.ensure_within(
-                                        options.max_collection_cost,
-                                        library,
-                                        budget,
-                                    ) {
-                                        stats.enumerated_terms += store.inserted() - before;
-                                        note_phase(
-                                            &mut stats.phases.enumerate,
-                                            &mut stats.metrics.enumerate_us,
-                                            t_enum.elapsed(),
-                                        );
-                                        break 'round Some(Err(e.to_synth_error()));
-                                    }
-                                    let needs_deep_inits = options.deduction
-                                        && store
-                                            .collections(options.max_collection_cost)
-                                            .iter()
-                                            .any(|(_, vals)| {
-                                                vals.iter().any(|v| match v {
-                                                    lambda2_lang::value::Value::List(xs) => {
-                                                        xs.is_empty()
-                                                    }
-                                                    lambda2_lang::value::Value::Tree(t) => {
-                                                        t.is_empty()
-                                                    }
-                                                    _ => false,
-                                                })
-                                            });
-                                    let arg_cost = if needs_deep_inits {
-                                        options.max_collection_cost.max(options.max_init_cost)
-                                    } else {
-                                        options.max_collection_cost.max(options.max_free_init_cost)
-                                    };
-                                    if let Err(e) = store.ensure_within(arg_cost, library, budget) {
-                                        stats.enumerated_terms += store.inserted() - before;
-                                        note_phase(
-                                            &mut stats.phases.enumerate,
-                                            &mut stats.metrics.enumerate_us,
-                                            t_enum.elapsed(),
-                                        );
-                                        break 'round Some(Err(e.to_synth_error()));
-                                    }
-                                    stats.enumerated_terms += store.inserted() - before;
-                                    let pool: Vec<_> = store
-                                        .error_free(arg_cost)
-                                        .into_iter()
-                                        .map(|(t, vals)| {
-                                            (store.expr_of(t), t.ty.clone(), vals, t.cost)
-                                        })
-                                        .collect();
-                                    note_phase(
-                                        &mut stats.phases.enumerate,
-                                        &mut stats.metrics.enumerate_us,
-                                        t_enum.elapsed(),
-                                    );
-
-                                    let t_deduce = Instant::now();
-                                    let mut planned = Vec::new();
-                                    for &comb in library.combs() {
-                                        // Cheap shape pre-filter on the hole type.
-                                        let hole_ok = match comb {
-                                            Comb::Map | Comb::Filter => {
-                                                matches!(info.ty, Type::List(_) | Type::Var(_))
-                                            }
-                                            Comb::Mapt => {
-                                                matches!(info.ty, Type::Tree(_) | Type::Var(_))
-                                            }
-                                            _ => true,
-                                        };
-                                        if !hole_ok {
-                                            continue;
-                                        }
-                                        for (expr, ty, vals, cost) in &pool {
-                                            // Shape pre-filter on the collection.
-                                            let coll_ok = *cost <= options.max_collection_cost
-                                                && if comb.is_tree() {
-                                                    matches!(ty, Type::Tree(_))
-                                                } else {
-                                                    matches!(ty, Type::List(_))
-                                                };
-                                            if !coll_ok {
-                                                continue;
-                                            }
-                                            let cand = Candidate {
-                                                expr,
-                                                ty,
-                                                values: vals.clone(),
-                                                cost: *cost,
-                                            };
-                                            if comb.init_index().is_none() {
-                                                match plan_isolated(
-                                                    &info,
-                                                    comb,
-                                                    &cand,
-                                                    None,
-                                                    &costs,
-                                                    options.deduction,
-                                                    options.static_prune,
-                                                    budget,
-                                                ) {
-                                                    PlanOutcome::Planned(t) => {
-                                                        if tracer.enabled() {
-                                                            tracer.emit(TraceEvent::Plan {
-                                                                comb: comb.name(),
-                                                                coll: expr.to_string(),
-                                                                init: None,
-                                                                delta_cost: t.delta_cost,
-                                                                rows: t.body_info.spec.rows().len(),
-                                                            });
-                                                        }
-                                                        planned.push(Planned::Comb(t));
-                                                    }
-                                                    PlanOutcome::Budget(e) => {
-                                                        note_phase(
-                                                            &mut stats.phases.deduce,
-                                                            &mut stats.metrics.deduce_us,
-                                                            t_deduce.elapsed(),
-                                                        );
-                                                        break 'round Some(Err(e.to_synth_error()));
-                                                    }
-                                                    PlanOutcome::Rejected(fail) => {
-                                                        refute(
-                                                            &mut stats, tracer, fail, comb, expr,
-                                                            None,
-                                                        );
-                                                    }
-                                                    PlanOutcome::Fault(detail) => {
-                                                        fault(
-                                                            &mut stats,
-                                                            tracer,
-                                                            "deduce.plan",
-                                                            detail,
-                                                        );
-                                                    }
-                                                }
-                                                continue;
-                                            }
-                                            // Folds: one template per initial-value
-                                            // candidate of the hole's (result) type.
-                                            // Empty-collection rows pin the init value,
-                                            // allowing a larger budget; without them
-                                            // every typed term qualifies, so keep the
-                                            // budget tight.
-                                            let empty_rows: Vec<(
-                                                usize,
-                                                &lambda2_lang::value::Value,
-                                            )> = if options.deduction {
-                                                info.spec
-                                                    .rows()
-                                                    .iter()
-                                                    .enumerate()
-                                                    .filter(|(i, _)| match &vals[*i] {
-                                                        lambda2_lang::value::Value::List(xs) => {
-                                                            xs.is_empty()
-                                                        }
-                                                        lambda2_lang::value::Value::Tree(t) => {
-                                                            t.is_empty()
-                                                        }
-                                                        _ => false,
-                                                    })
-                                                    .map(|(i, r)| (i, &r.output))
-                                                    .collect()
-                                            } else {
-                                                Vec::new()
-                                            };
-                                            let init_budget = if empty_rows.is_empty() {
-                                                options.max_free_init_cost
-                                            } else {
-                                                options.max_init_cost
-                                            };
-                                            for (ie, ity, ivals, icost) in &pool {
-                                                if *icost > init_budget
-                                                    || !crate::enumerate::unifiable(ity, &info.ty)
-                                                {
-                                                    continue;
-                                                }
-                                                if empty_rows
-                                                    .iter()
-                                                    .any(|(i, out)| &ivals[*i] != *out)
-                                                {
-                                                    stats.refuted += 1;
-                                                    if tracer.enabled() {
-                                                        tracer.emit(TraceEvent::Refute {
-                                                            comb: comb.name(),
-                                                            coll: expr.to_string(),
-                                                            init: Some(ie.to_string()),
-                                                            reason: RefuteReason::InitMismatch,
-                                                        });
-                                                    }
-                                                    continue;
-                                                }
-                                                let init = Candidate {
-                                                    expr: ie,
-                                                    ty: ity,
-                                                    values: ivals.clone(),
-                                                    cost: *icost,
-                                                };
-                                                match plan_isolated(
-                                                    &info,
-                                                    comb,
-                                                    &cand,
-                                                    Some(&init),
-                                                    &costs,
-                                                    options.deduction,
-                                                    options.static_prune,
-                                                    budget,
-                                                ) {
-                                                    PlanOutcome::Planned(t) => {
-                                                        if tracer.enabled() {
-                                                            tracer.emit(TraceEvent::Plan {
-                                                                comb: comb.name(),
-                                                                coll: expr.to_string(),
-                                                                init: Some(ie.to_string()),
-                                                                delta_cost: t.delta_cost,
-                                                                rows: t.body_info.spec.rows().len(),
-                                                            });
-                                                        }
-                                                        planned.push(Planned::Comb(t));
-                                                    }
-                                                    PlanOutcome::Budget(e) => {
-                                                        note_phase(
-                                                            &mut stats.phases.deduce,
-                                                            &mut stats.metrics.deduce_us,
-                                                            t_deduce.elapsed(),
-                                                        );
-                                                        break 'round Some(Err(e.to_synth_error()));
-                                                    }
-                                                    PlanOutcome::Rejected(fail) => {
-                                                        refute(
-                                                            &mut stats,
-                                                            tracer,
-                                                            fail,
-                                                            comb,
-                                                            expr,
-                                                            Some(ie),
-                                                        );
-                                                    }
-                                                    PlanOutcome::Fault(detail) => {
-                                                        fault(
-                                                            &mut stats,
-                                                            tracer,
-                                                            "deduce.plan",
-                                                            detail,
-                                                        );
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                    // Constructor hypotheses: invertible constructors
-                                    // split a hole into exactly-specified components.
-                                    if options.constructor_hypotheses && options.deduction {
-                                        planned.extend(
-                                            plan_constructors(&info, &costs)
-                                                .into_iter()
-                                                .map(Planned::Cons),
-                                        );
-                                    }
-                                    // The Apply stream below walks templates in order,
-                                    // so sort by cost for best-first behavior.
-                                    planned.sort_by_key(Planned::delta_cost);
-                                    note_phase(
-                                        &mut stats.phases.deduce,
-                                        &mut stats.metrics.deduce_us,
-                                        t_deduce.elapsed(),
-                                    );
-                                    let planned = Arc::new(planned);
-                                    templates.insert(tkey, Arc::clone(&planned));
-                                    evict_stores(
-                                        &mut stores,
-                                        options,
-                                        &info.store_key,
-                                        &mut stats,
-                                        tracer,
-                                        budget,
-                                    );
-                                    planned
-                                }
-                            };
-
-                            if !planned.is_empty() {
-                                seq += 1;
-                                let first_cost =
-                                    hyp.cost - costs.hole_min() + planned[0].delta_cost();
-                                if first_cost <= options.max_cost {
-                                    queue.push(Entry {
-                                        cost: first_cost,
-                                        seq,
-                                        kind: Kind::Apply {
-                                            hyp: hyp.clone(),
-                                            hole,
-                                            templates: planned,
-                                            index: 0,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                        Kind::Apply {
-                            hyp,
-                            hole,
-                            templates,
-                            index,
-                        } => {
-                            stats.expansions += 1;
-                            let t_expand = Instant::now();
-                            let child =
-                                templates[index].instantiate(&hyp, hole, &costs, &mut next_hole);
-                            note_phase(
-                                &mut stats.phases.expand,
-                                &mut stats.metrics.expand_us,
-                                t_expand.elapsed(),
-                            );
-                            seq += 1;
-                            queue.push(Entry {
-                                cost: child.cost,
-                                seq,
-                                kind: Kind::Hyp(child),
-                            });
-                            // Advance the stream.
-                            if index + 1 < templates.len() {
-                                let next_cost =
-                                    hyp.cost - costs.hole_min() + templates[index + 1].delta_cost();
-                                if next_cost <= options.max_cost {
-                                    seq += 1;
-                                    queue.push(Entry {
-                                        cost: next_cost,
-                                        seq,
-                                        kind: Kind::Apply {
-                                            hyp,
-                                            hole,
-                                            templates,
-                                            index: index + 1,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                        Kind::Close { hyp, hole, tier } => {
-                            let info = hyp
-                                .holes()
-                                .iter()
-                                .find(|(h, _)| *h == hole)
-                                .map(|(_, i)| Arc::clone(i))
-                                .expect("close item refers to an open hole");
-                            let t_enum = Instant::now();
-                            let store = touch_store(
-                                &mut stores,
-                                &mut store_tick,
-                                &info,
-                                options,
-                                &mut stats,
-                                tracer,
-                                warm,
-                                warm_config,
-                            );
-                            let before = store.inserted();
-                            if let Err(e) = store.ensure_within(tier, library, budget) {
-                                stats.enumerated_terms += store.inserted() - before;
-                                note_phase(
-                                    &mut stats.phases.enumerate,
-                                    &mut stats.metrics.enumerate_us,
-                                    t_enum.elapsed(),
-                                );
-                                break 'round Some(Err(e.to_synth_error()));
-                            }
-                            stats.enumerated_terms += store.inserted() - before;
-                            let fills: Vec<(Arc<lambda2_lang::ast::Expr>, u32)> = store
-                                .closings(tier, &info.ty, &info.spec)
-                                .map(|t| (store.expr_of(t), t.cost))
-                                .collect();
-                            note_phase(
-                                &mut stats.phases.enumerate,
-                                &mut stats.metrics.enumerate_us,
-                                t_enum.elapsed(),
-                            );
-                            if tracer.enabled() {
-                                tracer.emit(TraceEvent::Tier {
-                                    tier,
-                                    cost: entry_cost,
-                                    fills: fills.len(),
-                                });
-                            }
-                            evict_stores(
-                                &mut stores,
-                                options,
-                                &info.store_key,
-                                &mut stats,
-                                tracer,
-                                budget,
-                            );
-                            let closes_last_hole = hyp.holes().len() == 1;
-                            // Closing the last hole can surface thousands of
-                            // complete candidates in one tier — the search's
-                            // dominant verification batch. Fan it out: children
-                            // are built and fail-point decisions taken here in
-                            // fill order, workers execute only the metered runs,
-                            // and the verdicts are applied below in the same fill
-                            // order with all accounting on this thread.
-                            let mut pre_closed: VecDeque<(Hypothesis, PreRun)> = VecDeque::new();
-                            if closes_last_hole && jobs > 1 {
-                                let children: Vec<Hypothesis> = fills
-                                    .iter()
-                                    .filter_map(|(expr, term_cost)| {
-                                        let child_cost = hyp.cost - costs.hole_min() + term_cost;
-                                        (child_cost <= options.max_cost)
-                                            .then(|| hyp.fill(hole, expr, vec![], child_cost))
-                                    })
-                                    .collect();
-                                if children.len() >= 2 {
-                                    let tasks: Vec<(&Expr, Option<FailAction>)> = children
-                                        .iter()
-                                        .map(|c| (&c.expr, failpoints::check("verify.candidate")))
-                                        .collect();
-                                    let runs = preverify(problem, options.eval_fuel, jobs, &tasks);
-                                    pre_closed = children.into_iter().zip(runs).collect();
-                                }
-                            }
-                            for (expr, term_cost) in fills {
-                                let child_cost = hyp.cost - costs.hole_min() + term_cost;
-                                if child_cost > options.max_cost {
-                                    continue;
-                                }
-                                stats.closings += 1;
-                                // Closing the last hole completes the program; verify
-                                // *now* and only enqueue survivors — blind holes can
-                                // produce tens of thousands of candidates per tier,
-                                // and queueing the failures (the vast majority) would
-                                // balloon memory. Survivors still go through the
-                                // queue so the cheapest fitting program wins.
-                                if closes_last_hole {
-                                    let (child, verdict) = match pre_closed.pop_front() {
-                                        Some((child, pre)) => {
-                                            let v = apply_prerun(
-                                                pre, child_cost, budget, &mut stats, tracer,
-                                            );
-                                            (child, v)
-                                        }
-                                        None => {
-                                            let child = hyp.fill(hole, &expr, vec![], child_cost);
-                                            let v = verify_candidate(
-                                                problem,
-                                                &child.expr,
-                                                child_cost,
-                                                options,
-                                                budget,
-                                                &mut stats,
-                                                tracer,
-                                            );
-                                            (child, v)
-                                        }
-                                    };
-                                    match verdict {
-                                        Verdict::Pass(_) => {
-                                            seq += 1;
-                                            queue.push(Entry {
-                                                cost: child_cost,
-                                                seq,
-                                                kind: Kind::Hyp(child),
-                                            });
-                                        }
-                                        Verdict::Fail => stats.verify_failures += 1,
-                                        Verdict::Fault => {}
-                                        Verdict::Budget(e) => {
-                                            break 'round Some(Err(e.to_synth_error()))
-                                        }
-                                    }
-                                    continue;
-                                }
-                                let child = hyp.fill(hole, &expr, vec![], child_cost);
-                                seq += 1;
-                                queue.push(Entry {
-                                    cost: child_cost,
-                                    seq,
-                                    kind: Kind::Hyp(child),
-                                });
-                            }
-                            // Reschedule the stream at the next tier; blind holes (no
-                            // spec rows, hence no observational pruning) get a tighter
-                            // cap.
-                            let tier_cap = if info.spec.is_empty() {
-                                options.max_term_cost_blind.min(options.max_term_cost)
-                            } else {
-                                options.max_term_cost
-                            };
-                            let next_tier = tier + 1;
-                            let next_cost = hyp.cost - costs.hole_min() + next_tier;
-                            if next_tier <= tier_cap && next_cost <= options.max_cost {
-                                seq += 1;
-                                queue.push(Entry {
-                                    cost: next_cost,
-                                    seq,
-                                    kind: Kind::Close {
-                                        hyp,
-                                        hole,
-                                        tier: next_tier,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-                None
-            };
-            if let Some(v) = aborted {
-                // Push the round's unprocessed remainder back so an
-                // abort's anytime frontier matches a sequential run's
-                // abandoned queue exactly.
-                for e in round {
-                    queue.push(e);
-                }
-                break 'search v;
+    /// The best-first loop. `Ok` carries the first complete hypothesis to
+    /// verify, which is least-cost.
+    fn run(&mut self) -> Result<(Program, u32), SynthError> {
+        while let Some(entry) = self.pop()? {
+            if let Some(found) = self.step(entry)? {
+                return Ok(found);
             }
         }
         // The queue drained. A limit can still have latched during the last
-        // iteration's phases (a fuel cap, a forced expiry) without aborting
-        // it — report that verdict rather than a spurious exhaustion.
-        match budget.check_now() {
-            Err(e) => Err(e.to_synth_error()),
-            Ok(()) => Err(SynthError::Exhausted),
-        }
-    };
-
-    // Live stores' level histograms were not folded in by eviction; do it
-    // now (each store counted exactly once per build).
-    for (store, _) in stores.values() {
-        stats.metrics.level_terms.merge(store.level_terms());
-    }
-    stats.metrics.poll_gap_us.merge(&budget.poll_gap_us());
-    if let Some(warm) = warm {
-        // Park live stores for the next search, most recently used last so
-        // the cache's LRU order mirrors this search's.
-        let mut parked: Vec<(StoreKey, (TermStore, u64))> = stores.drain().collect();
-        parked.sort_by_key(|(_, (_, tick))| *tick);
-        for (key, (store, _)) in parked {
-            warm.put(warm_config, key, store);
-        }
+        // step's phases (a fuel cap, a forced expiry) without aborting it —
+        // report that verdict rather than a spurious exhaustion.
+        self.budget.check_now()?;
+        Err(SynthError::Exhausted)
     }
 
-    let elapsed = start.elapsed();
-    let (outcome, frontier) = match outcome {
-        Ok((program, cost)) => (
-            Ok(Synthesis {
-                program,
+    /// Pops the cheapest item, accounting and tracing the pop and charging
+    /// it to the budget.
+    fn pop(&mut self) -> Result<Option<Entry>, SynthError> {
+        let Some(entry) = self.queue.pop() else {
+            return Ok(None);
+        };
+        self.stats.popped += 1;
+        // Depth after the pop, before this item's children push.
+        self.stats
+            .metrics
+            .queue_depth
+            .record_usize(self.queue.len());
+        self.stats.metrics.pop_cost.record(u64::from(entry.cost));
+        #[cfg(feature = "check-invariants")]
+        {
+            assert!(
+                entry.cost >= self.last_popped_cost,
+                "queue admissibility violated: popped cost {} after {}",
+                entry.cost,
+                self.last_popped_cost
+            );
+            self.last_popped_cost = entry.cost;
+        }
+        if self.tracer.enabled() {
+            let (kind, hyp) = match &entry.kind {
+                Kind::Hyp(h) => (PopKind::Hypothesis, h),
+                Kind::Apply { hyp, .. } => (PopKind::Apply, hyp),
+                Kind::Close { hyp, .. } => (PopKind::Close, hyp),
+            };
+            self.tracer.emit(TraceEvent::Pop {
+                n: self.stats.popped,
+                kind,
+                cost: entry.cost,
+                holes: hyp.holes().len(),
+                sketch: hyp.expr.to_string(),
+            });
+        }
+        if let Some(FailAction::ExpireDeadline) = failpoints::check("search.pop") {
+            self.budget.force_expire();
+        }
+        self.budget.note_pop()?;
+        // Live-progress heartbeat: consumes the governor's poll-armed
+        // flag, so cadence (and overhead) is bounded by the heartbeat
+        // interval however fast pops are. Observation-only: nothing here
+        // feeds back into the search.
+        if self.options.progress && self.budget.take_heartbeat() {
+            self.tracer.emit(TraceEvent::Progress {
+                budget: self.budget.snapshot(),
+                queue: self.queue.len(),
+                best_cost: entry.cost,
+                phases: self.stats.phases,
+            });
+        }
+        Ok(Some(entry))
+    }
+
+    /// Takes one popped item's step. `Ok(Some(..))` is a verified program
+    /// and its cost.
+    fn step(&mut self, entry: Entry) -> Result<Option<(Program, u32)>, SynthError> {
+        match entry.kind {
+            Kind::Hyp(hyp) if hyp.cost > self.options.max_cost => {}
+            Kind::Hyp(hyp) if hyp.is_complete() => {
+                if let Some(program) = self.verify(&hyp.expr, hyp.cost)? {
+                    return Ok(Some((program, hyp.cost)));
+                }
+            }
+            Kind::Hyp(hyp) => self.open(hyp)?,
+            Kind::Apply {
+                hyp,
+                hole,
+                templates,
+                index,
+            } => self.apply(hyp, hole, templates, index),
+            Kind::Close { hyp, hole, tier } => self.close(hyp, hole, tier, entry.cost)?,
+        }
+        Ok(None)
+    }
+
+    /// Opens an incomplete hypothesis's leftmost hole: schedules (a) its
+    /// closing stream at the cheapest term tier and (b) the stream of its
+    /// planned combinator expansions.
+    fn open(&mut self, hyp: Hypothesis) -> Result<(), SynthError> {
+        let (hole, info) = hyp.first_hole().expect("incomplete has a hole");
+        let info = Arc::clone(info);
+        let base = hyp.cost - self.costs.hole_min();
+        let tier = self.costs.hole_min();
+        self.push(
+            base + tier,
+            Kind::Close {
+                hyp: hyp.clone(),
+                hole,
+                tier,
+            },
+        );
+
+        // Skip planning entirely when even the cheapest conceivable
+        // template (comb + lambda + two leaves) cannot fit the global
+        // budget — deep holes near the cost ceiling otherwise pay for
+        // stores they never use.
+        let min_comb_cost = self
+            .library
+            .combs()
+            .iter()
+            .map(|c| self.costs.comb_cost(*c))
+            .min()
+            .unwrap_or(u32::MAX);
+        let min_delta = min_comb_cost
+            .saturating_add(self.costs.lambda)
+            .saturating_add(2 * self.costs.hole_min());
+        if base + min_delta > self.options.max_cost {
+            return Ok(());
+        }
+        if self.options.deduction && !self.options.expand_blind_holes && info.spec.is_empty() {
+            // Deduction had nothing to say about this hole; closings
+            // (first-order terms) remain available.
+            return Ok(());
+        }
+        let templates = self.plan(&info)?;
+        if let Some(first) = templates.first() {
+            let cost = base + first.delta_cost();
+            if cost <= self.options.max_cost {
+                self.push(
+                    cost,
+                    Kind::Apply {
+                        hyp,
+                        hole,
+                        templates,
+                        index: 0,
+                    },
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Instantiates template `index` of an Apply stream, then reschedules
+    /// the stream at the next template.
+    fn apply(&mut self, hyp: Hypothesis, hole: HoleId, templates: Arc<Vec<Planned>>, index: usize) {
+        self.stats.expansions += 1;
+        let t_expand = Instant::now();
+        let child = templates[index].instantiate(&hyp, hole, self.costs, &mut self.next_hole);
+        note_phase(
+            &mut self.stats.phases.expand,
+            &mut self.stats.metrics.expand_us,
+            t_expand.elapsed(),
+        );
+        self.push(child.cost, Kind::Hyp(child));
+        let next_cost = templates
+            .get(index + 1)
+            .map(|t| hyp.cost - self.costs.hole_min() + t.delta_cost());
+        if let Some(cost) = next_cost.filter(|&c| c <= self.options.max_cost) {
+            self.push(
                 cost,
-                stats: stats.clone(),
-                elapsed,
-            }),
-            Vec::new(),
-        ),
-        Err(e) => (Err(e), frontier_of(&mut queue)),
-    };
-    SearchReport {
-        outcome,
-        frontier,
-        stats,
-        elapsed,
-        budget: budget.snapshot(),
-        attempts: Vec::new(),
+                Kind::Apply {
+                    hyp,
+                    hole,
+                    templates,
+                    index: index + 1,
+                },
+            );
+        }
+    }
+
+    /// Materializes the closing terms of exactly cost `tier` for `hole`,
+    /// then reschedules the stream at the next tier. `cost` is the popped
+    /// item's priority.
+    fn close(
+        &mut self,
+        hyp: Hypothesis,
+        hole: HoleId,
+        tier: u32,
+        cost: u32,
+    ) -> Result<(), SynthError> {
+        let info = hyp
+            .holes()
+            .iter()
+            .find(|(h, _)| *h == hole)
+            .map(|(_, i)| Arc::clone(i))
+            .expect("close item refers to an open hole");
+        let fills = self.enumerate(&info, |store, library, budget| {
+            store.ensure_within(tier, library, budget)?;
+            Ok(store
+                .closings(tier, &info.ty, &info.spec)
+                .map(|t| (store.expr_of(t), t.cost))
+                .collect::<Vec<_>>())
+        })?;
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::Tier {
+                tier,
+                cost,
+                fills: fills.len(),
+            });
+        }
+        self.evict(&info.store_key);
+        let base = hyp.cost - self.costs.hole_min();
+        let closes_last_hole = hyp.holes().len() == 1;
+        for (expr, term_cost) in fills {
+            let child_cost = base + term_cost;
+            if child_cost > self.options.max_cost {
+                continue;
+            }
+            self.stats.closings += 1;
+            let child = hyp.fill(hole, &expr, vec![], child_cost);
+            // Closing the last hole completes the program; verify *now*
+            // and only enqueue survivors — blind holes can produce tens of
+            // thousands of candidates per tier, and queueing the failures
+            // (the vast majority) would balloon memory. Survivors still go
+            // through the queue so the cheapest fitting program wins.
+            if closes_last_hole && self.verify(&child.expr, child_cost)?.is_none() {
+                continue;
+            }
+            self.push(child_cost, Kind::Hyp(child));
+        }
+        // Reschedule the stream at the next tier; blind holes (no spec
+        // rows, hence no observational pruning) get a tighter cap.
+        let tier_cap = if info.spec.is_empty() {
+            self.options
+                .max_term_cost_blind
+                .min(self.options.max_term_cost)
+        } else {
+            self.options.max_term_cost
+        };
+        let next_tier = tier + 1;
+        let next_cost = base + next_tier;
+        if next_tier <= tier_cap && next_cost <= self.options.max_cost {
+            self.push(
+                next_cost,
+                Kind::Close {
+                    hyp,
+                    hole,
+                    tier: next_tier,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    /// One enumeration episode on a hole's store: `grow` builds the store
+    /// as far as it needs and reads off what it needs. The terms inserted
+    /// and the time spent are accounted even when the budget aborts it.
+    fn enumerate<T>(
+        &mut self,
+        info: &HoleInfo,
+        grow: impl FnOnce(&mut TermStore, &Library, &Budget) -> Result<T, BudgetExceeded>,
+    ) -> Result<T, SynthError> {
+        let (library, budget) = (self.library, self.budget);
+        let t_enum = Instant::now();
+        let store = self.touch_store(info);
+        let before = store.inserted();
+        let out = grow(store, library, budget);
+        let inserted = store.inserted() - before;
+        self.stats.enumerated_terms += inserted;
+        note_phase(
+            &mut self.stats.phases.enumerate,
+            &mut self.stats.metrics.enumerate_us,
+            t_enum.elapsed(),
+        );
+        Ok(out?)
+    }
+
+    /// The planned expansions for a hole context, sorted by cost: cached
+    /// per (store key, hole type), so every hypothesis holding the same
+    /// open hole shares one deduction sweep.
+    fn plan(&mut self, info: &HoleInfo) -> Result<Arc<Vec<Planned>>, SynthError> {
+        let tkey = (info.store_key.clone(), canonical(&info.ty));
+        if let Some(planned) = self.templates.get(&tkey) {
+            return Ok(Arc::clone(planned));
+        }
+        let options = self.options;
+        let pool = self.enumerate(info, |store, library, budget| {
+            // The collection pool is cheap (cost <= 3); the larger init
+            // pool is only materialized when some collection candidate
+            // actually has empty-collection rows to constrain it.
+            store.ensure_within(options.max_collection_cost, library, budget)?;
+            let needs_deep_inits = options.deduction
+                && store
+                    .collections(options.max_collection_cost)
+                    .iter()
+                    .any(|(_, vals)| vals.iter().any(is_empty_collection));
+            let arg_cost = options.max_collection_cost.max(if needs_deep_inits {
+                options.max_init_cost
+            } else {
+                options.max_free_init_cost
+            });
+            store.ensure_within(arg_cost, library, budget)?;
+            Ok(store
+                .error_free(arg_cost)
+                .into_iter()
+                .map(|(t, vals)| (store.expr_of(t), t.ty.clone(), vals, t.cost))
+                .collect::<Vec<PoolTerm>>())
+        })?;
+
+        let t_deduce = Instant::now();
+        let planned = self.plan_combinators(info, &pool).map(|mut planned| {
+            // Constructor hypotheses: invertible constructors split a
+            // hole into exactly-specified components.
+            if options.constructor_hypotheses && options.deduction {
+                planned.extend(
+                    plan_constructors(info, self.costs)
+                        .into_iter()
+                        .map(Planned::Cons),
+                );
+            }
+            // The Apply stream walks templates in order, so sort by cost
+            // for best-first behavior.
+            planned.sort_by_key(Planned::delta_cost);
+            planned
+        });
+        note_phase(
+            &mut self.stats.phases.deduce,
+            &mut self.stats.metrics.deduce_us,
+            t_deduce.elapsed(),
+        );
+        let planned = Arc::new(planned?);
+        self.templates.insert(tkey, Arc::clone(&planned));
+        self.evict(&info.store_key);
+        Ok(planned)
+    }
+
+    /// The deduction sweep: every combinator over every collection
+    /// candidate in `pool` (and, for folds, every initial-value
+    /// candidate), each planned under isolation.
+    fn plan_combinators(
+        &mut self,
+        info: &HoleInfo,
+        pool: &[PoolTerm],
+    ) -> Result<Vec<Planned>, BudgetExceeded> {
+        let mut planned = Vec::new();
+        for &comb in self.library.combs() {
+            // Cheap shape pre-filter on the hole type.
+            let hole_ok = match comb {
+                Comb::Map | Comb::Filter => matches!(info.ty, Type::List(_) | Type::Var(_)),
+                Comb::Mapt => matches!(info.ty, Type::Tree(_) | Type::Var(_)),
+                _ => true,
+            };
+            if !hole_ok {
+                continue;
+            }
+            for (expr, ty, vals, cost) in pool {
+                // Shape pre-filter on the collection.
+                let coll_ok = *cost <= self.options.max_collection_cost
+                    && if comb.is_tree() {
+                        matches!(ty, Type::Tree(_))
+                    } else {
+                        matches!(ty, Type::List(_))
+                    };
+                if !coll_ok {
+                    continue;
+                }
+                let cand = Candidate {
+                    expr,
+                    ty,
+                    values: vals.clone(),
+                    cost: *cost,
+                };
+                if comb.init_index().is_none() {
+                    self.plan_one(info, comb, &cand, None, &mut planned)?;
+                } else {
+                    self.plan_fold(info, comb, &cand, pool, &mut planned)?;
+                }
+            }
+        }
+        Ok(planned)
+    }
+
+    /// Plans a fold over `cand`: one template per initial-value candidate
+    /// of the hole's (result) type. Empty-collection rows pin the init
+    /// value, allowing a larger budget; without them every typed term
+    /// qualifies, so the budget stays tight.
+    fn plan_fold(
+        &mut self,
+        info: &HoleInfo,
+        comb: Comb,
+        cand: &Candidate<'_>,
+        pool: &[PoolTerm],
+        planned: &mut Vec<Planned>,
+    ) -> Result<(), BudgetExceeded> {
+        let empty_rows: Vec<(usize, &Value)> = if self.options.deduction {
+            info.spec
+                .rows()
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| is_empty_collection(&cand.values[*i]))
+                .map(|(i, r)| (i, &r.output))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let init_budget = if empty_rows.is_empty() {
+            self.options.max_free_init_cost
+        } else {
+            self.options.max_init_cost
+        };
+        for (ie, ity, ivals, icost) in pool {
+            if *icost > init_budget || !crate::enumerate::unifiable(ity, &info.ty) {
+                continue;
+            }
+            if empty_rows.iter().any(|(i, out)| &ivals[*i] != *out) {
+                self.stats.refuted += 1;
+                if self.tracer.enabled() {
+                    self.tracer.emit(TraceEvent::Refute {
+                        comb: comb.name(),
+                        coll: cand.expr.to_string(),
+                        init: Some(ie.to_string()),
+                        reason: RefuteReason::InitMismatch,
+                    });
+                }
+                continue;
+            }
+            let init = Candidate {
+                expr: ie,
+                ty: ity,
+                values: ivals.clone(),
+                cost: *icost,
+            };
+            self.plan_one(info, comb, cand, Some(&init), planned)?;
+        }
+        Ok(())
+    }
+
+    /// Plans one combinator expansion under panic isolation and the
+    /// budget, accounting the verdict: a template is traced and kept, a
+    /// refutation or fault is counted and skipped, a budget abort ends the
+    /// sweep. The `catch_unwind` boundary is sound for the same reason as
+    /// [`Search::verify`]'s: the closure only reads the hole context and
+    /// candidates, and all accounting happens after it returns.
+    fn plan_one(
+        &mut self,
+        info: &HoleInfo,
+        comb: Comb,
+        cand: &Candidate<'_>,
+        init: Option<&Candidate<'_>>,
+        planned: &mut Vec<Planned>,
+    ) -> Result<(), BudgetExceeded> {
+        let (costs, options, budget) = (self.costs, self.options, self.budget);
+        let injected = failpoints::check("deduce.plan");
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(FailAction::Panic) = injected {
+                panic!("injected panic at deduce.plan");
+            }
+            plan_expansion_within(
+                info,
+                comb,
+                cand,
+                init,
+                costs,
+                options.deduction,
+                options.static_prune,
+                budget,
+            )
+        }));
+        let init = init.map(|i| i.expr);
+        match run {
+            Ok(Ok(t)) => {
+                if self.tracer.enabled() {
+                    self.tracer.emit(TraceEvent::Plan {
+                        comb: comb.name(),
+                        coll: cand.expr.to_string(),
+                        init: init.map(|e| e.to_string()),
+                        delta_cost: t.delta_cost,
+                        rows: t.body_info.spec.rows().len(),
+                    });
+                }
+                planned.push(Planned::Comb(t));
+            }
+            Ok(Err(ExpandFail::Budget(e))) => return Err(e),
+            Ok(Err(fail)) => self.refute(fail, comb, cand.expr, init),
+            Err(payload) => self.fault("deduce.plan", panic_message(&*payload)),
+        }
+        Ok(())
+    }
+
+    /// Verifies one complete candidate under panic isolation, charging the
+    /// evaluation fuel it actually consumed against the budget. `Ok(None)`
+    /// is a candidate that failed an example (counted) or panicked
+    /// (counted and traced as a fault).
+    ///
+    /// The `catch_unwind` boundary is sound: the closure reads only
+    /// `program` and the problem (no shared mutable state is touched inside
+    /// it), and the stats/budget updates happen after the closure returns —
+    /// a panic cannot leave either mid-update.
+    ///
+    /// A candidate that both passes and trips the fuel cap is a success: it
+    /// was verified before the cap mattered, and a correct program beats a
+    /// resource verdict.
+    fn verify(&mut self, body: &Expr, cost: u32) -> Result<Option<Program>, SynthError> {
+        self.stats.verified += 1;
+        let program = Program::new(self.problem.params().to_vec(), body.clone());
+        let injected = failpoints::check("verify.candidate");
+        let fuel = match injected {
+            Some(FailAction::ExhaustFuel) => 0,
+            _ => self.options.eval_fuel,
+        };
+        let t_verify = Instant::now();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(FailAction::Panic) = injected {
+                panic!("injected panic at verify.candidate");
+            }
+            program.satisfies_problem_metered(self.problem, fuel)
+        }));
+        note_phase(
+            &mut self.stats.phases.verify,
+            &mut self.stats.metrics.verify_us,
+            t_verify.elapsed(),
+        );
+        let (ok, used) = match run {
+            Ok(verdict) => verdict,
+            Err(payload) => {
+                self.fault("verify.candidate", panic_message(&*payload));
+                return Ok(None);
+            }
+        };
+        // An injected exhaustion charges "everything", so the cap trips
+        // even when configured unlimited — the fault becomes observable as
+        // a deterministic `FuelExhausted`.
+        let used = match injected {
+            Some(FailAction::ExhaustFuel) => u64::MAX,
+            _ => used,
+        };
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::Verify {
+                ok,
+                cost,
+                program: program.body().to_string(),
+            });
+        }
+        let charge = self.budget.charge_fuel(used);
+        if ok {
+            return Ok(Some(program));
+        }
+        charge?;
+        self.stats.verify_failures += 1;
+        Ok(None)
+    }
+
+    /// Looks up (or creates) the enumeration store for a hole context,
+    /// refreshing its LRU tick and accounting the hit/create in `stats` and
+    /// the trace.
+    fn touch_store(&mut self, info: &HoleInfo) -> &mut TermStore {
+        self.store_tick += 1;
+        let hit = self.stores.contains_key(&info.store_key);
+        let mut warmed = false;
+        let (warm, warm_config, options) = (self.warm, self.warm_config, self.options);
+        let entry = self
+            .stores
+            .entry(info.store_key.clone())
+            .or_insert_with(|| {
+                let seeded = warm.and_then(|w| w.take(warm_config, &info.store_key));
+                let store = match seeded {
+                    Some(store) => {
+                        warmed = true;
+                        store
+                    }
+                    None => TermStore::with_probes(
+                        info.scope.clone(),
+                        &info.spec,
+                        if options.trace_probes {
+                            &info.probes
+                        } else {
+                            &[]
+                        },
+                        options.enum_limits,
+                    ),
+                };
+                (store, 0)
+            });
+        entry.1 = self.store_tick;
+        if hit {
+            self.stats.store_hits += 1;
+        }
+        if warmed {
+            self.stats.warm_hits += 1;
+        }
+        self.stats.metrics.store_terms.record_usize(entry.0.len());
+        self.stats
+            .metrics
+            .store_bytes
+            .record_usize(entry.0.approx_bytes());
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::Store {
+                action: if hit || warmed {
+                    StoreAction::Hit
+                } else {
+                    StoreAction::Create
+                },
+                terms: entry.0.len(),
+                bytes: entry.0.approx_bytes(),
+            });
+        }
+        &mut entry.0
+    }
+
+    /// Evicts least-recently-used stores until the approximate heap
+    /// footprint fits [`SearchOptions::max_store_bytes`], never evicting
+    /// `current` (just touched). Evicted stores rebuild deterministically
+    /// if revisited, trading CPU for bounded memory. Records the pre-sweep
+    /// footprint as the budget's high-water mark.
+    fn evict(&mut self, current: &StoreKey) {
+        // An injected eviction shrinks the byte budget to zero for this one
+        // sweep, forcing out every store but the current one.
+        let max_bytes = match failpoints::check("store.evict") {
+            Some(FailAction::EvictStores) => 0,
+            _ => self.options.max_store_bytes,
+        };
+        let mut total: usize = self.stores.values().map(|(s, _)| s.approx_bytes()).sum();
+        self.budget.note_store_bytes(total);
+        while total > max_bytes && self.stores.len() > 1 {
+            let victim = self
+                .stores
+                .iter()
+                .filter(|(k, _)| *k != current)
+                .min_by_key(|(_, (_, tick))| *tick)
+                .map(|(k, _)| k.clone());
+            let Some((store, _)) = victim.and_then(|key| self.stores.remove(&key)) else {
+                break;
+            };
+            let (terms, bytes) = (store.len(), store.approx_bytes());
+            // A store's per-level term histogram is folded into the run
+            // metrics exactly once: here for evicted stores, at search end
+            // for live ones. A store evicted and later rebuilt counts
+            // again — the histogram measures work done, like
+            // `Stats::enumerated_terms`.
+            self.stats.metrics.level_terms.merge(store.level_terms());
+            self.stats.store_evictions += 1;
+            if self.tracer.enabled() {
+                self.tracer.emit(TraceEvent::Store {
+                    action: StoreAction::Evict,
+                    terms,
+                    bytes,
+                });
+            }
+            total -= bytes;
+        }
+    }
+
+    /// Accounts a rejected combinator expansion in `stats` and the trace.
+    fn refute(&mut self, fail: ExpandFail, comb: Comb, coll: &Arc<Expr>, init: Option<&Arc<Expr>>) {
+        let reason = match fail {
+            ExpandFail::Refuted => {
+                self.stats.refuted += 1;
+                RefuteReason::Deduction
+            }
+            ExpandFail::Pruned => {
+                // Pruned refutations get their own counter and trace event —
+                // disjoint from `refuted`, because each one is work
+                // necessary-row inference would *not* have removed, so the
+                // on/off ablation compares cleanly.
+                self.stats.pruned_refutations += 1;
+                if self.tracer.enabled() {
+                    self.tracer.emit(TraceEvent::StaticRefute {
+                        comb: comb.name(),
+                        coll: coll.to_string(),
+                        init: init.map(|e| e.to_string()),
+                        domain: "cardinality",
+                        pruned: true,
+                    });
+                }
+                return;
+            }
+            ExpandFail::IllTyped => {
+                self.stats.ill_typed += 1;
+                RefuteReason::IllTyped
+            }
+            ExpandFail::Budget(_) => {
+                unreachable!(
+                    "budget failures abort the planning sweep before refutation accounting"
+                )
+            }
+        };
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::Refute {
+                comb: comb.name(),
+                coll: coll.to_string(),
+                init: init.map(|e| e.to_string()),
+                reason,
+            });
+        }
+    }
+
+    /// Accounts a panic caught at a governed site in `stats` and the trace.
+    /// The candidate or plan is skipped; the search continues.
+    fn fault(&mut self, site: &'static str, detail: String) {
+        self.stats.faults += 1;
+        if self.tracer.enabled() {
+            self.tracer.emit(TraceEvent::Fault { site, detail });
+        }
+    }
+
+    /// Folds the live stores into the run metrics, parks them in the warm
+    /// cache, and assembles the report — with the anytime frontier of the
+    /// abandoned queue when the search failed.
+    fn finish(
+        mut self,
+        outcome: Result<(Program, u32), SynthError>,
+        start: Instant,
+    ) -> SearchReport {
+        // Live stores' level histograms were not folded in by eviction; do
+        // it now (each store counted exactly once per build).
+        for (store, _) in self.stores.values() {
+            self.stats.metrics.level_terms.merge(store.level_terms());
+        }
+        self.stats
+            .metrics
+            .poll_gap_us
+            .merge(&self.budget.poll_gap_us());
+        if let Some(warm) = self.warm {
+            // Park live stores for the next search, most recently used last
+            // so the cache's LRU order mirrors this search's.
+            let mut parked: Vec<(StoreKey, (TermStore, u64))> = self.stores.drain().collect();
+            parked.sort_by_key(|(_, (_, tick))| *tick);
+            for (key, (store, _)) in parked {
+                warm.put(self.warm_config, key, store);
+            }
+        }
+        let elapsed = start.elapsed();
+        let (outcome, frontier) = match outcome {
+            Ok((program, cost)) => (
+                Ok(Synthesis {
+                    program,
+                    cost,
+                    stats: self.stats.clone(),
+                    elapsed,
+                }),
+                Vec::new(),
+            ),
+            Err(e) => (Err(e), frontier_of(&mut self.queue)),
+        };
+        SearchReport {
+            outcome,
+            frontier,
+            stats: self.stats,
+            elapsed,
+            budget: self.budget.snapshot(),
+            attempts: Vec::new(),
+        }
     }
 }
 
@@ -1274,281 +1292,6 @@ fn frontier_of(queue: &mut BinaryHeap<Entry>) -> Vec<FrontierItem> {
         }
     }
     out
-}
-
-/// Cap on how many equal-cost entries a parallel round drains from the
-/// queue at once. Bounds speculative verification (everything past a
-/// passing candidate is wasted work) and the memory pulled out of the
-/// heap; the remainder stays queued and leads the next round.
-const ROUND_CAP: usize = 256;
-
-/// The raw outcome of one speculative verification executed on a worker
-/// thread: the constructed program, the (possibly panicked) metered run,
-/// and its wall time. No accounting happens on the worker —
-/// [`apply_prerun`] replays these on the coordinating thread in
-/// deterministic order, reproducing [`verify_candidate`]'s effects
-/// exactly.
-struct PreRun {
-    program: Program,
-    run: std::thread::Result<(bool, u64)>,
-    elapsed: Duration,
-    injected: Option<FailAction>,
-}
-
-/// Runs `tasks` (complete candidate bodies, paired with the fail-point
-/// action the coordinating thread already decided for each) on up to
-/// `jobs` worker threads stealing from a shared index. Work-stealing
-/// order is irrelevant to the result: each task is independent, results
-/// land in task order, and all stats/budget/trace effects are deferred to
-/// [`apply_prerun`].
-fn preverify(
-    problem: &Problem,
-    eval_fuel: u64,
-    jobs: usize,
-    tasks: &[(&Expr, Option<FailAction>)],
-) -> Vec<PreRun> {
-    use std::sync::atomic::AtomicUsize;
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(tasks.len());
-    // The `par.worker` fail point (checked here, on the coordinating
-    // thread — the registry is thread-local) staggers worker startup to
-    // perturb steal order; the determinism suite uses it to show results
-    // are schedule-independent.
-    let delay = matches!(failpoints::check("par.worker"), Some(FailAction::Delay));
-    let mut out: Vec<Option<PreRun>> = Vec::with_capacity(tasks.len());
-    out.resize_with(tasks.len(), || None);
-    let chunks: Vec<Vec<(usize, PreRun)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let next = &next;
-                scope.spawn(move || {
-                    if delay {
-                        std::thread::sleep(Duration::from_millis(2 * w as u64));
-                    }
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
-                        }
-                        let (body, injected) = &tasks[i];
-                        let program = Program::new(problem.params().to_vec(), (*body).clone());
-                        let fuel = match injected {
-                            Some(FailAction::ExhaustFuel) => 0,
-                            _ => eval_fuel,
-                        };
-                        let t_verify = Instant::now();
-                        let run = catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(FailAction::Panic) = injected {
-                                panic!("injected panic at verify.candidate");
-                            }
-                            program.satisfies_problem_metered(problem, fuel)
-                        }));
-                        mine.push((
-                            i,
-                            PreRun {
-                                program,
-                                run,
-                                elapsed: t_verify.elapsed(),
-                                injected: *injected,
-                            },
-                        ));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("verify worker panicked outside isolation"))
-            .collect()
-    });
-    for (i, pre) in chunks.into_iter().flatten() {
-        out[i] = Some(pre);
-    }
-    out.into_iter()
-        .map(|o| o.expect("the steal loop covers every task"))
-        .collect()
-}
-
-/// Applies a speculative verification's outcome on the coordinating
-/// thread: stats, phase time, trace event, and fuel charge happen here,
-/// in the same order [`verify_candidate`] produces them, so a parallel
-/// round's observable effects match a sequential run's byte for byte.
-fn apply_prerun(
-    pre: PreRun,
-    cost: u32,
-    budget: &Budget,
-    stats: &mut Stats,
-    tracer: &mut dyn Tracer,
-) -> Verdict {
-    stats.verified += 1;
-    note_phase(
-        &mut stats.phases.verify,
-        &mut stats.metrics.verify_us,
-        pre.elapsed,
-    );
-    match pre.run {
-        Ok((ok, used)) => {
-            let used = match pre.injected {
-                Some(FailAction::ExhaustFuel) => u64::MAX,
-                _ => used,
-            };
-            if tracer.enabled() {
-                tracer.emit(TraceEvent::Verify {
-                    ok,
-                    cost,
-                    program: pre.program.body().to_string(),
-                });
-            }
-            let charge = budget.charge_fuel(used);
-            if ok {
-                Verdict::Pass(pre.program)
-            } else if let Err(e) = charge {
-                Verdict::Budget(e)
-            } else {
-                Verdict::Fail
-            }
-        }
-        Err(payload) => {
-            fault(stats, tracer, "verify.candidate", panic_message(&*payload));
-            Verdict::Fault
-        }
-    }
-}
-
-/// Outcome of one isolated candidate verification.
-enum Verdict {
-    /// The candidate satisfies every example.
-    Pass(Program),
-    /// The candidate fails some example.
-    Fail,
-    /// The candidate panicked; the fault was counted and traced.
-    Fault,
-    /// The cumulative fuel cap tripped while charging this run.
-    Budget(BudgetExceeded),
-}
-
-/// Verifies one complete candidate under panic isolation, charging the
-/// evaluation fuel it actually consumed against `budget`.
-///
-/// The `catch_unwind` boundary is sound: the closure reads only `program`
-/// and `problem` (no shared mutable state is touched inside it), and the
-/// stats/budget updates happen after the closure returns — a panic cannot
-/// leave either mid-update.
-///
-/// A candidate that both passes and trips the fuel cap is a success: it
-/// was verified before the cap mattered, and a correct program beats a
-/// resource verdict.
-fn verify_candidate(
-    problem: &Problem,
-    body: &Expr,
-    cost: u32,
-    options: &SearchOptions,
-    budget: &Budget,
-    stats: &mut Stats,
-    tracer: &mut dyn Tracer,
-) -> Verdict {
-    stats.verified += 1;
-    let program = Program::new(problem.params().to_vec(), body.clone());
-    let injected = failpoints::check("verify.candidate");
-    let fuel = match injected {
-        Some(FailAction::ExhaustFuel) => 0,
-        _ => options.eval_fuel,
-    };
-    let t_verify = Instant::now();
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(FailAction::Panic) = injected {
-            panic!("injected panic at verify.candidate");
-        }
-        program.satisfies_problem_metered(problem, fuel)
-    }));
-    note_phase(
-        &mut stats.phases.verify,
-        &mut stats.metrics.verify_us,
-        t_verify.elapsed(),
-    );
-    match run {
-        Ok((ok, used)) => {
-            // An injected exhaustion charges "everything", so the cap
-            // trips even when configured unlimited — the fault becomes
-            // observable as a deterministic `FuelExhausted`.
-            let used = match injected {
-                Some(FailAction::ExhaustFuel) => u64::MAX,
-                _ => used,
-            };
-            if tracer.enabled() {
-                tracer.emit(TraceEvent::Verify {
-                    ok,
-                    cost,
-                    program: program.body().to_string(),
-                });
-            }
-            let charge = budget.charge_fuel(used);
-            if ok {
-                Verdict::Pass(program)
-            } else if let Err(e) = charge {
-                Verdict::Budget(e)
-            } else {
-                Verdict::Fail
-            }
-        }
-        Err(payload) => {
-            fault(stats, tracer, "verify.candidate", panic_message(&*payload));
-            Verdict::Fault
-        }
-    }
-}
-
-/// Outcome of one isolated planning attempt.
-enum PlanOutcome {
-    /// A usable expansion template.
-    Planned(Template),
-    /// Refuted or ill-typed (counted by [`refute`]).
-    Rejected(ExpandFail),
-    /// The budget tripped mid-planning; abort the sweep.
-    Budget(BudgetExceeded),
-    /// Planning panicked; the payload's message.
-    Fault(String),
-}
-
-/// Plans one combinator expansion under panic isolation and the budget.
-/// The `catch_unwind` boundary is sound for the same reason as
-/// [`verify_candidate`]: the closure only reads the hole context and
-/// candidates, and all accounting happens after it returns.
-#[allow(clippy::too_many_arguments)]
-fn plan_isolated(
-    info: &HoleInfo,
-    comb: Comb,
-    cand: &Candidate<'_>,
-    init: Option<&Candidate<'_>>,
-    costs: &CostModel,
-    deduction: bool,
-    prune: bool,
-    budget: &Budget,
-) -> PlanOutcome {
-    let injected = failpoints::check("deduce.plan");
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(FailAction::Panic) = injected {
-            panic!("injected panic at deduce.plan");
-        }
-        plan_expansion_within(info, comb, cand, init, costs, deduction, prune, budget)
-    }));
-    match run {
-        Ok(Ok(t)) => PlanOutcome::Planned(t),
-        Ok(Err(ExpandFail::Budget(e))) => PlanOutcome::Budget(e),
-        Ok(Err(fail)) => PlanOutcome::Rejected(fail),
-        Err(payload) => PlanOutcome::Fault(panic_message(&*payload)),
-    }
-}
-
-/// Accounts a panic caught at a governed site in `stats` and the trace.
-/// The candidate or plan is skipped; the search continues.
-fn fault(stats: &mut Stats, tracer: &mut dyn Tracer, site: &'static str, detail: String) {
-    stats.faults += 1;
-    if tracer.enabled() {
-        tracer.emit(TraceEvent::Fault { site, detail });
-    }
 }
 
 /// Fingerprint of everything a term store's *contents* depend on: the
@@ -1601,172 +1344,6 @@ pub fn warm_config_fingerprint(library: &Library, options: &SearchOptions) -> u6
     }
     h
 }
-
-/// Looks up (or creates) the enumeration store for a hole context,
-/// refreshing its LRU tick and accounting the hit/create in `stats` and
-/// the trace.
-#[allow(clippy::too_many_arguments)]
-fn touch_store<'a>(
-    stores: &'a mut HashMap<StoreKey, (TermStore, u64)>,
-    store_tick: &mut u64,
-    info: &HoleInfo,
-    options: &SearchOptions,
-    stats: &mut Stats,
-    tracer: &mut dyn Tracer,
-    warm: Option<&WarmCache>,
-    warm_config: u64,
-) -> &'a mut TermStore {
-    *store_tick += 1;
-    let hit = stores.contains_key(&info.store_key);
-    let mut warmed = false;
-    let entry = stores.entry(info.store_key.clone()).or_insert_with(|| {
-        let seeded = warm.and_then(|w| w.take(warm_config, &info.store_key));
-        let store = match seeded {
-            Some(store) => {
-                warmed = true;
-                store
-            }
-            None => TermStore::with_probes(
-                info.scope.clone(),
-                &info.spec,
-                if options.trace_probes {
-                    &info.probes
-                } else {
-                    &[]
-                },
-                options.enum_limits,
-            ),
-        };
-        (store, 0)
-    });
-    entry.1 = *store_tick;
-    if hit {
-        stats.store_hits += 1;
-    }
-    if warmed {
-        stats.warm_hits += 1;
-    }
-    stats.metrics.store_terms.record_usize(entry.0.len());
-    stats
-        .metrics
-        .store_bytes
-        .record_usize(entry.0.approx_bytes());
-    if tracer.enabled() {
-        tracer.emit(TraceEvent::Store {
-            action: if hit || warmed {
-                StoreAction::Hit
-            } else {
-                StoreAction::Create
-            },
-            terms: entry.0.len(),
-            bytes: entry.0.approx_bytes(),
-        });
-    }
-    &mut entry.0
-}
-
-/// Accounts a rejected combinator expansion in `stats` and the trace.
-fn refute(
-    stats: &mut Stats,
-    tracer: &mut dyn Tracer,
-    fail: ExpandFail,
-    comb: Comb,
-    coll: &Arc<lambda2_lang::ast::Expr>,
-    init: Option<&Arc<lambda2_lang::ast::Expr>>,
-) {
-    let reason = match fail {
-        ExpandFail::Refuted => {
-            stats.refuted += 1;
-            RefuteReason::Deduction
-        }
-        ExpandFail::Pruned => {
-            // Pruned refutations get their own counter and trace event —
-            // disjoint from `refuted`, because each one is work
-            // necessary-row inference would *not* have removed, so the
-            // on/off ablation compares cleanly.
-            stats.pruned_refutations += 1;
-            if tracer.enabled() {
-                tracer.emit(TraceEvent::StaticRefute {
-                    comb: comb.name(),
-                    coll: coll.to_string(),
-                    init: init.map(|e| e.to_string()),
-                    domain: "cardinality",
-                    pruned: true,
-                });
-            }
-            return;
-        }
-        ExpandFail::IllTyped => {
-            stats.ill_typed += 1;
-            RefuteReason::IllTyped
-        }
-        ExpandFail::Budget(_) => {
-            unreachable!("budget failures abort the planning sweep before refutation accounting")
-        }
-    };
-    if tracer.enabled() {
-        tracer.emit(TraceEvent::Refute {
-            comb: comb.name(),
-            coll: coll.to_string(),
-            init: init.map(|e| e.to_string()),
-            reason,
-        });
-    }
-}
-
-/// Evicts least-recently-used stores until the approximate heap footprint
-/// fits `max_bytes`, never evicting `current` (just touched). Evicted
-/// stores rebuild deterministically if revisited, trading CPU for bounded
-/// memory. Records the pre-sweep footprint as the budget's high-water
-/// mark.
-fn evict_stores(
-    stores: &mut HashMap<StoreKey, (TermStore, u64)>,
-    options: &SearchOptions,
-    current: &StoreKey,
-    stats: &mut Stats,
-    tracer: &mut dyn Tracer,
-    budget: &Budget,
-) {
-    // An injected eviction shrinks the byte budget to zero for this one
-    // sweep, forcing out every store but the current one.
-    let max_bytes = match failpoints::check("store.evict") {
-        Some(FailAction::EvictStores) => 0,
-        _ => options.max_store_bytes,
-    };
-    let mut total: usize = stores.values().map(|(s, _)| s.approx_bytes()).sum();
-    budget.note_store_bytes(total);
-    while total > max_bytes && stores.len() > 1 {
-        let victim = stores
-            .iter()
-            .filter(|(k, _)| *k != current)
-            .min_by_key(|(_, (_, tick))| *tick)
-            .map(|(k, (s, _))| (k.clone(), s.len(), s.approx_bytes()));
-        match victim {
-            Some((key, terms, bytes)) => {
-                if let Some((store, _)) = stores.remove(&key) {
-                    // A store's per-level term histogram is folded into the
-                    // run metrics exactly once: here for evicted stores, at
-                    // search end for live ones. A store evicted and later
-                    // rebuilt counts again — the histogram measures work
-                    // done, like `Stats::enumerated_terms`.
-                    stats.metrics.level_terms.merge(store.level_terms());
-                }
-                stats.store_evictions += 1;
-                if tracer.enabled() {
-                    tracer.emit(TraceEvent::Store {
-                        action: StoreAction::Evict,
-                        terms,
-                        bytes,
-                    });
-                }
-                total -= bytes;
-            }
-            None => break,
-        }
-    }
-}
-
-// Debug instrumentation: set LAMBDA2_STORE_DEBUG=1 to dump store sizes.
 
 #[cfg(test)]
 mod tests {
@@ -2121,147 +1698,6 @@ mod tests {
         assert_eq!(report.outcome.unwrap_err(), SynthError::FuelExhausted);
         assert_eq!(report.budget.exceeded, Some(BudgetExceeded::FuelLimit));
         assert!(report.budget.fuel_spent >= 50);
-    }
-
-    /// Every deterministic counter in [`Stats`] (wall-clock phase totals
-    /// and latency histograms excluded — they measure real time).
-    fn counter_snapshot(s: &Stats) -> [u64; 14] {
-        [
-            s.popped,
-            s.expansions,
-            s.refuted,
-            s.static_refutations,
-            s.pruned_refutations,
-            s.ill_typed,
-            s.closings,
-            s.verified,
-            s.verify_failures,
-            s.enumerated_terms,
-            s.store_hits,
-            s.warm_hits,
-            s.store_evictions,
-            s.faults,
-        ]
-    }
-
-    fn run_with_jobs(
-        p: &Problem,
-        opts: &SearchOptions,
-        jobs: usize,
-    ) -> (SearchReport, Vec<TraceEvent>) {
-        let opts = SearchOptions {
-            jobs,
-            ..opts.clone()
-        };
-        let budget = Budget::for_search(&opts);
-        let mut tracer = crate::obs::CollectTracer::default();
-        let report = search_governed_warm(p, &opts, &budget, &mut tracer, None);
-        (report, tracer.events)
-    }
-
-    #[test]
-    fn parallel_jobs_match_sequential_byte_for_byte() {
-        // The determinism bar for within-problem parallelism: program,
-        // cost, every counter, and the full event trace must be
-        // byte-identical to a sequential run for any worker count.
-        let problems = [
-            reverse_problem(),
-            problem(
-                "incr",
-                &[("l", "[int]")],
-                "[int]",
-                &[(&["[]"], "[]"), (&["[1 2]"], "[2 3]"), (&["[7]"], "[8]")],
-            ),
-            problem(
-                "sum",
-                &[("l", "[int]")],
-                "int",
-                &[
-                    (&["[]"], "0"),
-                    (&["[5]"], "5"),
-                    (&["[5 3]"], "8"),
-                    (&["[5 3 9]"], "17"),
-                ],
-            ),
-        ];
-        for p in &problems {
-            let (seq, seq_events) = run_with_jobs(p, &SearchOptions::default(), 1);
-            let s1 = seq.outcome.expect("solves sequentially");
-            for jobs in [2, 4] {
-                let (par, par_events) = run_with_jobs(p, &SearchOptions::default(), jobs);
-                let sp = par.outcome.expect("solves in parallel");
-                assert_eq!(
-                    s1.program.body().to_string(),
-                    sp.program.body().to_string(),
-                    "program diverged at jobs={jobs} on {}",
-                    p.name()
-                );
-                assert_eq!(s1.cost, sp.cost);
-                assert_eq!(
-                    counter_snapshot(&s1.stats),
-                    counter_snapshot(&sp.stats),
-                    "counters diverged at jobs={jobs} on {}",
-                    p.name()
-                );
-                assert_eq!(
-                    seq_events,
-                    par_events,
-                    "trace diverged at jobs={jobs} on {}",
-                    p.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_abort_frontier_matches_sequential() {
-        // A mid-round abort must leave the same abandoned queue as a
-        // sequential one: unprocessed round entries go back before the
-        // frontier snapshot is taken.
-        let opts = SearchOptions {
-            max_popped: 20,
-            ..SearchOptions::default()
-        };
-        let (seq, seq_events) = run_with_jobs(&reverse_problem(), &opts, 1);
-        let (par, par_events) = run_with_jobs(&reverse_problem(), &opts, 4);
-        assert_eq!(seq.outcome.unwrap_err(), par.outcome.unwrap_err());
-        assert_eq!(seq.budget.exceeded, par.budget.exceeded);
-        assert_eq!(seq.frontier, par.frontier);
-        assert_eq!(seq_events, par_events);
-    }
-
-    #[test]
-    fn parallel_fuel_cap_matches_sequential() {
-        // Fuel is charged at apply time in seq order, so the cap trips on
-        // the same candidate regardless of worker count.
-        let opts = SearchOptions {
-            max_total_fuel: 50,
-            ..SearchOptions::default()
-        };
-        let (seq, seq_events) = run_with_jobs(&reverse_problem(), &opts, 1);
-        let (par, par_events) = run_with_jobs(&reverse_problem(), &opts, 4);
-        assert_eq!(seq.outcome.unwrap_err(), SynthError::FuelExhausted);
-        assert_eq!(par.outcome.unwrap_err(), SynthError::FuelExhausted);
-        assert_eq!(seq.budget.fuel_spent, par.budget.fuel_spent);
-        assert_eq!(counter_snapshot(&seq.stats), counter_snapshot(&par.stats));
-        assert_eq!(seq_events, par_events);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn staggered_workers_change_nothing() {
-        // Perturb work-stealing order via the `par.worker` delay fail
-        // point: workers start staggered, so steal order is shuffled
-        // relative to an unperturbed run — results must not move.
-        let (seq, seq_events) = run_with_jobs(&reverse_problem(), &SearchOptions::default(), 1);
-        let _guard = crate::failpoints::FailGuard::arm("par.worker", FailAction::Delay, u64::MAX);
-        let (par, par_events) = run_with_jobs(&reverse_problem(), &SearchOptions::default(), 4);
-        let s1 = seq.outcome.expect("solves");
-        let sp = par.outcome.expect("solves staggered");
-        assert_eq!(s1.program.body().to_string(), sp.program.body().to_string());
-        assert_eq!(s1.cost, sp.cost);
-        assert_eq!(counter_snapshot(&s1.stats), counter_snapshot(&sp.stats));
-        assert_eq!(seq_events, par_events);
     }
 
     #[cfg(feature = "failpoints")]
