@@ -1286,7 +1286,7 @@ fn cmd_serve(args: &[String], flags: &Flags) -> ExitCode {
         }
     };
     eprintln!("serve: listening on {}", server.local_addr());
-    watch_signals(server.control());
+    drain_on_signals(server.control());
     match server.run() {
         Ok(summary) => {
             eprintln!(
@@ -1350,18 +1350,21 @@ fn cmd_serve_report(args: &[String], flags: &Flags) -> ExitCode {
     }
 }
 
-/// Forwards SIGTERM/SIGINT to the daemon's drain flag. The handler body
-/// is a single atomic store (async-signal-safe); a watcher thread does
-/// the actual forwarding, and exits on its own if the daemon starts
-/// draining for another reason (a `shutdown` request).
+/// Routes SIGTERM/SIGINT to the daemon's drain flag. The flag lives in a
+/// static the handler reads directly: its body is an atomic load (the
+/// `OnceLock`) plus an atomic store, both async-signal-safe. No thread
+/// forwards the signal; the accept loop sees the flag at its next wake.
 #[cfg(unix)]
-fn watch_signals(control: std::sync::Arc<std::sync::atomic::AtomicBool>) {
+fn drain_on_signals(control: std::sync::Arc<std::sync::atomic::AtomicBool>) {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, OnceLock};
 
-    static TERMINATE: AtomicBool = AtomicBool::new(false);
+    static CONTROL: OnceLock<Arc<AtomicBool>> = OnceLock::new();
 
     extern "C" fn on_signal(_signum: i32) {
-        TERMINATE.store(true, Ordering::SeqCst);
+        if let Some(control) = CONTROL.get() {
+            control.store(true, Ordering::SeqCst);
+        }
     }
 
     extern "C" {
@@ -1371,26 +1374,21 @@ fn watch_signals(control: std::sync::Arc<std::sync::atomic::AtomicBool>) {
         fn signal(signum: i32, handler: usize) -> usize;
     }
 
-    // SIGTERM = 15 and SIGINT = 2 on every Unix target Rust supports.
+    CONTROL
+        .set(control)
+        .expect("one daemon per process installs the signal handler");
+    // SAFETY: `signal` has no memory preconditions; `on_signal` matches
+    // `sighandler_t` and only touches atomics. SIGTERM = 15 and SIGINT = 2
+    // on every Unix target Rust supports.
     unsafe {
         signal(15, on_signal as extern "C" fn(i32) as usize);
         signal(2, on_signal as extern "C" fn(i32) as usize);
     }
-    std::thread::spawn(move || loop {
-        if TERMINATE.load(Ordering::SeqCst) {
-            control.store(true, Ordering::SeqCst);
-            return;
-        }
-        if control.load(Ordering::SeqCst) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    });
 }
 
 /// Off Unix the daemon is stopped via the `shutdown` protocol op.
 #[cfg(not(unix))]
-fn watch_signals(_control: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
+fn drain_on_signals(_control: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
 
 /// `l2 client` — sends requests to a running daemon, retrying sheds and
 /// transport failures with seeded jittered backoff. Every response

@@ -49,6 +49,13 @@
 //! their [`CancelToken`]s. Corpus writes flush per record, so there is
 //! nothing left to lose at exit.
 //!
+//! The accept loop never sleeps on Linux. The listener blocks in
+//! `accept`, bounded by [`ServeConfig::read_timeout`] set on the listening
+//! socket as `SO_RCVTIMEO`: a connection is accepted the moment it
+//! arrives, and an idle listener wakes once per read timeout to check the
+//! flag. Targets whose `accept` ignores that option poll a non-blocking
+//! listener every 10 ms instead.
+//!
 //! # Observability
 //!
 //! Every request is assigned a stable server-side ID (`c<conn>-r<n>`,
@@ -135,8 +142,10 @@ pub struct ServeConfig {
     /// budgets are cancelled.
     pub drain_grace: Duration,
     /// Socket read timeout; doubles as the shutdown-poll cadence for idle
-    /// connections, so drains complete within roughly this bound after
-    /// in-flight work ends.
+    /// connections and, on Linux, for an idle listener, so a drain is
+    /// noticed and completes within roughly this bound after in-flight
+    /// work ends. On Linux, accepted sockets inherit the listener's
+    /// timeout; connection threads set it again anyway.
     pub read_timeout: Duration,
     /// Base search options; per-request timeouts override
     /// [`SearchOptions::timeout`].
@@ -182,6 +191,41 @@ enum ListenerKind {
     Tcp(TcpListener),
     #[cfg(unix)]
     Unix(UnixListener),
+}
+
+/// Makes `accept` on `listener` give up with `WouldBlock` at least every
+/// `poll`, so the accept loop sees the drain flag, and returns how long
+/// that loop should sleep after each `WouldBlock`.
+///
+/// Linux's `accept(2)` honours the listening socket's `SO_RCVTIMEO` for
+/// TCP and `AF_UNIX` alike, so the listener stays blocking and the loop
+/// needs no sleep (a zero sleep makes no syscall). The option belongs to
+/// the socket, not the fd, so it is set through a cloned handle viewed as
+/// a stream.
+#[cfg(target_os = "linux")]
+fn bound_accept(listener: &ListenerKind, poll: Duration) -> io::Result<Duration> {
+    use std::os::fd::OwnedFd;
+    match listener {
+        ListenerKind::Tcp(l) => {
+            TcpStream::from(OwnedFd::from(l.try_clone()?)).set_read_timeout(Some(poll))?
+        }
+        ListenerKind::Unix(l) => {
+            UnixStream::from(OwnedFd::from(l.try_clone()?)).set_read_timeout(Some(poll))?
+        }
+    }
+    Ok(Duration::ZERO)
+}
+
+/// Elsewhere `accept` ignores `SO_RCVTIMEO`, so the listener polls: it is
+/// non-blocking and the loop sleeps 10 ms after each `WouldBlock`.
+#[cfg(not(target_os = "linux"))]
+fn bound_accept(listener: &ListenerKind, _poll: Duration) -> io::Result<Duration> {
+    match listener {
+        ListenerKind::Tcp(l) => l.set_nonblocking(true)?,
+        #[cfg(unix)]
+        ListenerKind::Unix(l) => l.set_nonblocking(true)?,
+    }
+    Ok(Duration::from_millis(10))
 }
 
 enum Conn {
@@ -639,11 +683,7 @@ impl Server {
             control,
             ..
         } = self;
-        match &listener {
-            ListenerKind::Tcp(l) => l.set_nonblocking(true)?,
-            #[cfg(unix)]
-            ListenerKind::Unix(l) => l.set_nonblocking(true)?,
-        }
+        let idle_nap = bound_accept(&listener, config.read_timeout)?;
         let corpus = match &config.corpus_dir {
             Some(dir) => Some(Corpus::open(dir).map_err(|e| io::Error::other(e.to_string()))?),
             None => None,
@@ -696,9 +736,7 @@ impl Server {
                             )
                         });
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(idle_nap),
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => {
                         listen_error = Some(e);
