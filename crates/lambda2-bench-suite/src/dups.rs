@@ -7,7 +7,8 @@
 //! abstract domain refutes for `filter` hypotheses (a filter keeps all
 //! occurrences of a value or none). Deduction alone cannot make that
 //! refutation, so these problems are where `SearchOptions::static_prune`
-//! pays — `fig_static_prune` measures the enumerated-term drop on them.
+//! pays — the release pruning differential in `tests/static_analysis.rs`
+//! asserts the enumerated-term drop on them.
 //!
 //! The last benchmark, `rmall`, is the sentinel: a genuine filter whose
 //! examples hold to all-or-none, so pruning must *not* fire and the

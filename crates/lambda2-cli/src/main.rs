@@ -1,77 +1,9 @@
 //! `l2` — the λ² synthesizer command-line tool.
 //!
-//! ```text
-//! l2 synth <problem.l2>...  synthesize a program from each problem file
-//! l2 run <problem.l2> ARGS  synthesize, then run the program on ARGS
-//! l2 eval <expr> [x=v]...   evaluate an expression under bindings
-//! l2 lint <problem.l2>...   statically check problem files
-//! l2 bench <name>...        run suite benchmarks by name
-//! l2 list                   list the benchmark suite
-//! l2 profile summary <trace.jsonl>     per-combinator/per-rule attribution
-//! l2 profile tree <trace.jsonl>        collapsed stacks for flamegraphs
-//! l2 profile diff <a.jsonl> <b.jsonl>  first divergence of two traces
-//! l2 profile report <trace.jsonl>      self-contained HTML report
-//! l2 corpus ingest <dir> <file>...     backfill run records from
-//!                                      --stats-json / BENCH_*.json files
-//! l2 corpus list <dir>                 one line per problem+config
-//! l2 corpus stats <dir>                cross-run aggregates (solve rate,
-//!                                      costs, wall-time quantiles)
-//! l2 corpus regress <baseline> <fresh> compare fresh runs to the baseline
-//! l2 serve                  run the synthesis daemon (TCP or unix: socket)
-//! l2 client synth <p.l2>... send problems to a running daemon
-//! l2 client ping|stats|shutdown        poke a running daemon
-//!
-//! flags (synth/run/bench):
-//!   --trace <path>          stream search telemetry as JSON Lines to <path>
-//!   --stats-json            print each measurement as one JSON line
-//!   --stats-json=<path>     ...or append the lines to <path> instead
-//!   --corpus <dir>          append each measurement to the run corpus in
-//!                           <dir> (see `l2 corpus`)
-//!   --progress              render a live status line on stderr while the
-//!                           search runs (sequential commands only)
-//!   --timeout-ms <n>        wall-clock budget per problem (default 60000)
-//!   --max-overshoot-ms <n>  deadline overshoot bound (default 100)
-//!   --retry-ladder          on resource exhaustion, retry with degraded
-//!                           options, then the enumerative baseline
-//!   --jobs <n>              worker threads (0 = one per CPU; default 1,
-//!                           sequential) to fan a batch of problems
-//!                           across; one problem has nothing to fan out
-//!                           and runs sequentially
-//!   --no-static-prune       disable deduction's pruning check (the
-//!                           ablation arm: same programs and costs,
-//!                           strictly more search work)
-//!
-//! flags (lint):
-//!   --json                  one JSON object per diagnostic per line
-//!
-//! flags (profile):
-//!   --json                  machine-readable output (summary/diff)
-//!   --weight pops|time      tree weighting (default pops)
-//!   --out <path>            write tree/report output to a file
-//!
-//! flags (serve):
-//!   --addr <a>              listen address: host:port, or unix:/path
-//!                           (default 127.0.0.1:7207; port 0 = ephemeral)
-//!   --jobs <n>              synthesis worker threads (0 = one per CPU;
-//!                           default 2)
-//!   --queue <n>             admission-queue capacity (default 16);
-//!                           requests beyond workers+queue are shed with
-//!                           a structured `overloaded` + retry hint
-//!   --timeout-ms <n>        default per-request budget (default 2000)
-//!   --max-timeout-ms <n>    hard cap on any request's budget (30000)
-//!   --warm-bytes <n>        warm term-store byte budget shared by the
-//!                           whole worker pool (0 = off)
-//!   --drain-grace-ms <n>    how long in-flight jobs get to finish on
-//!                           drain before cancellation (default 1000)
-//!   --corpus <dir>          append every served synthesis to a corpus
-//!
-//! flags (client):
-//!   --addr <a>              daemon address (default 127.0.0.1:7207)
-//!   --retries <n>           retry budget for sheds/transport errors (0)
-//!   --backoff-ms <n>        base retry delay, exponential + jitter (100)
-//!   --seed <n>              jitter seed (deterministic backoff; 0)
-//!   --timeout-ms <n>        per-request budget sent to the daemon
-//! ```
+//! `l2 --help` lists every command and flag, and `l2 <cmd> --help` the
+//! ones one command takes. Both are generated from `COMMANDS` and
+//! `FLAGS`, the only place a flag is declared. Flags may appear in any
+//! position; a flag the command does not read is a usage error (exit 2).
 //!
 //! `client` exit codes: 0 every request answered `ok`, 1 any request
 //! failed (`error`, `unsolved`, `shutting_down`, or transport failure
@@ -93,12 +25,13 @@
 //! Batch runs (`synth`/`bench` with several problems) isolate each
 //! problem: a failure — timeout, exhaustion, even a panic — is reported
 //! (and recorded in the `--stats-json` line) and the batch continues;
-//! the exit code is nonzero only if at least one problem failed. With
-//! `--jobs`, problems fan out across a worker pool but results are
-//! printed in input order, and `--trace` events carry `problem`/`worker`
-//! tags, so output is deterministic up to timings. A single-problem
-//! invocation has nothing to fan out and runs sequentially, whatever
-//! `--jobs` says.
+//! the exit code is nonzero only if at least one problem failed. Every
+//! batch runs on the worker pool (`--jobs` workers, one without the
+//! flag) and prints its results in input order once all problems
+//! finish; `--trace` events carry `problem`/`worker` tags, so the trace
+//! is the same whatever `--jobs` says, up to those tags. A single
+//! problem runs on this thread, streaming its trace and rendering
+//! `--progress`.
 //!
 //! Problem files are s-expressions:
 //!
@@ -112,7 +45,7 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -128,311 +61,474 @@ use lambda2_synth::{
     load_access_log, load_records, load_trace, options_fingerprint, parse_problem, regress,
     render_access_html, render_html, summarize, AccessReport, Corpus, DiffOutcome, FindingKind,
     JsonlTracer, Measurement, Problem, RegressThresholds, RunRecord, SearchOptions, SearchReport,
-    ServeConfig, Server, Synthesis, Synthesizer, TraceEvent, Tracer, Weight,
+    ServeConfig, Server, Synthesis, Synthesizer, Trace, TraceEvent, Tracer, Weight,
 };
-
-/// The usage text: printed to stdout by `--help`/`-h`, and to stderr on
-/// a malformed command line.
-const USAGE: &str = "usage:\n  l2 [flags] synth <problem.l2>...\n  \
-     l2 [flags] run <problem.l2> <arg>...\n  \
-     l2 eval <expr> [x=v]...\n  \
-     l2 [--json] lint <problem.l2>...\n  \
-     l2 [flags] bench <name>...\n  l2 list\n  \
-     l2 profile summary|tree|diff|report <trace.jsonl>...\n  \
-     l2 corpus ingest|list|stats|regress ...\n  \
-     l2 serve [serve flags]\n  \
-     l2 serve report <access.jsonl> [--json] [--out <html>]\n  \
-     l2 client synth <problem.l2>... | ping | stats | shutdown\n\
-     flags: --trace <path>  --stats-json[=<path>]  --corpus <dir>  \
-     --progress  --timeout-ms <n>  \
-     --max-overshoot-ms <n>  --retry-ladder  --jobs <n>  \
-     --no-static-prune\n\
-     profile flags: --json  --weight pops|time  --out <path>\n\
-     corpus flags: --json  --wall-ratio <f>  --wall-floor-ms <n>  \
-     --no-wall-check\n\
-     serve flags: --addr <a>  --jobs <n>  --queue <n>  --timeout-ms <n>  \
-     --max-timeout-ms <n>  --warm-bytes <n>  --drain-grace-ms <n>  \
-     --corpus <dir>  --access-log <path>  --slow-trace-ms <n>  \
-     --slow-trace-dir <dir>\n\
-     client flags: --addr <a>  --retries <n>  --backoff-ms <n>  \
-     --seed <n>  --timeout-ms <n>  --json";
 
 /// Default daemon address shared by `l2 serve` and `l2 client`.
 const DEFAULT_SERVE_ADDR: &str = "127.0.0.1:7207";
 
-/// Flags shared by the synthesizing commands.
-#[derive(Debug, Default)]
-struct Flags {
-    /// Write a JSONL trace of the search to this path.
-    trace: Option<PathBuf>,
-    /// Print the final `Measurement` as a single JSON line on stdout.
-    stats_json: bool,
-    /// `--stats-json=<path>`: append the measurement lines to a file
-    /// instead of stdout.
-    stats_json_out: Option<PathBuf>,
-    /// Append each measurement to the run corpus in this directory.
-    corpus: Option<PathBuf>,
-    /// Render a live status line on stderr while the search runs.
-    progress: bool,
-    /// Wall-clock budget per problem, in milliseconds.
-    timeout_ms: Option<u64>,
-    /// Deadline overshoot bound, in milliseconds.
-    max_overshoot_ms: Option<u64>,
-    /// Retry with degraded options, then the baseline, on resource limits.
-    retry_ladder: bool,
-    /// Worker threads for batch commands (`None` = sequential, 0 = one
-    /// per CPU).
-    jobs: Option<usize>,
-    /// Disable deduction's pruning check (ablation arm).
-    no_static_prune: bool,
-    /// `lint`/`profile`: print machine-readable JSON instead of human text.
-    json: bool,
-    /// `profile tree`/`profile report`: write the output to this file
-    /// instead of stdout (report defaults to `<trace>.html`).
-    out: Option<PathBuf>,
-    /// `profile tree`: weight stacks by `pops` (default) or `time`.
-    weight: Option<String>,
-    /// `--help`/`-h`: print the usage text and exit 0.
-    help: bool,
-    /// `corpus regress`: wall-time ratio threshold (default 1.5).
-    wall_ratio: Option<f64>,
-    /// `corpus regress`: wall-time absolute floor in ms (default 100).
-    wall_floor_ms: Option<f64>,
-    /// `corpus regress`: skip the wall-time comparison (cross-machine CI).
-    no_wall_check: bool,
-    /// `serve`/`client`: daemon address (`host:port` or `unix:/path`).
-    addr: Option<String>,
-    /// `serve`: admission-queue capacity.
-    queue: Option<usize>,
-    /// `serve`: hard cap on any request's timeout, in milliseconds.
-    max_timeout_ms: Option<u64>,
-    /// `serve`: pool-shared warm term-store byte budget (0 disables).
-    warm_bytes: Option<usize>,
-    /// `serve`: drain grace for in-flight jobs, in milliseconds.
-    drain_grace_ms: Option<u64>,
-    /// `serve`: append one JSONL access record per request to this file.
-    access_log: Option<PathBuf>,
-    /// `serve`: capture a full search trace for requests at or above
-    /// this many milliseconds of service time.
-    slow_trace_ms: Option<u64>,
-    /// `serve`: directory where slow-request traces are written, one
-    /// `<req_id>.jsonl` per captured request.
-    slow_trace_dir: Option<PathBuf>,
-    /// `client`: retry budget for sheds and transport errors.
-    retries: Option<u32>,
-    /// `client`: base backoff delay, in milliseconds.
-    backoff_ms: Option<u64>,
-    /// `client`: jitter seed (same seed, same backoff schedule).
-    seed: Option<u64>,
+/// Every command form as (command, operands, help). `l2 --help` prints
+/// them all, `l2 <command> --help` the forms of one command.
+const COMMANDS: &[(&str, &str, &str)] = &[
+    ("synth", "<problem.l2>...", "synthesize each problem"),
+    ("run", "<problem.l2> <arg>...", "synthesize, then run"),
+    ("eval", "<expr> [x=v]...", "evaluate an expression"),
+    ("lint", "<problem.l2>...", "check problem files"),
+    ("bench", "<name>...", "run suite benchmarks"),
+    ("list", "", "list the benchmark suite"),
+    ("profile", "summary <trace.jsonl>", "per-rule attribution"),
+    ("profile", "tree <trace.jsonl>", "flamegraph stacks"),
+    ("profile", "diff <a.jsonl> <b.jsonl>", "first divergence"),
+    ("profile", "report <trace.jsonl>", "HTML report"),
+    ("corpus", "ingest <dir> <file>...", "backfill records"),
+    ("corpus", "list <dir>", "one line per problem+config"),
+    ("corpus", "stats <dir>", "cross-run aggregates"),
+    ("corpus", "regress <baseline> <fresh>", "gate fresh runs"),
+    ("serve", "", "run the synthesis daemon"),
+    ("serve report", "<access.jsonl>", "access-log report"),
+    ("client", "synth <problem.l2>...", "send problems"),
+    ("client", "ping|stats|shutdown", "poke a running daemon"),
+];
+
+/// How a flag's value is written: parsing checks it, and the usage text
+/// names it.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    /// No value.
+    Switch,
+    /// A switch, or `=<path>` written inline (`--stats-json`).
+    StatsJson,
+    /// Free text: its placeholder, and what the flag requires.
+    Text(&'static str, &'static str),
+    /// A whole number: what the flag requires, and the unit it counts.
+    Whole(&'static str, &'static str),
+    /// A number: what the flag requires, its least value, and the rule
+    /// a smaller one breaks.
+    Real(&'static str, f64, &'static str),
+    /// One of these words.
+    Choice(&'static [&'static str]),
 }
 
-impl Flags {
-    /// Extracts the known flags from `args` (any position), leaving the
-    /// positional arguments behind.
-    fn extract(args: &mut Vec<String>) -> Result<Flags, String> {
-        fn ms_arg(flag: &str, next: Option<String>) -> Result<u64, String> {
-            let raw = next.ok_or_else(|| format!("{flag} requires a millisecond count"))?;
-            raw.parse::<u64>()
-                .map_err(|_| format!("{flag}: `{raw}` is not a whole number of milliseconds"))
+const FILE: Kind = Kind::Text("<path>", "a file path");
+const DIR: Kind = Kind::Text("<dir>", "a directory path");
+const MS: Kind = Kind::Whole("a millisecond count", " of milliseconds");
+
+/// One row of [`FLAGS`].
+#[derive(Debug)]
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// The commands that read the flag; any other command rejects it.
+    scope: &'static [&'static str],
+    help: &'static str,
+}
+
+const RUNS: &[&str] = &["synth", "bench", "run"];
+const SEARCHES: &[&str] = &["synth", "bench", "run", "serve"];
+
+/// Every flag `l2` takes. The parser, the scope check, the typed getters
+/// and the usage text all read this table.
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--trace",
+        kind: FILE,
+        scope: RUNS,
+        help: "stream search telemetry as JSON Lines to <path>",
+    },
+    Flag {
+        name: "--stats-json",
+        kind: Kind::StatsJson,
+        scope: RUNS,
+        help: "print each measurement as one JSON line (or append to <path>)",
+    },
+    Flag {
+        name: "--corpus",
+        kind: DIR,
+        scope: SEARCHES,
+        help: "append each measurement to the run corpus in <dir>",
+    },
+    Flag {
+        name: "--progress",
+        kind: Kind::Switch,
+        scope: RUNS,
+        help: "live status line on stderr (a single problem only)",
+    },
+    Flag {
+        name: "--timeout-ms",
+        kind: MS,
+        scope: &["synth", "bench", "run", "serve", "client"],
+        help: "budget per problem or request (default 60000; serve 2000)",
+    },
+    Flag {
+        name: "--max-overshoot-ms",
+        kind: MS,
+        scope: SEARCHES,
+        help: "deadline overshoot bound (default 100)",
+    },
+    Flag {
+        name: "--retry-ladder",
+        kind: Kind::Switch,
+        scope: SEARCHES,
+        help: "on exhaustion retry with degraded options, then the baseline",
+    },
+    Flag {
+        name: "--jobs",
+        kind: Kind::Whole("a worker count", " of workers"),
+        scope: &["synth", "bench", "serve"],
+        help: "worker threads, 0 = one per CPU (default 1; serve 2)",
+    },
+    Flag {
+        name: "--no-static-prune",
+        kind: Kind::Switch,
+        scope: SEARCHES,
+        help: "disable deduction's pruning check (the ablation arm)",
+    },
+    Flag {
+        name: "--json",
+        kind: Kind::Switch,
+        scope: &["lint", "profile", "corpus", "serve report", "client"],
+        help: "machine-readable output",
+    },
+    Flag {
+        name: "--weight",
+        kind: Kind::Choice(&["pops", "time"]),
+        scope: &["profile"],
+        help: "tree weighting (default pops)",
+    },
+    Flag {
+        name: "--out",
+        kind: FILE,
+        scope: &["profile", "serve report"],
+        help: "write the tree or HTML report to <path>",
+    },
+    Flag {
+        name: "--wall-ratio",
+        kind: Kind::Real("a factor (e.g. 1.5)", 1.0, "must be a factor >= 1"),
+        scope: &["corpus"],
+        help: "regress: wall-time ratio threshold (default 1.5)",
+    },
+    Flag {
+        name: "--wall-floor-ms",
+        kind: Kind::Real("a millisecond count", 0.0, "must be >= 0"),
+        scope: &["corpus"],
+        help: "regress: wall-time floor (default 100)",
+    },
+    Flag {
+        name: "--no-wall-check",
+        kind: Kind::Switch,
+        scope: &["corpus"],
+        help: "regress: compare deterministic fields only",
+    },
+    Flag {
+        name: "--addr",
+        kind: Kind::Text("<addr>", "an address"),
+        scope: &["serve", "client"],
+        help: "host:port or unix:/path (default 127.0.0.1:7207)",
+    },
+    Flag {
+        name: "--queue",
+        kind: Kind::Whole("a capacity", " of slots"),
+        scope: &["serve"],
+        help: "admission-queue capacity; beyond it requests are shed (16)",
+    },
+    Flag {
+        name: "--max-timeout-ms",
+        kind: MS,
+        scope: &["serve"],
+        help: "cap on any request's budget (default 30000)",
+    },
+    Flag {
+        name: "--warm-bytes",
+        kind: Kind::Whole("a byte count", " of bytes"),
+        scope: &["serve"],
+        help: "warm term-store bytes shared by all workers (0 = off)",
+    },
+    Flag {
+        name: "--drain-grace-ms",
+        kind: MS,
+        scope: &["serve"],
+        help: "time in-flight jobs get on drain before cancellation (1000)",
+    },
+    Flag {
+        name: "--access-log",
+        kind: FILE,
+        scope: &["serve"],
+        help: "append one JSONL record per request to <path>",
+    },
+    Flag {
+        name: "--slow-trace-ms",
+        kind: MS,
+        scope: &["serve"],
+        help: "trace requests at least this slow (needs --slow-trace-dir)",
+    },
+    Flag {
+        name: "--slow-trace-dir",
+        kind: DIR,
+        scope: &["serve"],
+        help: "write each slow request's trace to <dir>/<req_id>.jsonl",
+    },
+    Flag {
+        name: "--retries",
+        kind: Kind::Whole("a count", ""),
+        scope: &["client"],
+        help: "retry budget for sheds and transport errors (default 0)",
+    },
+    Flag {
+        name: "--backoff-ms",
+        kind: MS,
+        scope: &["client"],
+        help: "base retry delay, exponential plus jitter (default 100)",
+    },
+    Flag {
+        name: "--seed",
+        kind: Kind::Whole("a number", ""),
+        scope: &["client"],
+        help: "jitter seed: same seed, same backoff (default 0)",
+    },
+];
+
+impl Kind {
+    /// The value as the usage text spells it.
+    fn placeholder(self) -> String {
+        match self {
+            Kind::Switch => String::new(),
+            Kind::StatsJson => "[=<path>]".into(),
+            Kind::Text(placeholder, _) => format!(" {placeholder}"),
+            Kind::Whole(..) => " <n>".into(),
+            Kind::Real(..) => " <x>".into(),
+            Kind::Choice(words) => format!(" {}", words.join("|")),
         }
-        let mut flags = Flags::default();
-        let mut rest = Vec::with_capacity(args.len());
-        let mut it = args.drain(..);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--trace" => match it.next() {
-                    Some(path) => flags.trace = Some(PathBuf::from(path)),
-                    None => return Err("--trace requires a file path".into()),
-                },
-                "--stats-json" => flags.stats_json = true,
-                "--corpus" => match it.next() {
-                    Some(dir) => flags.corpus = Some(PathBuf::from(dir)),
-                    None => return Err("--corpus requires a directory path".into()),
-                },
-                "--progress" => flags.progress = true,
-                "--help" | "-h" => flags.help = true,
-                "--no-wall-check" => flags.no_wall_check = true,
-                "--wall-ratio" => {
-                    let raw = it
-                        .next()
-                        .ok_or("--wall-ratio requires a factor (e.g. 1.5)")?;
-                    let v = raw
-                        .parse::<f64>()
-                        .map_err(|_| format!("--wall-ratio: `{raw}` is not a number"))?;
-                    if !v.is_finite() || v < 1.0 {
-                        return Err(format!("--wall-ratio: `{raw}` must be a factor >= 1"));
-                    }
-                    flags.wall_ratio = Some(v);
-                }
-                "--wall-floor-ms" => {
-                    let raw = it
-                        .next()
-                        .ok_or("--wall-floor-ms requires a millisecond count")?;
-                    let v = raw
-                        .parse::<f64>()
-                        .map_err(|_| format!("--wall-floor-ms: `{raw}` is not a number"))?;
-                    if !v.is_finite() || v < 0.0 {
-                        return Err(format!("--wall-floor-ms: `{raw}` must be >= 0"));
-                    }
-                    flags.wall_floor_ms = Some(v);
-                }
-                "--timeout-ms" => flags.timeout_ms = Some(ms_arg("--timeout-ms", it.next())?),
-                "--max-overshoot-ms" => {
-                    flags.max_overshoot_ms = Some(ms_arg("--max-overshoot-ms", it.next())?);
-                }
-                "--max-timeout-ms" => {
-                    flags.max_timeout_ms = Some(ms_arg("--max-timeout-ms", it.next())?);
-                }
-                "--drain-grace-ms" => {
-                    flags.drain_grace_ms = Some(ms_arg("--drain-grace-ms", it.next())?);
-                }
-                "--access-log" => match it.next() {
-                    Some(path) => flags.access_log = Some(PathBuf::from(path)),
-                    None => return Err("--access-log requires a file path".into()),
-                },
-                "--slow-trace-ms" => {
-                    flags.slow_trace_ms = Some(ms_arg("--slow-trace-ms", it.next())?);
-                }
-                "--slow-trace-dir" => match it.next() {
-                    Some(dir) => flags.slow_trace_dir = Some(PathBuf::from(dir)),
-                    None => return Err("--slow-trace-dir requires a directory path".into()),
-                },
-                "--backoff-ms" => flags.backoff_ms = Some(ms_arg("--backoff-ms", it.next())?),
-                "--addr" => match it.next() {
-                    Some(addr) => flags.addr = Some(addr),
-                    None => return Err("--addr requires an address".into()),
-                },
-                "--queue" => {
-                    let raw = it.next().ok_or("--queue requires a capacity")?;
-                    flags.queue =
-                        Some(raw.parse::<usize>().map_err(|_| {
-                            format!("--queue: `{raw}` is not a whole number of slots")
-                        })?);
-                }
-                "--warm-bytes" => {
-                    let raw = it.next().ok_or("--warm-bytes requires a byte count")?;
-                    flags.warm_bytes = Some(raw.parse::<usize>().map_err(|_| {
-                        format!("--warm-bytes: `{raw}` is not a whole number of bytes")
-                    })?);
-                }
-                "--retries" => {
-                    let raw = it.next().ok_or("--retries requires a count")?;
-                    flags.retries = Some(
-                        raw.parse::<u32>()
-                            .map_err(|_| format!("--retries: `{raw}` is not a whole number"))?,
-                    );
-                }
-                "--seed" => {
-                    let raw = it.next().ok_or("--seed requires a number")?;
-                    flags.seed = Some(
-                        raw.parse::<u64>()
-                            .map_err(|_| format!("--seed: `{raw}` is not a whole number"))?,
-                    );
-                }
-                "--retry-ladder" => flags.retry_ladder = true,
-                "--jobs" => {
-                    let raw = it.next().ok_or("--jobs requires a worker count")?;
-                    flags.jobs = Some(raw.parse::<usize>().map_err(|_| {
-                        format!("--jobs: `{raw}` is not a whole number of workers")
-                    })?);
-                }
-                "--no-static-prune" => flags.no_static_prune = true,
-                "--json" => flags.json = true,
-                "--out" => match it.next() {
-                    Some(path) => flags.out = Some(PathBuf::from(path)),
-                    None => return Err("--out requires a file path".into()),
-                },
-                "--weight" => {
-                    let raw = it.next().ok_or("--weight requires `pops` or `time`")?;
-                    if raw != "pops" && raw != "time" {
-                        return Err(format!("--weight: `{raw}` is not `pops` or `time`"));
-                    }
-                    flags.weight = Some(raw);
-                }
-                other if other.starts_with("--stats-json=") => {
-                    let path = &other["--stats-json=".len()..];
-                    if path.is_empty() {
-                        return Err("--stats-json=<path> requires a file path".into());
-                    }
-                    flags.stats_json_out = Some(PathBuf::from(path));
-                }
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown flag `{other}`"));
-                }
-                _ => rest.push(a),
-            }
-        }
-        drop(it);
-        *args = rest;
-        Ok(flags)
     }
 
-    /// Applies the governance flags on top of `options`.
+    /// Reads and checks the value `raw` given after flag `name`.
+    fn read(self, name: &str, raw: Option<String>) -> Result<String, String> {
+        let needs = match self {
+            Kind::Text(_, needs) | Kind::Whole(needs, _) | Kind::Real(needs, ..) => needs.into(),
+            Kind::Choice(words) => words
+                .iter()
+                .map(|w| format!("`{w}`"))
+                .collect::<Vec<_>>()
+                .join(" or "),
+            Kind::Switch | Kind::StatsJson => unreachable!("a switch takes no value"),
+        };
+        let raw = raw.ok_or_else(|| format!("{name} requires {needs}"))?;
+        let bad = match self {
+            Kind::Whole(_, unit) if raw.parse::<u64>().is_err() => {
+                format!("is not a whole number{unit}")
+            }
+            Kind::Real(_, least, rule) => match raw.parse::<f64>() {
+                Err(_) => "is not a number".into(),
+                Ok(v) if !v.is_finite() || v < least => rule.into(),
+                Ok(_) => return Ok(raw),
+            },
+            Kind::Choice(words) if !words.contains(&raw.as_str()) => format!("is not {needs}"),
+            _ => return Ok(raw),
+        };
+        Err(format!("{name}: `{raw}` {bad}"))
+    }
+}
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Args {
+    /// The command the operands name (`"serve report"` is one), if any.
+    command: Option<&'static str>,
+    /// The operands after the command's word(s).
+    operands: Vec<String>,
+    /// Every flag given, in order, with its checked value (`None` for a
+    /// switch); the last of a repeated flag wins.
+    given: Vec<(&'static Flag, Option<String>)>,
+    /// `--help`/`-h`: print the usage text and exit 0.
+    help: bool,
+}
+
+impl Args {
+    /// Parses `argv` in one pass: each flag is looked up in [`FLAGS`] and
+    /// its value read and checked; then every flag must be in the scope
+    /// of the command the operands name.
+    fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut argv = argv.into_iter();
+        let (mut operands, mut given, mut help) = (Vec::new(), Vec::new(), false);
+        while let Some(arg) = argv.next() {
+            if arg == "--help" || arg == "-h" {
+                help = true;
+                continue;
+            }
+            if !arg.starts_with("--") {
+                operands.push(arg);
+                continue;
+            }
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, path)) => (name, Some(path)),
+                None => (arg.as_str(), None),
+            };
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == name && (inline.is_none() || matches!(f.kind, Kind::StatsJson)))
+                .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+            let value = match (flag.kind, inline) {
+                (_, Some("")) => return Err(format!("{name}=<path> requires a file path")),
+                (_, Some(path)) => Some(path.to_owned()),
+                (Kind::Switch | Kind::StatsJson, None) => None,
+                (kind, None) => Some(kind.read(name, argv.next())?),
+            };
+            given.push((flag, value));
+        }
+        // The longest command the leading operands name: `serve report`
+        // before `serve`.
+        let command = (1..=operands.len().min(2)).rev().find_map(|n| {
+            let words = operands[..n].join(" ");
+            COMMANDS.iter().map(|c| c.0).find(|c| *c == words)
+        });
+        if let Some(cmd) = command {
+            if let Some((flag, _)) = given.iter().find(|(flag, _)| !flag.scope.contains(&cmd)) {
+                let name = flag.name;
+                return Err(format!(
+                    "{name} does not apply to `l2 {cmd}` (see `l2 {cmd} --help`)"
+                ));
+            }
+            operands.drain(..cmd.split(' ').count());
+        }
+        Ok(Args {
+            command,
+            operands,
+            given,
+            help,
+        })
+    }
+
+    /// The values given for flag `name`. Panics when `name` is not in
+    /// [`FLAGS`], so a misspelt lookup cannot silently read nothing.
+    fn values<'a>(&'a self, name: &str) -> impl Iterator<Item = Option<&'a str>> + 'a {
+        let wanted = FLAGS.iter().find(|f| f.name == name);
+        let wanted = wanted.unwrap_or_else(|| panic!("`{name}` is not in the flag table"));
+        self.given
+            .iter()
+            .filter(move |(flag, _)| flag.name == wanted.name)
+            .map(|(_, value)| value.as_deref())
+    }
+
+    /// Whether switch `name` was given.
+    fn on(&self, name: &str) -> bool {
+        self.values(name).any(|value| value.is_none())
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        self.values(name).flatten().last()
+    }
+
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.text(name).map(PathBuf::from)
+    }
+
+    /// A number flag's value as `T`, which must accept every value
+    /// [`Kind::read`] lets through.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let parsed = self.text(name).map(str::parse);
+        parsed.map(|v| v.unwrap_or_else(|_| panic!("{name}: value not checked as a number")))
+    }
+
+    fn ms(&self, name: &str) -> Option<Duration> {
+        self.num(name).map(Duration::from_millis)
+    }
+
+    /// Applies the search flags on top of `options`.
     fn apply(&self, mut options: SearchOptions) -> SearchOptions {
-        if let Some(ms) = self.timeout_ms {
-            options.timeout = Some(Duration::from_millis(ms));
+        if let Some(timeout) = self.ms("--timeout-ms") {
+            options.timeout = Some(timeout);
         }
-        if let Some(ms) = self.max_overshoot_ms {
-            options.max_overshoot = Duration::from_millis(ms);
+        if let Some(overshoot) = self.ms("--max-overshoot-ms") {
+            options.max_overshoot = overshoot;
         }
-        if self.retry_ladder {
-            options.retry_ladder = true;
-        }
-        if self.no_static_prune {
-            options.static_prune = false;
-        }
-        if self.progress {
-            options.progress = true;
-        }
+        options.retry_ladder |= self.on("--retry-ladder");
+        options.static_prune &= !self.on("--no-static-prune");
+        options.progress |= self.on("--progress");
         options
     }
 
-    /// The resolved worker count: `--jobs 0` means one per CPU, no flag
-    /// means sequential.
+    /// The batch worker count: `--jobs 0` means one per CPU, no flag one.
     fn effective_jobs(&self) -> usize {
-        match self.jobs {
-            Some(n) => effective_jobs(n),
-            None => 1,
-        }
+        self.num("--jobs")
+            .map_or(1, |n: u64| effective_jobs(n as usize))
     }
 }
 
-fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = match Flags::extract(&mut args) {
-        Ok(f) => f,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
+/// The usage text of `command`, or of every command, generated from
+/// [`COMMANDS`] and [`FLAGS`].
+fn usage(command: Option<&str>) -> String {
+    let shown = |scope: &[&str]| command.is_none_or(|cmd| scope.contains(&cmd));
+    let mut out = String::from("usage:\n");
+    for (name, operands, help) in COMMANDS.iter().filter(|c| shown(&[c.0])) {
+        let call = format!("l2 {name} {operands}");
+        out.push_str(&format!("  {call:38} {help}\n"));
+    }
+    out.push_str("flags (any position):\n");
+    for flag in FLAGS.iter().filter(|f| shown(f.scope)) {
+        let spelled = format!("{}{}", flag.name, flag.kind.placeholder());
+        out.push_str(&format!("  {spelled:26} {}", flag.help));
+        if command.is_none() {
+            out.push_str(&format!("  [{}]", flag.scope.join(", ")));
         }
+        out.push('\n');
+    }
+    out + "  --help, -h                 print this text"
+}
+
+fn main() -> ExitCode {
+    let args = match Args::parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(msg) => return fail(msg),
     };
-    if flags.help {
-        println!("{USAGE}");
+    if args.help {
+        println!("{}", usage(args.command));
         return ExitCode::SUCCESS;
     }
-    let result = match args.first().map(String::as_str) {
-        Some("synth") if args.len() >= 2 => cmd_synth(&args[1..], &flags),
-        Some("run") if args.len() >= 3 => cmd_run(&args[1], &args[2..], &flags),
-        Some("eval") if args.len() >= 2 => cmd_eval(&args[1], &args[2..]),
-        Some("lint") if args.len() >= 2 => return cmd_lint(&args[1..], &flags),
-        Some("bench") if args.len() >= 2 => cmd_bench(&args[1..], &flags),
-        Some("list") => cmd_list(),
-        Some("profile") if args.len() >= 2 => return cmd_profile(&args[1..], &flags),
-        Some("corpus") if args.len() >= 2 => return cmd_corpus(&args[1..], &flags),
-        Some("serve") => return cmd_serve(&args[1..], &flags),
-        Some("client") if args.len() >= 2 => return cmd_client(&args[1..], &flags),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
+    let ops = args.operands.as_slice();
+    let outcome = match (args.command, ops) {
+        (Some(cmd @ ("synth" | "bench")), [_, _, ..]) if args.on("--progress") => Err(format!(
+            "--progress draws one problem's status line; `l2 {cmd}` got {} problems",
+            ops.len()
+        )),
+        (Some("synth"), [_, ..]) => finish(cmd_synth(ops, &args)),
+        (Some("run"), [path, _, ..]) => finish(cmd_run(path, &ops[1..], &args)),
+        (Some("eval"), [expr, bindings @ ..]) => finish(cmd_eval(expr, bindings)),
+        (Some("lint"), [_, ..]) => Ok(cmd_lint(ops, &args)),
+        (Some("bench"), [_, ..]) => finish(cmd_bench(ops, &args)),
+        (Some("list"), _) => {
+            cmd_list();
+            Ok(ExitCode::SUCCESS)
         }
+        (Some("profile"), [sub, files @ ..]) => cmd_profile(sub, files, &args),
+        (Some("corpus"), [sub, rest @ ..]) => cmd_corpus(sub, rest, &args),
+        (Some("serve"), _) => cmd_serve(&args),
+        (Some("serve report"), _) => cmd_serve_report(ops, &args),
+        (Some("client"), [op, rest @ ..]) => cmd_client(op, rest, &args),
+        (command, _) => Ok(usage_error(command)),
     };
-    match result {
+    outcome.unwrap_or_else(fail)
+}
+
+/// Reports a usage or I/O error: exit 2.
+fn fail(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
+}
+
+/// Prints the usage of `command` (or of every command) to stderr: exit 2.
+fn usage_error(command: Option<&str>) -> ExitCode {
+    eprintln!("{}", usage(command));
+    ExitCode::from(2)
+}
+
+/// The exit code of a synthesizing command: 1 when it failed.
+fn finish(result: Result<(), String>) -> Result<ExitCode, String> {
+    Ok(match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
-    }
+    })
 }
 
 /// Writes `content` to stdout verbatim, ignoring broken pipes: every
@@ -454,8 +550,8 @@ fn emit_line(content: impl std::fmt::Display) {
 /// Checks up front that a `--flag <path>` output target points somewhere
 /// writable: a missing parent directory is a usage error reported before
 /// any synthesis work starts, not after a whole batch has already run
-/// (the parallel path only opens the trace file once all workers finish).
-fn validate_out_path(flag: &str, path: &std::path::Path) -> Result<(), String> {
+/// (a batch only opens its trace file once every problem has finished).
+fn validate_out_path(flag: &str, path: &Path) -> Result<(), String> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() && !parent.is_dir() {
             return Err(format!(
@@ -466,13 +562,6 @@ fn validate_out_path(flag: &str, path: &std::path::Path) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn validate_trace_path(flags: &Flags) -> Result<(), String> {
-    match &flags.trace {
-        Some(path) => validate_out_path("--trace", path),
-        None => Ok(()),
-    }
 }
 
 /// Where the synthesizing commands deliver their measurements, beyond
@@ -490,19 +579,22 @@ struct Sinks {
 /// target file is created (truncated) up front: a bad path fails the
 /// command before the first search, and a rerun never mixes old and new
 /// lines.
-fn prepare_sinks(flags: &Flags) -> Result<Sinks, String> {
-    validate_trace_path(flags)?;
-    let corpus = match &flags.corpus {
-        Some(dir) => Some(Corpus::open(dir).map_err(|e| format!("--corpus: {e}"))?),
+fn prepare_sinks(args: &Args) -> Result<Sinks, String> {
+    if let Some(path) = args.path("--trace") {
+        validate_out_path("--trace", &path)?;
+    }
+    let corpus = match args.path("--corpus") {
+        Some(dir) => Some(Corpus::open(&dir).map_err(|e| format!("--corpus: {e}"))?),
         None => None,
     };
-    if let Some(path) = &flags.stats_json_out {
+    let stats_json_out = args.path("--stats-json");
+    if let Some(path) = &stats_json_out {
         validate_out_path("--stats-json", path)?;
         std::fs::File::create(path).map_err(|e| format!("--stats-json {}: {e}", path.display()))?;
     }
     Ok(Sinks {
         corpus,
-        stats_json_out: flags.stats_json_out.clone(),
+        stats_json_out,
     })
 }
 
@@ -582,12 +674,19 @@ impl Tracer for ProgressLine<'_> {
 /// synthesis when the problem was solved; `Err` is a trace-file I/O
 /// failure, which fails the command.
 fn run_synthesis(
-    synthesizer: &Synthesizer,
     problem: &Problem,
-    flags: &Flags,
+    options: SearchOptions,
+    args: &Args,
     sinks: &Sinks,
 ) -> Result<Option<Synthesis>, String> {
-    let mut jsonl = match &flags.trace {
+    eprintln!(
+        "synthesizing `{}` from {} examples...",
+        problem.name(),
+        problem.examples().len()
+    );
+    let synthesizer = Synthesizer::with_options(options);
+    let trace = args.path("--trace");
+    let mut jsonl = match &trace {
         Some(path) => Some(
             JsonlTracer::create(path)
                 .map_err(|e| format!("opening trace file {}: {e}", path.display()))?,
@@ -597,7 +696,7 @@ fn run_synthesis(
     let outcome = {
         let mut line = ProgressLine {
             inner: jsonl.as_mut().map(|t| t as &mut dyn Tracer),
-            render: flags.progress,
+            render: args.on("--progress"),
             wrote: false,
         };
         let tracer = &mut line;
@@ -607,7 +706,7 @@ fn run_synthesis(
         line.finish_line();
         r.map_err(|payload| panic_message(&*payload))
     };
-    if let (Some(tracer), Some(path)) = (jsonl, &flags.trace) {
+    if let (Some(tracer), Some(path)) = (jsonl, &trace) {
         let lines = tracer
             .finish()
             .map_err(|e| format!("writing trace file {}: {e}", path.display()))?;
@@ -615,7 +714,7 @@ fn run_synthesis(
     }
     let fp = options_fingerprint(synthesizer.options());
     let (name, examples) = (problem.name(), problem.examples().len());
-    report(name, examples, &outcome, flags, sinks, &fp);
+    report(name, examples, &outcome, args, sinks, &fp);
     Ok(outcome.ok().and_then(|r| r.outcome.ok()))
 }
 
@@ -627,7 +726,7 @@ fn report(
     name: &str,
     examples: usize,
     outcome: &Result<SearchReport, String>,
-    flags: &Flags,
+    args: &Args,
     sinks: &Sinks,
     fingerprint: &str,
 ) -> bool {
@@ -659,72 +758,62 @@ fn report(
     if let Some(e) = &measurement.error {
         eprintln!("{name}: error: {e}");
     }
-    if flags.stats_json {
+    if args.on("--stats-json") {
         emit_line(measurement.to_json());
     }
     sinks.record(&measurement, fingerprint);
     measurement.solved
 }
 
-fn cmd_synth(paths: &[String], flags: &Flags) -> Result<(), String> {
-    let sinks = prepare_sinks(flags)?;
-    // A single problem has no batch to fan out: it runs sequentially.
-    if flags.effective_jobs() <= 1 || paths.len() == 1 {
-        let mut failed = 0usize;
-        for path in paths {
-            match load_problem(path) {
-                Ok(problem) => {
-                    eprintln!(
-                        "synthesizing `{}` from {} examples...",
-                        problem.name(),
-                        problem.examples().len()
-                    );
-                    let synthesizer = synthesizer_for(flags);
-                    if run_synthesis(&synthesizer, &problem, flags, &sinks)?.is_none() {
-                        failed += 1;
-                    }
-                }
-                Err(msg) => {
-                    eprintln!("{path}: error: {msg}");
-                    failed += 1;
-                }
-            }
-        }
-        return batch_verdict(failed, paths.len());
-    }
+fn cmd_synth(paths: &[String], args: &Args) -> Result<(), String> {
+    let problems = paths.iter().map(|path| {
+        let problem = load_problem(path).map_err(|msg| format!("{path}: error: {msg}"))?;
+        Ok((problem, file_options(args)))
+    });
+    run_problems(problems.collect(), args)
+}
 
-    // Parallel: load everything up front, fan the problems across the
-    // worker pool, then print results in input order.
+/// Runs the problems of `synth` or `bench` (an `Err` is one that failed
+/// to load): a single problem on this thread, several as one batch on
+/// the worker pool.
+fn run_problems(
+    problems: Vec<Result<(Problem, SearchOptions), String>>,
+    args: &Args,
+) -> Result<(), String> {
+    let sinks = prepare_sinks(args)?;
+    let total = problems.len();
     let mut failed = 0usize;
-    let mut tasks = Vec::new();
-    for path in paths {
-        match load_problem(path) {
-            Ok(problem) => tasks.push(par_task(&problem, synthesizer_for(flags), flags)),
+    let mut loaded = Vec::new();
+    for problem in problems {
+        match problem {
+            Ok(problem) => loaded.push(problem),
             Err(msg) => {
-                eprintln!("{path}: error: {msg}");
+                eprintln!("{msg}");
                 failed += 1;
             }
         }
     }
-    failed += run_batch(tasks, flags, &sinks)?;
-    batch_verdict(failed, paths.len())
-}
-
-/// Packages one problem for the worker pool.
-fn par_task(problem: &Problem, synthesizer: Synthesizer, flags: &Flags) -> ParTask {
-    ParTask {
-        spec: problem.clone(),
-        options: synthesizer.options().clone(),
-        engine: ParEngine::Search,
-        collect_trace: flags.trace.is_some(),
+    if total == 1 {
+        for (problem, options) in loaded {
+            failed += usize::from(run_synthesis(&problem, options, args, &sinks)?.is_none());
+        }
+    } else {
+        let tasks = loaded.into_iter().map(|(spec, options)| ParTask {
+            spec,
+            options,
+            engine: ParEngine::Search,
+            collect_trace: args.path("--trace").is_some(),
+        });
+        failed += run_batch(tasks.collect(), args, &sinks)?;
     }
+    batch_verdict(failed, total)
 }
 
 /// Fans `tasks` across the worker pool, writes the merged worker-tagged
 /// trace, and reports every outcome in input order. Returns the number of
 /// failed problems.
-fn run_batch(tasks: Vec<ParTask>, flags: &Flags, sinks: &Sinks) -> Result<usize, String> {
-    let jobs = flags.effective_jobs();
+fn run_batch(tasks: Vec<ParTask>, args: &Args, sinks: &Sinks) -> Result<usize, String> {
+    let jobs = args.effective_jobs();
     eprintln!("running {} problems across {jobs} workers...", tasks.len());
     // Outcomes come back in input order, so the per-task fingerprints
     // (bench tuning varies the options per problem) line up by index.
@@ -733,23 +822,23 @@ fn run_batch(tasks: Vec<ParTask>, flags: &Flags, sinks: &Sinks) -> Result<usize,
         .map(|t| options_fingerprint(&t.options))
         .collect();
     let outcomes = synthesize_batch(tasks, jobs);
-    write_tagged_trace(&outcomes, flags)?;
+    write_tagged_trace(&outcomes, args)?;
     Ok(outcomes
         .iter()
         .zip(&fingerprints)
-        .filter(|(o, fp)| !report(&o.name, o.examples, &o.result, flags, sinks, fp))
+        .filter(|(o, fp)| !report(&o.name, o.examples, &o.result, args, sinks, fp))
         .count())
 }
 
 /// Writes the batch's trace events — tagged with problem and worker — as
 /// one JSONL file, in input (not completion) order.
-fn write_tagged_trace(outcomes: &[ParOutcome], flags: &Flags) -> Result<(), String> {
-    let Some(path) = &flags.trace else {
+fn write_tagged_trace(outcomes: &[ParOutcome], args: &Args) -> Result<(), String> {
+    let Some(path) = args.path("--trace") else {
         return Ok(());
     };
     use std::io::Write;
     let io_err = |e: std::io::Error| format!("writing trace file {}: {e}", path.display());
-    let file = std::fs::File::create(path)
+    let file = std::fs::File::create(&path)
         .map_err(|e| format!("opening trace file {}: {e}", path.display()))?;
     let mut out = std::io::BufWriter::new(file);
     let mut lines = 0u64;
@@ -775,16 +864,10 @@ fn write_tagged_trace(outcomes: &[ParOutcome], flags: &Flags) -> Result<(), Stri
     Ok(())
 }
 
-fn cmd_run(path: &str, run_args: &[String], flags: &Flags) -> Result<(), String> {
-    let sinks = prepare_sinks(flags)?;
+fn cmd_run(path: &str, run_args: &[String], args: &Args) -> Result<(), String> {
+    let sinks = prepare_sinks(args)?;
     let problem = load_problem(path)?;
-    eprintln!(
-        "synthesizing `{}` from {} examples...",
-        problem.name(),
-        problem.examples().len()
-    );
-    let synthesizer = synthesizer_for(flags);
-    let Some(solved) = run_synthesis(&synthesizer, &problem, flags, &sinks)? else {
+    let Some(solved) = run_synthesis(&problem, file_options(args), args, &sinks)? else {
         return Err(format!("`{}` was not solved", problem.name()));
     };
     let program = solved.program;
@@ -812,33 +895,15 @@ fn cmd_eval(expr: &str, bindings: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(names: &[String], flags: &Flags) -> Result<(), String> {
-    let sinks = prepare_sinks(flags)?;
-    // One benchmark has no batch to fan out: it runs sequentially.
-    let parallel = flags.effective_jobs() > 1 && names.len() > 1;
-    let mut failed = 0usize;
-    let mut tasks = Vec::new();
-    for name in names {
-        let Some(bench) = lambda2_bench_suite::by_name(name) else {
-            eprintln!("{name}: error: unknown benchmark (try `l2 list`)");
-            failed += 1;
-            continue;
-        };
+fn cmd_bench(names: &[String], args: &Args) -> Result<(), String> {
+    let problems = names.iter().map(|name| {
+        let bench = lambda2_bench_suite::by_name(name)
+            .ok_or_else(|| format!("{name}: error: unknown benchmark (try `l2 list`)"))?;
         let mut options = bench.tune(SearchOptions::default());
         options.timeout = Some(Duration::from_secs(if bench.hard { 180 } else { 60 }));
-        let synthesizer = Synthesizer::with_options(flags.apply(options));
-        if parallel {
-            tasks.push(par_task(&bench.problem, synthesizer, flags));
-            continue;
-        }
-        if run_synthesis(&synthesizer, &bench.problem, flags, &sinks)?.is_none() {
-            failed += 1;
-        }
-    }
-    if parallel {
-        failed += run_batch(tasks, flags, &sinks)?;
-    }
-    batch_verdict(failed, names.len())
+        Ok((bench.problem, args.apply(options)))
+    });
+    run_problems(problems.collect(), args)
 }
 
 /// Statically checks each problem file, printing diagnostics as
@@ -849,7 +914,8 @@ fn cmd_bench(names: &[String], flags: &Flags) -> Result<(), String> {
 /// unreadable file is reported (as an `io-error` JSON line with `--json`)
 /// and the nonzero exit is deferred to the end, mirroring how a multi-
 /// problem `l2 synth` reports every problem before failing the batch.
-fn cmd_lint(paths: &[String], flags: &Flags) -> ExitCode {
+fn cmd_lint(paths: &[String], args: &Args) -> ExitCode {
+    let json = args.on("--json");
     let mut diagnostics = 0usize;
     let mut io_errors = 0usize;
     for path in paths {
@@ -857,7 +923,7 @@ fn cmd_lint(paths: &[String], flags: &Flags) -> ExitCode {
             Ok(src) => src,
             Err(e) => {
                 io_errors += 1;
-                if flags.json {
+                if json {
                     emit_line(Json::obj([
                         ("file", path.as_str().into()),
                         ("code", "io-error".into()),
@@ -871,7 +937,7 @@ fn cmd_lint(paths: &[String], flags: &Flags) -> ExitCode {
         };
         for d in lint_source(&src) {
             diagnostics += 1;
-            if flags.json {
+            if json {
                 emit_line(Json::obj([
                     ("file", path.as_str().into()),
                     ("code", d.code.name().into()),
@@ -900,82 +966,30 @@ fn cmd_lint(paths: &[String], flags: &Flags) -> ExitCode {
 /// `l2 profile <summary|tree|diff|report> <trace>...` — offline analysis
 /// of `--trace` JSONL files. Exit codes: 0 on success (for `diff`:
 /// identical traces), 1 when `diff` finds a divergence or truncation,
-/// 2 on usage or I/O errors.
-fn cmd_profile(args: &[String], flags: &Flags) -> ExitCode {
-    fn usage() -> ExitCode {
-        eprintln!(
-            "usage:\n  l2 profile summary <trace.jsonl> [--json]\n  \
-             l2 profile tree <trace.jsonl> [--weight pops|time] [--out <path>]\n  \
-             l2 profile diff <a.jsonl> <b.jsonl> [--json]\n  \
-             l2 profile report <trace.jsonl> [--out <path>]"
-        );
-        ExitCode::from(2)
-    }
-    fn fail(msg: impl std::fmt::Display) -> ExitCode {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    }
-    /// Writes `content` to `--out` (or stdout when absent).
-    fn deliver(content: &str, out: Option<&PathBuf>, what: &str) -> ExitCode {
-        match out {
-            Some(path) => match std::fs::write(path, content) {
-                Ok(()) => {
-                    eprintln!("{what} -> {}", path.display());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(format_args!("writing {}: {e}", path.display())),
-            },
-            None => {
-                emit(content);
-                ExitCode::SUCCESS
-            }
-        }
-    }
-
-    match (args.first().map(String::as_str), &args[1..]) {
-        (Some("summary"), [trace]) => {
-            let trace = match load_trace(std::path::Path::new(trace)) {
-                Ok(t) => t,
-                Err(e) => return fail(e),
-            };
-            let summary = summarize(&trace);
-            if flags.json {
-                emit(&format!("{}\n", summary.to_json()));
+/// 2 on usage or I/O errors (`Err`).
+fn cmd_profile(sub: &str, files: &[String], args: &Args) -> Result<ExitCode, String> {
+    match (sub, files) {
+        ("summary", [trace]) => {
+            let summary = summarize(&read_trace(trace)?);
+            if args.on("--json") {
+                emit_line(summary.to_json());
             } else {
                 emit(&summary.render_text());
             }
-            ExitCode::SUCCESS
         }
-        (Some("tree"), [trace]) => {
-            let trace = match load_trace(std::path::Path::new(trace)) {
-                Ok(t) => t,
-                Err(e) => return fail(e),
-            };
-            let weight = match flags.weight.as_deref() {
+        ("tree", [trace]) => {
+            let weight = match args.text("--weight") {
                 Some("time") => Weight::Time,
                 _ => Weight::Pops,
             };
-            let stacks = match collapse_tree(&trace, weight) {
-                Ok(s) => s,
-                Err(e) => return fail(e),
-            };
-            let mut out = String::new();
-            for (stack, w) in &stacks {
-                out.push_str(&format!("{stack} {w}\n"));
-            }
-            deliver(&out, flags.out.as_ref(), "collapsed stacks")
+            let stacks = collapse_tree(&read_trace(trace)?, weight).map_err(|e| e.to_string())?;
+            let out: String = stacks.iter().map(|(s, w)| format!("{s} {w}\n")).collect();
+            deliver(&out, args.path("--out"), "collapsed stacks")?;
         }
-        (Some("diff"), [a, b]) => {
-            let (ta, tb) = match (
-                load_trace(std::path::Path::new(a)),
-                load_trace(std::path::Path::new(b)),
-            ) {
-                (Ok(ta), Ok(tb)) => (ta, tb),
-                (Err(e), _) | (_, Err(e)) => return fail(e),
-            };
-            let outcome = diff_traces(&ta, &tb);
-            if flags.json {
-                emit(&format!("{}\n", diff_json(&outcome)));
+        ("diff", [a, b]) => {
+            let outcome = diff_traces(&read_trace(a)?, &read_trace(b)?);
+            if args.on("--json") {
+                emit_line(diff_json(&outcome));
             } else {
                 let text = match &outcome {
                     DiffOutcome::Identical { events } => {
@@ -999,24 +1013,38 @@ fn cmd_profile(args: &[String], flags: &Flags) -> ExitCode {
                 };
                 emit(&text);
             }
-            if outcome.is_identical() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+            if !outcome.is_identical() {
+                return Ok(ExitCode::FAILURE);
             }
         }
-        (Some("report"), [trace_path]) => {
-            let trace = match load_trace(std::path::Path::new(trace_path)) {
-                Ok(t) => t,
-                Err(e) => return fail(e),
-            };
-            let html = render_html(&trace, trace_path);
-            let default_out = PathBuf::from(trace_path).with_extension("html");
-            let out = flags.out.clone().unwrap_or(default_out);
-            deliver(&html, Some(&out), "report")
+        ("report", [trace]) => {
+            let html = render_html(&read_trace(trace)?, trace);
+            let out = args.path("--out");
+            let out = out.unwrap_or_else(|| PathBuf::from(trace).with_extension("html"));
+            deliver(&html, Some(out), "report")?;
         }
-        _ => usage(),
+        _ => return Ok(usage_error(Some("profile"))),
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Loads a `--trace` file for `l2 profile`.
+fn read_trace(path: &str) -> Result<Trace, String> {
+    load_trace(Path::new(path)).map_err(|e| e.to_string())
+}
+
+/// Writes `content` to `out`, naming it `what` on stderr, or to stdout
+/// when there is no `out`.
+fn deliver(content: &str, out: Option<PathBuf>, what: &str) -> Result<(), String> {
+    match out {
+        Some(path) => {
+            std::fs::write(&path, content)
+                .map_err(|e| format!("writing {}: {e}", path.display()))?;
+            eprintln!("{what} -> {}", path.display());
+        }
+        None => emit(content),
+    }
+    Ok(())
 }
 
 /// One JSON object describing a [`DiffOutcome`].
@@ -1071,26 +1099,10 @@ fn ingest_file(raw: &str) -> Result<Vec<RunRecord>, String> {
 /// store and its regression watchdog. Exit codes: 0 on success (for
 /// `regress`: no regression), 1 when `regress` finds a regression, 2 on
 /// usage or I/O errors.
-fn cmd_corpus(args: &[String], flags: &Flags) -> ExitCode {
-    fn usage() -> ExitCode {
-        eprintln!(
-            "usage:\n  l2 corpus ingest <dir> <file>...\n  \
-             l2 corpus list <dir> [--json]\n  \
-             l2 corpus stats <dir> [--json]\n  \
-             l2 corpus regress <baseline> <fresh> [--json] [--wall-ratio <f>] \
-             [--wall-floor-ms <n>] [--no-wall-check]\n\
-             <baseline>/<fresh> are corpus directories or runs.jsonl files;\n\
-             ingest accepts --stats-json line files and BENCH_*.json documents"
-        );
-        ExitCode::from(2)
-    }
-    fn fail(msg: impl std::fmt::Display) -> ExitCode {
-        eprintln!("error: {msg}");
-        ExitCode::from(2)
-    }
+fn cmd_corpus(sub: &str, rest: &[String], args: &Args) -> Result<ExitCode, String> {
     /// Resolves a corpus directory (or a bare record file) to its records.
     fn load_store(raw: &str) -> Result<Vec<RunRecord>, String> {
-        let path = std::path::Path::new(raw);
+        let path = Path::new(raw);
         let store = if path.is_dir() {
             path.join(lambda2_synth::obs::corpus::CORPUS_FILE)
         } else {
@@ -1101,21 +1113,14 @@ fn cmd_corpus(args: &[String], flags: &Flags) -> ExitCode {
         }
         load_records(&store).map_err(|e| e.to_string())
     }
-    match (args.first().map(String::as_str), &args[1..]) {
-        (Some("ingest"), [dir, files @ ..]) if !files.is_empty() => {
-            let corpus = match Corpus::open(std::path::Path::new(dir)) {
-                Ok(c) => c,
-                Err(e) => return fail(e),
-            };
+    let json = args.on("--json");
+    match (sub, rest) {
+        ("ingest", [dir, files @ ..]) if !files.is_empty() => {
+            let corpus = Corpus::open(Path::new(dir)).map_err(|e| e.to_string())?;
             let mut total = 0usize;
             for file in files {
-                let records = match ingest_file(file) {
-                    Ok(r) => r,
-                    Err(e) => return fail(e),
-                };
-                if let Err(e) = corpus.append(&records) {
-                    return fail(e);
-                }
+                let records = ingest_file(file)?;
+                corpus.append(&records).map_err(|e| e.to_string())?;
                 total += records.len();
             }
             eprintln!(
@@ -1123,17 +1128,12 @@ fn cmd_corpus(args: &[String], flags: &Flags) -> ExitCode {
                 files.len(),
                 corpus.store_path().display()
             );
-            ExitCode::SUCCESS
         }
-        (Some(cmd @ ("list" | "stats")), [dir]) => {
-            let records = match load_store(dir) {
-                Ok(r) => r,
-                Err(e) => return fail(e),
-            };
-            let aggregates = aggregate(&records);
+        (cmd @ ("list" | "stats"), [dir]) => {
+            let aggregates = aggregate(&load_store(dir)?);
             let mut out = String::new();
             for a in &aggregates {
-                if flags.json {
+                if json {
                     out.push_str(&format!("{}\n", a.to_json()));
                 } else if cmd == "list" {
                     out.push_str(&format!(
@@ -1164,29 +1164,27 @@ fn cmd_corpus(args: &[String], flags: &Flags) -> ExitCode {
                     ));
                 }
             }
-            if aggregates.is_empty() && !flags.json {
+            if aggregates.is_empty() && !json {
                 out.push_str("(corpus is empty)\n");
             }
             emit(&out);
-            ExitCode::SUCCESS
         }
-        (Some("regress"), [baseline, fresh]) => {
-            let (base, new) = match (load_store(baseline), load_store(fresh)) {
-                (Ok(b), Ok(n)) => (b, n),
-                (Err(e), _) | (_, Err(e)) => return fail(e),
-            };
+        ("regress", [baseline, fresh]) => {
+            let (base, new) = (load_store(baseline)?, load_store(fresh)?);
             let defaults = RegressThresholds::default();
             let thresholds = RegressThresholds {
-                wall_ratio: flags.wall_ratio.unwrap_or(defaults.wall_ratio),
-                wall_floor_ms: flags.wall_floor_ms.unwrap_or(defaults.wall_floor_ms),
-                check_wall: !flags.no_wall_check,
+                wall_ratio: args.num("--wall-ratio").unwrap_or(defaults.wall_ratio),
+                wall_floor_ms: args
+                    .num("--wall-floor-ms")
+                    .unwrap_or(defaults.wall_floor_ms),
+                check_wall: !args.on("--no-wall-check"),
             };
             let findings = regress(&base, &new, &thresholds);
             let regressions = findings
                 .iter()
                 .filter(|f| f.kind == FindingKind::Regression)
                 .count();
-            if flags.json {
+            if json {
                 let mut out = String::new();
                 for f in &findings {
                     out.push_str(&format!("{}\n", f.to_json()));
@@ -1214,14 +1212,13 @@ fn cmd_corpus(args: &[String], flags: &Flags) -> ExitCode {
                 ));
                 emit(&out);
             }
-            if regressions == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+            if regressions > 0 {
+                return Ok(ExitCode::FAILURE);
             }
         }
-        _ => usage(),
+        _ => return Ok(usage_error(Some("corpus"))),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `l2 serve` — runs the synthesis daemon until a `shutdown` request or
@@ -1230,61 +1227,44 @@ fn cmd_corpus(args: &[String], flags: &Flags) -> ExitCode {
 /// per-request budget (requests may carry their own, capped by
 /// `--max-timeout-ms`). Exit codes: 0 after a clean drain, 1 on a fatal
 /// listener error, 2 on usage or bind errors.
-fn cmd_serve(args: &[String], flags: &Flags) -> ExitCode {
-    if args.first().map(String::as_str) == Some("report") {
-        return cmd_serve_report(&args[1..], flags);
+fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
+    if let Some(extra) = args.operands.first() {
+        return Err(format!(
+            "serve takes no positional arguments (got `{extra}`)"
+        ));
     }
-    if let Some(extra) = args.first() {
-        eprintln!("error: serve takes no positional arguments (got `{extra}`)");
-        return ExitCode::from(2);
+    let (slow_trace_ms, slow_trace_dir) =
+        (args.num("--slow-trace-ms"), args.path("--slow-trace-dir"));
+    if slow_trace_ms.is_some() != slow_trace_dir.is_some() {
+        return Err("--slow-trace-ms and --slow-trace-dir must be given together".into());
     }
-    if flags.slow_trace_ms.is_some() != flags.slow_trace_dir.is_some() {
-        eprintln!("error: --slow-trace-ms and --slow-trace-dir must be given together");
-        return ExitCode::from(2);
+    let access_log = args.path("--access-log");
+    if let Some(path) = &access_log {
+        validate_out_path("--access-log", path)?;
     }
-    if let Some(path) = &flags.access_log {
-        if let Err(msg) = validate_out_path("--access-log", path) {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    }
-    let mut config = ServeConfig {
-        addr: flags
-            .addr
-            .clone()
-            .unwrap_or_else(|| DEFAULT_SERVE_ADDR.to_owned()),
-        options: flags.apply(SearchOptions::default()),
-        corpus_dir: flags.corpus.clone(),
-        access_log: flags.access_log.clone(),
-        slow_trace_ms: flags.slow_trace_ms,
-        slow_trace_dir: flags.slow_trace_dir.clone(),
-        ..ServeConfig::default()
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        addr: args.text("--addr").unwrap_or(DEFAULT_SERVE_ADDR).to_owned(),
+        workers: args
+            .num("--jobs")
+            .map_or(defaults.workers, |n: u64| effective_jobs(n as usize)),
+        queue_capacity: args
+            .num("--queue")
+            .map_or(defaults.queue_capacity, |n: u64| n as usize),
+        default_timeout: args.ms("--timeout-ms").unwrap_or(defaults.default_timeout),
+        max_timeout: args.ms("--max-timeout-ms").unwrap_or(defaults.max_timeout),
+        warm_cache_bytes: args
+            .num("--warm-bytes")
+            .map_or(defaults.warm_cache_bytes, |n: u64| n as usize),
+        drain_grace: args.ms("--drain-grace-ms").unwrap_or(defaults.drain_grace),
+        options: args.apply(SearchOptions::default()),
+        corpus_dir: args.path("--corpus"),
+        access_log,
+        slow_trace_ms,
+        slow_trace_dir,
+        ..defaults
     };
-    if let Some(jobs) = flags.jobs {
-        config.workers = effective_jobs(jobs);
-    }
-    if let Some(slots) = flags.queue {
-        config.queue_capacity = slots;
-    }
-    if let Some(ms) = flags.timeout_ms {
-        config.default_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = flags.max_timeout_ms {
-        config.max_timeout = Duration::from_millis(ms);
-    }
-    if let Some(bytes) = flags.warm_bytes {
-        config.warm_cache_bytes = bytes;
-    }
-    if let Some(ms) = flags.drain_grace_ms {
-        config.drain_grace = Duration::from_millis(ms);
-    }
-    let server = match Server::bind(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: serve: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let server = Server::bind(config).map_err(|e| format!("serve: {e}"))?;
     eprintln!("serve: listening on {}", server.local_addr());
     drain_on_signals(server.control());
     match server.run() {
@@ -1303,11 +1283,11 @@ fn cmd_serve(args: &[String], flags: &Flags) -> ExitCode {
                 summary.latency_ms(false, 0.99),
             );
             emit_line(summary.to_json());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("error: serve: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -1317,37 +1297,25 @@ fn cmd_serve(args: &[String], flags: &Flags) -> ExitCode {
 /// one JSON line with `--json`) and writes a self-contained HTML
 /// dashboard next to the log (or to `--out`). Exit codes: 0 on success,
 /// 2 on usage errors or an unreadable/invalid log.
-fn cmd_serve_report(args: &[String], flags: &Flags) -> ExitCode {
-    let [log_path] = args else {
-        eprintln!("usage: l2 serve report <access.jsonl> [--json] [--out <html>]");
-        return ExitCode::from(2);
+fn cmd_serve_report(files: &[String], args: &Args) -> Result<ExitCode, String> {
+    let [log_path] = files else {
+        return Ok(usage_error(Some("serve report")));
     };
-    let records = match load_access_log(std::path::Path::new(log_path)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let records = load_access_log(Path::new(log_path)).map_err(|e| e.to_string())?;
     let report = AccessReport::analyze(&records);
-    if flags.json {
+    if args.on("--json") {
         emit_line(report.to_json());
     } else {
         emit(&report.render_text());
     }
-    let html = render_access_html(&report, log_path);
-    let default_out = PathBuf::from(log_path).with_extension("html");
-    let out = flags.out.clone().unwrap_or(default_out);
-    match std::fs::write(&out, html) {
-        Ok(()) => {
-            eprintln!("dashboard -> {}", out.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: writing {}: {e}", out.display());
-            ExitCode::from(2)
-        }
-    }
+    let out = args.path("--out");
+    let out = out.unwrap_or_else(|| PathBuf::from(log_path).with_extension("html"));
+    deliver(
+        &render_access_html(&report, log_path),
+        Some(out),
+        "dashboard",
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Routes SIGTERM/SIGINT to the daemon's drain flag. The flag lives in a
@@ -1400,20 +1368,23 @@ fn drain_on_signals(_control: std::sync::Arc<std::sync::atomic::AtomicBool>) {}
 /// transport failure after retries), 2 usage or local I/O error, 3
 /// otherwise-healthy runs where the daemon answered `overloaded` even
 /// after the retry budget.
-fn cmd_client(args: &[String], flags: &Flags) -> ExitCode {
-    let addr = flags.addr.as_deref().unwrap_or(DEFAULT_SERVE_ADDR);
-    let retries = flags.retries.unwrap_or(0);
+fn cmd_client(op: &str, rest: &[String], args: &Args) -> Result<ExitCode, String> {
+    let addr = args.text("--addr").unwrap_or(DEFAULT_SERVE_ADDR);
+    let retries = args
+        .num("--retries")
+        .map_or(0, |n: u64| n.min(u32::MAX.into()) as u32);
+    let json = args.on("--json");
     let mut backoff = Backoff::new(
-        Duration::from_millis(flags.backoff_ms.unwrap_or(100)),
+        args.ms("--backoff-ms")
+            .unwrap_or(Duration::from_millis(100)),
         Duration::from_secs(5),
-        flags.seed.unwrap_or(0),
+        args.num("--seed").unwrap_or(0),
     );
     let mut requests: Vec<(String, Json)> = Vec::new();
-    match args[0].as_str() {
-        op @ ("ping" | "stats" | "shutdown") => {
-            if args.len() > 1 {
-                eprintln!("error: client {op} takes no further arguments");
-                return ExitCode::from(2);
+    match op {
+        "ping" | "stats" | "shutdown" => {
+            if !rest.is_empty() {
+                return Err(format!("client {op} takes no further arguments"));
             }
             requests.push((
                 op.to_owned(),
@@ -1421,33 +1392,28 @@ fn cmd_client(args: &[String], flags: &Flags) -> ExitCode {
             ));
         }
         "synth" => {
-            if args.len() < 2 {
-                eprintln!("error: client synth requires at least one problem file");
-                return ExitCode::from(2);
+            if rest.is_empty() {
+                return Err("client synth requires at least one problem file".into());
             }
-            for path in &args[1..] {
-                let source = match std::fs::read_to_string(path) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: reading {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
+            for path in rest {
+                let source =
+                    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
                 let mut pairs = vec![
                     ("v".to_owned(), 1u64.into()),
                     ("op".to_owned(), "synth".into()),
                     ("id".to_owned(), path.as_str().into()),
                     ("problem".to_owned(), source.into()),
                 ];
-                if let Some(ms) = flags.timeout_ms {
+                if let Some(ms) = args.num::<u64>("--timeout-ms") {
                     pairs.push(("timeout_ms".to_owned(), ms.into()));
                 }
                 requests.push((path.clone(), Json::Obj(pairs)));
             }
         }
         other => {
-            eprintln!("error: unknown client op `{other}` (synth|ping|stats|shutdown)");
-            return ExitCode::from(2);
+            return Err(format!(
+                "unknown client op `{other}` (synth|ping|stats|shutdown)"
+            ))
         }
     }
     let mut failed = false;
@@ -1456,13 +1422,13 @@ fn cmd_client(args: &[String], flags: &Flags) -> ExitCode {
         let is_stats = request.get("op").and_then(Json::as_str) == Some("stats");
         match request_with_retry(addr, request, retries, &mut backoff) {
             Ok(resp) => {
-                if !is_stats || flags.json {
+                if !is_stats || json {
                     emit_line(&resp);
                 }
                 match resp.get("status").and_then(Json::as_str) {
                     Some("ok") if is_stats => match resp.get("server") {
                         Some(server @ Json::Obj(_)) => {
-                            if !flags.json {
+                            if !json {
                                 emit(&render_server_stats(server));
                             }
                         }
@@ -1501,13 +1467,13 @@ fn cmd_client(args: &[String], flags: &Flags) -> ExitCode {
             }
         }
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else if overloaded {
         ExitCode::from(3)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Renders a daemon's `stats` counters object as an aligned
@@ -1552,32 +1518,25 @@ fn render_server_stats(server: &Json) -> String {
     out
 }
 
-fn cmd_list() -> Result<(), String> {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
+fn cmd_list() {
     for b in lambda2_bench_suite::catalog() {
-        // Ignore broken pipes (e.g. `l2 list | head`).
-        let _ = writeln!(
-            out,
+        emit_line(format_args!(
             "{:12} {:7} {:2} examples  {}{}",
             b.problem.name(),
             b.category.to_string(),
             b.problem.examples().len(),
             b.problem.description().unwrap_or(""),
             if b.hard { "  [hard]" } else { "" }
-        );
+        ));
     }
-    Ok(())
 }
 
-/// Builds the default synthesizer for file-based commands.
-fn synthesizer_for(flags: &Flags) -> Synthesizer {
-    let options = flags.apply(SearchOptions {
+/// The search options for problem files: a 60 s budget, then the flags.
+fn file_options(args: &Args) -> SearchOptions {
+    args.apply(SearchOptions {
         timeout: Some(Duration::from_secs(60)),
         ..SearchOptions::default()
-    });
-    Synthesizer::with_options(options)
+    })
 }
 
 /// Reads and parses a problem file.
@@ -1628,29 +1587,26 @@ mod tests {
         assert!(parse_problem(bad).is_err());
     }
 
-    #[test]
-    fn flags_extract_from_any_position() {
-        let mut args: Vec<String> = ["synth", "--trace", "out.jsonl", "p.l2", "--stats-json"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let flags = Flags::extract(&mut args).unwrap();
-        assert_eq!(
-            flags.trace.as_deref(),
-            Some(std::path::Path::new("out.jsonl"))
-        );
-        assert!(flags.stats_json);
-        assert_eq!(args, vec!["synth".to_owned(), "p.l2".to_owned()]);
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        Args::parse(argv.iter().map(|s| (*s).to_owned()))
+    }
 
-        let mut missing: Vec<String> = vec!["synth".into(), "--trace".into()];
-        assert!(Flags::extract(&mut missing).is_err());
-        let mut unknown: Vec<String> = vec!["--wat".into()];
-        assert!(Flags::extract(&mut unknown).is_err());
+    #[test]
+    fn flags_parse_from_any_position() {
+        let args = parse(&["synth", "--trace", "out.jsonl", "p.l2", "--stats-json"]).unwrap();
+        assert_eq!(args.path("--trace"), Some(PathBuf::from("out.jsonl")));
+        assert!(args.on("--stats-json"));
+        assert_eq!(args.command, Some("synth"));
+        assert_eq!(args.operands, vec!["p.l2"]);
+
+        assert!(parse(&["synth", "--trace"]).is_err());
+        let err = parse(&["--wat"]).unwrap_err();
+        assert!(err.contains("unknown flag `--wat`"), "{err}");
     }
 
     #[test]
     fn governance_flags_parse_and_apply() {
-        let mut args: Vec<String> = [
+        let args = parse(&[
             "synth",
             "--timeout-ms",
             "250",
@@ -1658,17 +1614,14 @@ mod tests {
             "50",
             "--retry-ladder",
             "p.l2",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let flags = Flags::extract(&mut args).unwrap();
-        assert_eq!(flags.timeout_ms, Some(250));
-        assert_eq!(flags.max_overshoot_ms, Some(50));
-        assert!(flags.retry_ladder);
-        assert_eq!(args, vec!["synth".to_owned(), "p.l2".to_owned()]);
+        ])
+        .unwrap();
+        assert_eq!(args.num("--timeout-ms"), Some(250u64));
+        assert_eq!(args.num("--max-overshoot-ms"), Some(50u64));
+        assert!(args.on("--retry-ladder"));
+        assert_eq!(args.operands, vec!["p.l2"]);
 
-        let opts = flags.apply(SearchOptions::default());
+        let opts = args.apply(SearchOptions::default());
         assert_eq!(opts.timeout, Some(Duration::from_millis(250)));
         assert_eq!(opts.max_overshoot, Duration::from_millis(50));
         assert!(opts.retry_ladder);
@@ -1676,61 +1629,105 @@ mod tests {
 
     #[test]
     fn governance_flags_reject_bad_milliseconds() {
-        let mut missing: Vec<String> = vec!["--timeout-ms".into()];
-        assert!(Flags::extract(&mut missing).is_err());
-        let mut junk: Vec<String> = vec!["--timeout-ms".into(), "soon".into()];
-        let err = Flags::extract(&mut junk).unwrap_err();
+        let err = parse(&["--timeout-ms"]).unwrap_err();
+        assert_eq!(err, "--timeout-ms requires a millisecond count");
+        let err = parse(&["--timeout-ms", "soon"]).unwrap_err();
         assert!(err.contains("soon"), "{err}");
-        let mut negative: Vec<String> = vec!["--max-overshoot-ms".into(), "-5".into()];
-        assert!(Flags::extract(&mut negative).is_err());
+        assert!(parse(&["--max-overshoot-ms", "-5"]).is_err());
     }
 
     #[test]
     fn parallel_flags_parse() {
-        let mut args: Vec<String> = ["bench", "--jobs", "4", "evens"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let flags = Flags::extract(&mut args).unwrap();
-        assert_eq!(flags.jobs, Some(4));
-        assert_eq!(flags.effective_jobs(), 4);
-        assert_eq!(args, vec!["bench".to_owned(), "evens".to_owned()]);
+        let args = parse(&["bench", "--jobs", "4", "evens"]).unwrap();
+        assert_eq!(args.num("--jobs"), Some(4u64));
+        assert_eq!(args.effective_jobs(), 4);
+        assert_eq!(args.operands, vec!["evens"]);
 
-        // No flag = sequential; `--jobs 0` = one worker per CPU.
-        assert_eq!(Flags::default().effective_jobs(), 1);
-        let auto = Flags {
-            jobs: Some(0),
-            ..Flags::default()
-        };
-        assert!(auto.effective_jobs() >= 1);
+        // No flag = one worker; `--jobs 0` = one worker per CPU.
+        assert_eq!(parse(&["bench", "evens"]).unwrap().effective_jobs(), 1);
+        assert!(parse(&["bench", "--jobs", "0"]).unwrap().effective_jobs() >= 1);
 
-        let mut missing: Vec<String> = vec!["--jobs".into()];
-        assert!(Flags::extract(&mut missing).is_err());
-        let mut junk: Vec<String> = vec!["--jobs".into(), "many".into()];
-        assert!(Flags::extract(&mut junk).is_err());
+        assert!(parse(&["--jobs"]).is_err());
+        let err = parse(&["--jobs", "many"]).unwrap_err();
+        assert_eq!(err, "--jobs: `many` is not a whole number of workers");
         // The removed portfolio racer's flag is a usage error, not a no-op.
-        let mut removed: Vec<String> = vec!["--portfolio".into()];
-        assert!(Flags::extract(&mut removed).is_err());
+        assert!(parse(&["--portfolio"]).is_err());
     }
 
     #[test]
     fn lint_and_analysis_flags_parse_and_apply() {
-        let mut args: Vec<String> = ["lint", "--json", "p.l2", "--no-static-prune"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let flags = Flags::extract(&mut args).unwrap();
-        assert!(flags.json);
-        assert!(flags.no_static_prune);
-        assert_eq!(args, vec!["lint".to_owned(), "p.l2".to_owned()]);
+        let args = parse(&["lint", "--json", "p.l2"]).unwrap();
+        assert!(args.on("--json"));
+        assert_eq!(args.operands, vec!["p.l2"]);
+        // `lint` does not search, so the pruning ablation is out of scope.
+        let err = parse(&["lint", "--json", "p.l2", "--no-static-prune"]).unwrap_err();
+        assert!(
+            err.contains("--no-static-prune") && err.contains("l2 lint"),
+            "{err}"
+        );
 
-        let opts = flags.apply(SearchOptions::default());
-        assert!(!opts.static_prune);
-        let defaults = Flags::default().apply(SearchOptions::default());
-        assert!(defaults.static_prune, "pruning ships on by default");
+        let args = parse(&["synth", "--no-static-prune", "p.l2"]).unwrap();
+        assert!(!args.apply(SearchOptions::default()).static_prune);
+        let defaults = parse(&["synth", "p.l2"]).unwrap();
+        assert!(
+            defaults.apply(SearchOptions::default()).static_prune,
+            "pruning ships on by default"
+        );
         // The removed pre-pass's flag is a usage error, not a no-op.
-        let mut removed: Vec<String> = vec!["--no-static-analysis".into()];
-        assert!(Flags::extract(&mut removed).is_err());
+        assert!(parse(&["--no-static-analysis"]).is_err());
+    }
+
+    #[test]
+    fn flags_outside_their_command_scope_are_usage_errors() {
+        for (argv, flag, cmd) in [
+            (
+                &["eval", "--corpus", "c", "(+ 1 2)"][..],
+                "--corpus",
+                "eval",
+            ),
+            (&["list", "--warm-bytes", "5"], "--warm-bytes", "list"),
+            (&["lint", "--addr", "x", "p.l2"], "--addr", "lint"),
+            (
+                &["serve", "report", "a.jsonl", "--jobs", "2"],
+                "--jobs",
+                "serve report",
+            ),
+            (&["run", "--jobs", "2", "p.l2", "1"], "--jobs", "run"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+            assert!(err.contains(&format!("`l2 {cmd}`")), "{err}");
+        }
+        // The same flags are fine where a command reads them.
+        assert!(parse(&["serve", "--warm-bytes", "5", "--queue", "3"]).is_ok());
+        assert!(parse(&["client", "ping", "--addr", "x", "--json"]).is_ok());
+        // Without a command there is no scope to check: main prints usage.
+        assert_eq!(parse(&["--json"]).unwrap().command, None);
+    }
+
+    #[test]
+    fn the_table_is_consistent() {
+        for (i, flag) in FLAGS.iter().enumerate() {
+            assert!(flag.name.starts_with("--"), "{}", flag.name);
+            assert!(
+                FLAGS[..i].iter().all(|f| f.name != flag.name),
+                "{} is declared twice",
+                flag.name
+            );
+            for cmd in flag.scope {
+                assert!(
+                    COMMANDS.iter().any(|c| c.0 == *cmd),
+                    "{} names unknown command `{cmd}`",
+                    flag.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the flag table")]
+    fn reading_a_flag_missing_from_the_table_panics() {
+        parse(&["list"]).unwrap().on("--verbose");
     }
 
     #[test]
@@ -1751,10 +1748,11 @@ mod tests {
         ];
         // The unreadable first file must not stop the second from being
         // linted; the I/O failure is reported and the exit is 2.
-        let code = cmd_lint(&paths, &Flags::default());
+        let args = parse(&["lint"]).unwrap();
+        let code = cmd_lint(&paths, &args);
         assert_eq!(code, ExitCode::from(2));
         // All files readable and clean: success.
-        let code = cmd_lint(&paths[1..], &Flags::default());
+        let code = cmd_lint(&paths[1..], &args);
         assert_eq!(code, ExitCode::SUCCESS);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1768,87 +1766,67 @@ mod tests {
 
     #[test]
     fn profile_flags_parse() {
-        let mut args: Vec<String> = [
+        let args = parse(&[
             "profile", "tree", "t.jsonl", "--weight", "time", "--out", "t.txt",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let flags = Flags::extract(&mut args).unwrap();
-        assert_eq!(flags.weight.as_deref(), Some("time"));
-        assert_eq!(flags.out.as_deref(), Some(std::path::Path::new("t.txt")));
-        assert_eq!(args, vec!["profile", "tree", "t.jsonl"]);
+        ])
+        .unwrap();
+        assert_eq!(args.text("--weight"), Some("time"));
+        assert_eq!(args.path("--out"), Some(PathBuf::from("t.txt")));
+        assert_eq!(args.command, Some("profile"));
+        assert_eq!(args.operands, vec!["tree", "t.jsonl"]);
 
-        let mut bad: Vec<String> = vec!["--weight".into(), "bytes".into()];
-        let err = Flags::extract(&mut bad).unwrap_err();
-        assert!(err.contains("bytes"), "{err}");
-        let mut missing: Vec<String> = vec!["--out".into()];
-        assert!(Flags::extract(&mut missing).is_err());
+        let err = parse(&["--weight", "bytes"]).unwrap_err();
+        assert_eq!(err, "--weight: `bytes` is not `pops` or `time`");
+        assert!(parse(&["--out"]).is_err());
     }
 
     #[test]
     fn trace_paths_with_missing_parents_are_rejected_up_front() {
-        let flags = Flags {
-            trace: Some(PathBuf::from("/nonexistent-dir-for-test/trace.jsonl")),
-            ..Flags::default()
-        };
-        let err = validate_trace_path(&flags).unwrap_err();
+        let sinks_for = |trace: &str| prepare_sinks(&parse(&["synth", "--trace", trace]).unwrap());
+        let err = sinks_for("/nonexistent-dir-for-test/trace.jsonl").unwrap_err();
         assert!(err.contains("/nonexistent-dir-for-test"), "{err}");
         assert!(err.contains("does not exist"), "{err}");
 
         // A bare filename (empty parent) and an existing directory pass.
-        let bare = Flags {
-            trace: Some(PathBuf::from("trace.jsonl")),
-            ..Flags::default()
-        };
-        assert!(validate_trace_path(&bare).is_ok());
-        let here = Flags {
-            trace: Some(std::env::temp_dir().join("trace.jsonl")),
-            ..Flags::default()
-        };
-        assert!(validate_trace_path(&here).is_ok());
-        assert!(validate_trace_path(&Flags::default()).is_ok());
+        assert!(sinks_for("trace.jsonl").is_ok());
+        let here = std::env::temp_dir().join("trace.jsonl");
+        assert!(sinks_for(here.to_str().unwrap()).is_ok());
     }
 
     #[test]
     fn corpus_and_progress_flags_parse() {
-        let mut args: Vec<String> = [
+        let args = parse(&[
             "synth",
             "--corpus",
             "results/corpus",
             "--progress",
             "--stats-json=stats.jsonl",
             "p.l2",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let flags = Flags::extract(&mut args).unwrap();
+        ])
+        .unwrap();
+        assert_eq!(args.path("--corpus"), Some(PathBuf::from("results/corpus")));
+        assert!(args.on("--progress"));
         assert_eq!(
-            flags.corpus.as_deref(),
-            Some(std::path::Path::new("results/corpus"))
+            args.path("--stats-json"),
+            Some(PathBuf::from("stats.jsonl"))
         );
-        assert!(flags.progress);
-        assert_eq!(
-            flags.stats_json_out.as_deref(),
-            Some(std::path::Path::new("stats.jsonl"))
-        );
-        assert!(!flags.stats_json);
-        assert_eq!(args, vec!["synth".to_owned(), "p.l2".to_owned()]);
+        assert!(!args.on("--stats-json"));
+        assert_eq!(args.operands, vec!["p.l2"]);
 
         // `--progress` is an options knob (the engine emits the events).
-        assert!(flags.apply(SearchOptions::default()).progress);
-        assert!(!Flags::default().apply(SearchOptions::default()).progress);
+        assert!(args.apply(SearchOptions::default()).progress);
+        let quiet = parse(&["synth", "p.l2"]).unwrap();
+        assert!(!quiet.apply(SearchOptions::default()).progress);
 
-        let mut missing: Vec<String> = vec!["--corpus".into()];
-        assert!(Flags::extract(&mut missing).is_err());
-        let mut empty: Vec<String> = vec!["--stats-json=".into()];
-        assert!(Flags::extract(&mut empty).is_err());
+        assert!(parse(&["--corpus"]).is_err());
+        assert!(parse(&["--stats-json="]).is_err());
+        // Only `--stats-json` takes its value inline.
+        assert!(parse(&["--trace=t.jsonl"]).is_err());
     }
 
     #[test]
     fn regress_threshold_flags_parse_and_validate() {
-        let mut args: Vec<String> = [
+        let args = parse(&[
             "corpus",
             "regress",
             "a",
@@ -1858,46 +1836,38 @@ mod tests {
             "--wall-floor-ms",
             "250",
             "--no-wall-check",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let flags = Flags::extract(&mut args).unwrap();
-        assert_eq!(flags.wall_ratio, Some(2.0));
-        assert_eq!(flags.wall_floor_ms, Some(250.0));
-        assert!(flags.no_wall_check);
-        assert_eq!(args, vec!["corpus", "regress", "a", "b"]);
+        ])
+        .unwrap();
+        assert_eq!(args.num("--wall-ratio"), Some(2.0));
+        assert_eq!(args.num("--wall-floor-ms"), Some(250.0));
+        assert!(args.on("--no-wall-check"));
+        assert_eq!(args.operands, vec!["regress", "a", "b"]);
 
-        let mut sub_one: Vec<String> = vec!["--wall-ratio".into(), "0.5".into()];
-        assert!(Flags::extract(&mut sub_one).is_err());
-        let mut negative: Vec<String> = vec!["--wall-floor-ms".into(), "-1".into()];
-        assert!(Flags::extract(&mut negative).is_err());
-        let mut junk: Vec<String> = vec!["--wall-ratio".into(), "fast".into()];
-        assert!(Flags::extract(&mut junk).is_err());
+        let err = parse(&["--wall-ratio", "0.5"]).unwrap_err();
+        assert_eq!(err, "--wall-ratio: `0.5` must be a factor >= 1");
+        let err = parse(&["--wall-floor-ms", "-1"]).unwrap_err();
+        assert_eq!(err, "--wall-floor-ms: `-1` must be >= 0");
+        let err = parse(&["--wall-ratio", "fast"]).unwrap_err();
+        assert_eq!(err, "--wall-ratio: `fast` is not a number");
     }
 
     #[test]
     fn output_paths_are_validated_before_any_search() {
         // A `--stats-json=` target with a missing parent fails up front...
-        let bad_stats = Flags {
-            stats_json_out: Some(PathBuf::from("/nonexistent-dir-for-test/stats.jsonl")),
-            ..Flags::default()
-        };
-        let err = prepare_sinks(&bad_stats).unwrap_err();
+        let bad_stats = parse(&["synth", "--stats-json=/nonexistent-dir-for-test/s.jsonl"]);
+        let err = prepare_sinks(&bad_stats.unwrap()).unwrap_err();
         assert!(err.contains("does not exist"), "{err}");
 
         // ...a corpus path that collides with a file fails up front...
         let file = std::env::temp_dir().join(format!("l2-sink-test-{}", std::process::id()));
         std::fs::write(&file, "x").unwrap();
-        let bad_corpus = Flags {
-            corpus: Some(file.join("corpus")),
-            ..Flags::default()
-        };
+        let corpus = file.join("corpus");
+        let bad_corpus = parse(&["synth", "--corpus", corpus.to_str().unwrap()]).unwrap();
         assert!(prepare_sinks(&bad_corpus).is_err());
         let _ = std::fs::remove_file(&file);
 
         // ...and no flags means no sinks.
-        let sinks = prepare_sinks(&Flags::default()).unwrap();
+        let sinks = prepare_sinks(&parse(&["synth"]).unwrap()).unwrap();
         assert!(sinks.corpus.is_none());
         assert!(sinks.stats_json_out.is_none());
     }

@@ -1254,7 +1254,7 @@ mod tests {
         // for structural comparison everywhere in the engine.
         let (mut st, _) = store_with_rows();
         st.ensure(4, &Library::default());
-        assert!(st.len() > 0, "levels 1..=4 produce terms");
+        assert!(!st.is_empty(), "levels 1..=4 produce terms");
         st.assert_term_invariants();
     }
 

@@ -189,9 +189,9 @@ fn prune_keeps_the_genuine_filter_solution() {
 }
 
 /// Full-catalog pruning differential — every problem, byte-identical
-/// programs and costs, counters only drop, and the drop is *strict* in at
-/// least 10 problems (the duplicate-bearing family exists to guarantee
-/// this). Slow in debug builds; CI runs it in release with
+/// programs and costs, counters only drop, and `enumerated_terms` drops
+/// *strictly* in at least 10 problems (the duplicate-bearing family
+/// exists to guarantee this). Slow in debug builds; CI runs it in release with
 /// `--include-ignored`.
 #[test]
 #[cfg_attr(
@@ -200,6 +200,7 @@ fn prune_keeps_the_genuine_filter_solution() {
 )]
 fn full_suite_prune_differential_is_conservative_and_productive() {
     let mut strict_drops = 0usize;
+    let mut term_drops = 0usize;
     let mut pruned_total = 0u64;
     for bench in catalog() {
         let options = bench.tune(SearchOptions::default());
@@ -217,11 +218,16 @@ fn full_suite_prune_differential_is_conservative_and_productive() {
         if d.enumerated_on < d.enumerated_off || d.popped_on < d.popped_off {
             strict_drops += 1;
         }
+        term_drops += usize::from(d.enumerated_on < d.enumerated_off);
     }
     assert!(pruned_total > 0, "pruning refuted nothing catalog-wide");
     assert!(
         strict_drops >= 10,
         "pruning strictly shrank the search in only {strict_drops} problems (need 10)"
+    );
+    assert!(
+        term_drops >= 10,
+        "pruning strictly cut enumerated terms in only {term_drops} problems (need 10)"
     );
 }
 
