@@ -14,8 +14,9 @@
 //! With `--access-log <path>` (optionally plus `--slow-trace-ms <n>
 //! --slow-trace-dir <dir>`) the sweep also exercises the daemon's
 //! observability plane, then self-verifies the log after the drain:
-//! the offline analysis must see every request, agree with the daemon's
-//! own shed count exactly, and report p50 <= p99.
+//! the offline analysis must agree with the daemon's own drain summary
+//! on every per-request count and on the per-op totals (so every
+//! settled record reached the file), and report p50 <= p99.
 //!
 //! Usage: `cargo run -p bench --release --bin serve_bench [-- --quick]
 //! [-- --access-log <path> --slow-trace-ms <n> --slow-trace-dir <dir>]`
@@ -305,9 +306,34 @@ fn main() {
             report.service_ms(0.99),
         );
         assert!(report.requests > 0, "access log must see the sweep");
+        let pairs = [
+            ("completed", report.completed(), summary.completed),
+            ("solved", report.solved, summary.solved),
+            ("shed", report.shed, summary.shed),
+            ("crashed", report.crashed, summary.crashed),
+            ("rejected", report.rejected, summary.rejected),
+            ("drained", report.drained, summary.drained),
+            ("warm_hits", report.warm_hits, summary.warm_hits),
+            (
+                "queue_wait_us.count",
+                report.queue_wait_us.count(),
+                summary.queue_wait_us.count(),
+            ),
+            (
+                "service_us.count",
+                report.service_us.count(),
+                summary.service_us.count(),
+            ),
+        ];
+        for (name, log, daemon) in pairs {
+            assert_eq!(
+                log, daemon,
+                "offline {name} must match the daemon's own accounting"
+            );
+        }
         assert_eq!(
-            report.shed, summary.shed,
-            "offline shed count must match the daemon's own accounting"
+            report.ops, summary.ops,
+            "every settled request must reach the access log"
         );
         assert!(
             report.service_ms(0.5) <= report.service_ms(0.99),

@@ -1479,13 +1479,18 @@ fn cmd_client(op: &str, rest: &[String], args: &Args) -> Result<ExitCode, String
 /// Renders a daemon's `stats` counters object as an aligned
 /// human-readable table: scalars one per row, histogram summaries
 /// (`queue_wait_us`, `service_us`, `frame_bytes`) inlined as
-/// `count/p50/p99/mean/max`, and count maps (per-op, per-client) as
-/// indented sub-rows. Field order follows the reply, so new server
-/// counters show up without a client change.
+/// `count/p50/p99/mean/max`, and maps (per-op counts, per-client
+/// `requests/ok/shed`) as indented sub-rows. Field order follows the
+/// reply, so new server counters show up without a client change.
 fn render_server_stats(server: &Json) -> String {
     fn scalar(v: &Json) -> String {
         match v {
             Json::Float(f) => format!("{f:.1}"),
+            Json::Obj(pairs) => pairs
+                .iter()
+                .map(|(k, v)| format!("{k} {}", scalar(v)))
+                .collect::<Vec<_>>()
+                .join(" "),
             other => other.to_string(),
         }
     }

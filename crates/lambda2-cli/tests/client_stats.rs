@@ -55,6 +55,11 @@ fn stats_against_live_daemon_renders_table_and_exits_zero() {
     for row in ["accepted", "queue_wait_us", "service_us", "ops"] {
         assert!(stdout.contains(row), "table carries `{row}`:\n{stdout}");
     }
+    // One row per client; the reply counts its own request.
+    assert!(
+        stdout.contains("requests 1 ok 1 shed 0"),
+        "per-client row:\n{stdout}"
+    );
     assert!(
         !stdout.trim_start().starts_with('{'),
         "default output is a table, not raw JSON:\n{stdout}"

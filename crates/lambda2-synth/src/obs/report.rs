@@ -286,7 +286,7 @@ pub fn render_access_html(report: &AccessReport, source: &str) -> String {
         r#"<p class="meta">access log: <code>{}</code> — {} request(s) over {:.1} s</p>"#,
         esc(source),
         report.requests,
-        report.span_ms / 1e3
+        report.span_ms() / 1e3
     );
     let _ = writeln!(
         out,

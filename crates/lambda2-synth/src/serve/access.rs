@@ -1,14 +1,16 @@
 //! The serve access log: one schema-versioned JSONL record per request,
-//! plus the offline analyzer behind `l2 serve report`.
+//! plus the tally behind the daemon's live counters and `l2 serve report`.
 //!
-//! The daemon's live counters answer "how is the server doing *now*";
-//! the access log is the durable, per-request layer underneath: every
-//! request — synthesis or not, admitted or shed, healthy or crashed —
-//! appends exactly one [`AccessRecord`] line, keyed by the server-assigned
-//! request ID that is also echoed in the wire reply (`req_id`) and stamped
-//! into corpus [`RunRecord`](crate::obs::corpus::RunRecord)s and
-//! slow-trace filenames. One ID ties the whole observability story for a
-//! request together.
+//! An [`AccessRecord`] is the daemon's unit of accounting: every request
+//! — synthesis or not, admitted or shed, healthy or crashed — settles
+//! exactly one. Settling folds it into the live [`AccessReport`] ("how is
+//! the server doing *now*") and, with a log configured, appends it as
+//! one line — the durable layer the same fold reads back offline. A
+//! record is keyed by the server-assigned request ID that is also echoed
+//! in the wire reply (`req_id`) and stamped into corpus
+//! [`RunRecord`](crate::obs::corpus::RunRecord)s and slow-trace
+//! filenames. One ID ties the whole observability story for a request
+//! together.
 //!
 //! Design constraints carried over from the rest of the tree:
 //!
@@ -76,6 +78,27 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
+    /// The record of a request whose frame was just read: op `invalid`
+    /// until the payload parses, no status or outcome yet. Whichever side
+    /// decides the request fills in the rest.
+    pub(crate) fn received(req_id: String, peer: String, frame_bytes: u64) -> AccessRecord {
+        AccessRecord {
+            t_ms: 0.0,
+            req_id,
+            op: "invalid".to_owned(),
+            peer,
+            status: String::new(),
+            frame_bytes,
+            queue_wait_ms: None,
+            service_ms: None,
+            warm_hits: None,
+            shed: false,
+            crashed: false,
+            problem: None,
+            fingerprint: None,
+        }
+    }
+
     /// Serializes the record to its JSONL line form. Optional fields are
     /// omitted when absent, so non-synthesis lines stay compact.
     pub fn to_json(&self) -> Json {
@@ -207,83 +230,148 @@ pub struct ClientStats {
     pub shed: u64,
 }
 
-/// The offline analysis of one access log: what `l2 serve report` prints
-/// and renders as a dashboard.
+/// A tally of settled requests: the daemon's live counters (folded one
+/// record at a time by the settle step in `serve::server`) and the
+/// offline analysis `l2 serve report` prints and renders as a dashboard
+/// ([`analyze`](AccessReport::analyze)). Both go through
+/// [`add`](AccessReport::add), so the `stats` op, the drain summary and
+/// the report count a request the same way.
 #[derive(Clone, Debug)]
 pub struct AccessReport {
-    /// Total records analyzed.
+    /// Total records tallied.
     pub requests: u64,
-    /// Logged span in milliseconds (max `t_ms` − min `t_ms`).
-    pub span_ms: f64,
     /// Requests shed with `overloaded`.
     pub shed: u64,
     /// Requests whose search crashed under the unwind guard.
     pub crashed: u64,
+    /// Synthesis requests answered with a program.
+    pub solved: u64,
+    /// Requests answered `error` without reaching a search: unparsable
+    /// payloads, invalid problems, unknown fail-point sites.
+    pub rejected: u64,
+    /// Admitted jobs taken off the queue at drain and answered
+    /// `shutting_down`.
+    pub drained: u64,
     /// Requests per outcome status.
     pub statuses: BTreeMap<String, u64>,
     /// Requests per op.
     pub ops: BTreeMap<String, u64>,
     /// Per-peer breakdowns.
     pub clients: BTreeMap<String, ClientStats>,
-    /// Requests per problem name (synthesis requests only).
+    /// Requests per problem name (synthesis requests only). Filled by
+    /// [`analyze`](AccessReport::analyze) only: the daemon's live tally
+    /// leaves it empty, since clients choose the names.
     pub problems: BTreeMap<String, u64>,
     /// Service-time distribution, microseconds (executed jobs only).
     pub service_us: Histogram,
-    /// Queue-wait distribution, microseconds (admitted jobs only).
+    /// Queue-wait distribution, microseconds (every admitted job,
+    /// drained ones included).
     pub queue_wait_us: Histogram,
+    /// Request frame payload sizes, bytes.
+    pub frame_bytes: Histogram,
     /// Warm-cache hits summed over executed jobs.
     pub warm_hits: u64,
+    /// Earliest and latest `t_ms` tallied.
+    t_lo: f64,
+    t_hi: f64,
 }
 
-impl AccessReport {
-    /// Analyzes a loaded log.
-    pub fn analyze(records: &[AccessRecord]) -> AccessReport {
-        let mut report = AccessReport {
-            requests: records.len() as u64,
-            span_ms: 0.0,
+impl Default for AccessReport {
+    fn default() -> AccessReport {
+        AccessReport {
+            requests: 0,
             shed: 0,
             crashed: 0,
+            solved: 0,
+            rejected: 0,
+            drained: 0,
             statuses: BTreeMap::new(),
             ops: BTreeMap::new(),
             clients: BTreeMap::new(),
             problems: BTreeMap::new(),
             service_us: Histogram::new(EXP2_BOUNDS),
             queue_wait_us: Histogram::new(EXP2_BOUNDS),
+            frame_bytes: Histogram::new(EXP2_BOUNDS),
             warm_hits: 0,
-        };
-        let (mut t_lo, mut t_hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            t_lo: f64::INFINITY,
+            t_hi: f64::NEG_INFINITY,
+        }
+    }
+}
+
+impl AccessReport {
+    /// Analyzes a loaded log: every record [`add`](AccessReport::add)ed,
+    /// plus the per-problem counts.
+    pub fn analyze(records: &[AccessRecord]) -> AccessReport {
+        let mut report = AccessReport::default();
         for r in records {
-            t_lo = t_lo.min(r.t_ms);
-            t_hi = t_hi.max(r.t_ms);
-            *report.statuses.entry(r.status.clone()).or_default() += 1;
-            *report.ops.entry(r.op.clone()).or_default() += 1;
-            let client = report.clients.entry(r.peer.clone()).or_default();
-            client.requests += 1;
-            if r.status == "ok" {
-                client.ok += 1;
-            }
-            if r.shed {
-                client.shed += 1;
-                report.shed += 1;
-            }
-            if r.crashed {
-                report.crashed += 1;
-            }
+            report.add(r);
             if let Some(problem) = &r.problem {
                 *report.problems.entry(problem.clone()).or_default() += 1;
             }
-            if let Some(ms) = r.service_ms {
-                report.service_us.record((ms * 1e3).max(0.0) as u64);
-            }
-            if let Some(ms) = r.queue_wait_ms {
-                report.queue_wait_us.record((ms * 1e3).max(0.0) as u64);
-            }
-            report.warm_hits += r.warm_hits.unwrap_or(0);
-        }
-        if report.requests > 0 {
-            report.span_ms = (t_hi - t_lo).max(0.0);
         }
         report
+    }
+
+    /// Folds one settled request into the tally. What each count takes:
+    ///
+    /// * `completed` ([`completed`](AccessReport::completed)) — records
+    ///   with `service_ms`: jobs that ran on a worker, crashed included;
+    /// * `solved` — op `synth` with status `ok`;
+    /// * `shed` / `crashed` — the record's markers;
+    /// * `rejected` — status `error`, not crashed, no `service_ms`;
+    /// * `drained` — status `shutting_down` with `queue_wait_ms`;
+    /// * the histograms — the same-named fields, where present.
+    pub fn add(&mut self, r: &AccessRecord) {
+        self.requests += 1;
+        self.t_lo = self.t_lo.min(r.t_ms);
+        self.t_hi = self.t_hi.max(r.t_ms);
+        *self.statuses.entry(r.status.clone()).or_default() += 1;
+        *self.ops.entry(r.op.clone()).or_default() += 1;
+        let client = self.clients.entry(r.peer.clone()).or_default();
+        client.requests += 1;
+        if r.status == "ok" {
+            client.ok += 1;
+        }
+        if r.shed {
+            client.shed += 1;
+            self.shed += 1;
+        }
+        if r.crashed {
+            self.crashed += 1;
+        }
+        if r.op == "synth" && r.status == "ok" {
+            self.solved += 1;
+        }
+        if r.status == "error" && !r.crashed && r.service_ms.is_none() {
+            self.rejected += 1;
+        }
+        if r.status == "shutting_down" && r.queue_wait_ms.is_some() {
+            self.drained += 1;
+        }
+        self.frame_bytes.record(r.frame_bytes);
+        if let Some(ms) = r.service_ms {
+            self.service_us.record((ms * 1e3).max(0.0) as u64);
+        }
+        if let Some(ms) = r.queue_wait_ms {
+            self.queue_wait_us.record((ms * 1e3).max(0.0) as u64);
+        }
+        self.warm_hits += r.warm_hits.unwrap_or(0);
+    }
+
+    /// Jobs that ran on a worker (solved, unsolved or crashed).
+    pub fn completed(&self) -> u64 {
+        self.service_us.count()
+    }
+
+    /// Span between the earliest and latest record, milliseconds (0 for
+    /// an empty tally).
+    pub fn span_ms(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            (self.t_hi - self.t_lo).max(0.0)
+        }
     }
 
     /// Shed rate over all requests (0.0 for an empty log).
@@ -298,10 +386,11 @@ impl AccessReport {
     /// Requests per second over the logged span. A single-record (or
     /// zero-span) log reports 0 — there is no meaningful rate.
     pub fn throughput_rps(&self) -> f64 {
-        if self.span_ms <= 0.0 {
+        let span_ms = self.span_ms();
+        if span_ms <= 0.0 {
             0.0
         } else {
-            self.requests as f64 / (self.span_ms / 1e3)
+            self.requests as f64 / (span_ms / 1e3)
         }
     }
 
@@ -318,49 +407,30 @@ impl AccessReport {
 
     /// Serializes the report for `l2 serve report --json`.
     pub fn to_json(&self) -> Json {
-        let count_map = |m: &BTreeMap<String, u64>| {
-            Json::Obj(
-                m.iter()
-                    .map(|(k, v)| (k.clone(), (*v).into()))
-                    .collect::<Vec<_>>(),
-            )
-        };
         Json::obj([
             ("v", SCHEMA_VERSION.into()),
             ("requests", self.requests.into()),
-            ("span_ms", Json::Float(self.span_ms)),
+            ("span_ms", Json::Float(self.span_ms())),
             ("throughput_rps", Json::Float(self.throughput_rps())),
+            ("completed", self.completed().into()),
+            ("solved", self.solved.into()),
             ("shed", self.shed.into()),
             ("shed_rate", Json::Float(self.shed_rate())),
             ("crashed", self.crashed.into()),
+            ("rejected", self.rejected.into()),
+            ("drained", self.drained.into()),
             ("warm_hits", self.warm_hits.into()),
             ("service_p50_ms", Json::Float(self.service_ms(0.5))),
             ("service_p99_ms", Json::Float(self.service_ms(0.99))),
             ("queue_wait_p50_ms", Json::Float(self.queue_wait_ms(0.5))),
             ("queue_wait_p99_ms", Json::Float(self.queue_wait_ms(0.99))),
-            ("statuses", count_map(&self.statuses)),
-            ("ops", count_map(&self.ops)),
-            (
-                "clients",
-                Json::Obj(
-                    self.clients
-                        .iter()
-                        .map(|(peer, c)| {
-                            (
-                                peer.clone(),
-                                Json::obj([
-                                    ("requests", c.requests.into()),
-                                    ("ok", c.ok.into()),
-                                    ("shed", c.shed.into()),
-                                ]),
-                            )
-                        })
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            ("problems", count_map(&self.problems)),
+            ("statuses", count_map_json(&self.statuses)),
+            ("ops", count_map_json(&self.ops)),
+            ("clients", clients_json(&self.clients)),
+            ("problems", count_map_json(&self.problems)),
             ("service_us", self.service_us.to_json()),
             ("queue_wait_us", self.queue_wait_us.to_json()),
+            ("frame_bytes", self.frame_bytes.to_json()),
         ])
     }
 
@@ -372,8 +442,16 @@ impl AccessReport {
             out,
             "{} request(s) over {:.1} s ({:.1} req/s)",
             self.requests,
-            self.span_ms / 1e3,
+            self.span_ms() / 1e3,
             self.throughput_rps()
+        );
+        let _ = writeln!(
+            out,
+            "jobs: {} completed, {} solved, {} rejected, {} drained",
+            self.completed(),
+            self.solved,
+            self.rejected,
+            self.drained
         );
         let _ = writeln!(
             out,
@@ -419,6 +497,27 @@ impl AccessReport {
         }
         out
     }
+}
+
+/// A count map as a JSON object.
+pub(crate) fn count_map_json(m: &BTreeMap<String, u64>) -> Json {
+    Json::Obj(m.iter().map(|(k, v)| (k.clone(), (*v).into())).collect())
+}
+
+/// Per-client breakdowns as a JSON object of `{requests, ok, shed}`.
+pub(crate) fn clients_json(m: &BTreeMap<String, ClientStats>) -> Json {
+    Json::Obj(
+        m.iter()
+            .map(|(peer, c)| {
+                let counts = Json::obj([
+                    ("requests", c.requests.into()),
+                    ("ok", c.ok.into()),
+                    ("shed", c.shed.into()),
+                ]);
+                (peer.clone(), counts)
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -486,7 +585,7 @@ mod tests {
         assert_eq!(report.ops.get("synth"), Some(&4));
         assert_eq!(report.problems.get("evens"), Some(&4));
         assert!(report.shed_rate() > 0.24 && report.shed_rate() < 0.26);
-        assert!(report.span_ms >= 2000.0, "{}", report.span_ms);
+        assert!(report.span_ms() >= 2000.0, "{}", report.span_ms());
         assert!(report.throughput_rps() > 0.0);
         assert!(
             report.service_ms(0.5) <= report.service_ms(0.99),
@@ -511,5 +610,68 @@ mod tests {
         assert_eq!(report.throughput_rps(), 0.0);
         assert_eq!(report.shed_rate(), 0.0);
         assert_eq!(report.service_ms(0.99), 0.0);
+        assert_eq!(report.span_ms(), 0.0);
+    }
+
+    /// Each daemon count takes exactly the records the settle sites
+    /// produce for it.
+    #[test]
+    fn add_derives_the_daemon_counts() {
+        let executed = |status: &str| record("x", status, Some(3.0));
+        let crashed = AccessRecord {
+            crashed: true,
+            warm_hits: None,
+            ..executed("error")
+        };
+        let unparsable = AccessRecord {
+            op: "invalid".to_owned(),
+            problem: None,
+            ..record("x", "error", None)
+        };
+        let unknown_failpoint = AccessRecord {
+            queue_wait_ms: Some(0.2),
+            ..record("x", "error", None)
+        };
+        let drained = AccessRecord {
+            queue_wait_ms: Some(0.2),
+            ..record("x", "shutting_down", None)
+        };
+        let refused = record("x", "shutting_down", None);
+        let ping = AccessRecord {
+            op: "ping".to_owned(),
+            ..record("x", "ok", None)
+        };
+        let records = [
+            executed("ok"),
+            executed("unsolved"),
+            crashed,
+            unparsable,
+            record("x", "error", None),
+            unknown_failpoint,
+            drained,
+            refused,
+            record("x", "overloaded", None),
+            ping,
+        ];
+        let mut live = AccessReport::default();
+        for r in &records {
+            live.add(r);
+        }
+        assert_eq!(live.completed(), 3);
+        assert_eq!(live.solved, 1);
+        assert_eq!(live.crashed, 1);
+        assert_eq!(live.rejected, 3);
+        assert_eq!(live.drained, 1);
+        assert_eq!(live.shed, 1);
+        assert_eq!(live.warm_hits, 4);
+        assert_eq!(live.queue_wait_us.count(), 5);
+        assert_eq!(live.frame_bytes.count(), 10);
+        assert!(live.problems.is_empty(), "the live tally names no problems");
+        let offline = AccessReport::analyze(&records);
+        assert_eq!(
+            offline.to_json().get("drained"),
+            live.to_json().get("drained")
+        );
+        assert_eq!(offline.problems.get("evens"), Some(&9));
     }
 }

@@ -10,13 +10,15 @@
 //!   `shutting_down`).
 //! * [`server`] — bounded admission queue with load shedding, a worker
 //!   pool with per-request budgets/cancellation, `catch_unwind` crash
-//!   isolation, per-worker warm term-store caches, and graceful drain.
+//!   isolation, one warm term-store cache shared by the pool, and
+//!   graceful drain.
 //! * [`client`] — connection + call helpers and seeded jittered retry.
 //! * [`access`] — per-request observability: every request gets a stable
 //!   server-assigned ID (`c<conn>-r<n>`, echoed in the reply as
-//!   `req_id`), and with `--access-log` each is accounted by one
-//!   schema-versioned JSONL [`AccessRecord`](access::AccessRecord) line;
-//!   the offline [`AccessReport`](access::AccessReport) analyzer backs
+//!   `req_id`) and settles one [`AccessRecord`](access::AccessRecord),
+//!   folded into the daemon's live [`AccessReport`](access::AccessReport)
+//!   tally and, with `--access-log`, appended as one schema-versioned
+//!   JSONL line; the same fold over a loaded log backs
 //!   `l2 serve report`. All of it is observation-only — the differential
 //!   test in `tests/serve.rs` proves replies are byte-identical with the
 //!   whole layer on or off.

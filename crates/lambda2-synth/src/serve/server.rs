@@ -59,17 +59,21 @@
 //! # Observability
 //!
 //! Every request is assigned a stable server-side ID (`c<conn>-r<n>`,
-//! echoed in the reply as `req_id`) and accounted exactly once:
+//! echoed in the reply as `req_id`) and an [`AccessRecord`] when its frame
+//! is read, and is accounted exactly once, by `Shared::settle`:
 //!
-//! * **Access log** ([`ServeConfig::access_log`]) — one
-//!   [`AccessRecord`] JSONL line per request, written by whichever side
-//!   *decides* the request: the connection thread for non-synthesis ops
-//!   and admission rejections (parse errors, invalid problems, sheds,
-//!   drain refusals), the worker for every admitted job (it alone knows
-//!   queue wait, service time, warm-cache hits, and crash outcome).
-//! * **Live histograms** — queue wait, service time, and frame sizes,
-//!   plus per-op and per-client request counts, kept in [`Shared`] and
-//!   surfaced through the `stats` op and the final [`ServeSummary`].
+//! * **Who settles** — whichever side *decides* the request fills its
+//!   record in: the connection thread for non-synthesis ops and
+//!   admission rejections (parse errors, invalid problems, sheds, drain
+//!   refusals); the worker for every admitted job (the record rides in
+//!   the job; only the worker knows queue wait, service time, warm-cache
+//!   hits, and crash outcome).
+//! * **One tally** — settling folds the record into a live
+//!   [`AccessReport`] with [`AccessReport::add`], the same fold
+//!   `l2 serve report` runs over a log, so the `stats` op, the final
+//!   [`ServeSummary`] and the offline report count alike.
+//! * **Access log** ([`ServeConfig::access_log`]) — settling also appends
+//!   the record as one JSONL line.
 //! * **Slow-trace capture** ([`ServeConfig::slow_trace_ms`] +
 //!   [`ServeConfig::slow_trace_dir`]) — jobs at or over the threshold
 //!   have their full JSONL search trace (buffered in memory during the
@@ -80,7 +84,7 @@
 //!
 //! All of it is observation-only: the engine runs identically with every
 //! layer on or off (tracing is emit-only by construction; the access log
-//! and histograms read outcomes, never influence them), and the
+//! and the tally read outcomes, never influence them), and the
 //! differential test in `tests/serve.rs` holds served replies
 //! byte-identical either way.
 
@@ -103,13 +107,15 @@ use crate::govern::{panic_message, CancelToken};
 use crate::l2file;
 use crate::obs::corpus::{options_fingerprint, Corpus, RunRecord};
 use crate::obs::json::Json;
-use crate::obs::metrics::{Histogram, EXP2_BOUNDS};
+use crate::obs::metrics::Histogram;
 use crate::obs::{JsonlTracer, NoopTracer, Tracer};
 use crate::problem::Problem;
 use crate::search::SearchOptions;
 use crate::synthesizer::Synthesizer;
 
-use super::access::{AccessLog, AccessRecord};
+use super::access::{
+    clients_json, count_map_json, AccessLog, AccessRecord, AccessReport, ClientStats,
+};
 use super::frame::{write_frame, FrameError, FrameReader, MAX_FRAME_BYTES};
 use super::proto::{self, ReqOp, Request};
 
@@ -285,42 +291,9 @@ impl Write for Conn {
     }
 }
 
-/// Live request-shape distributions, mutex-guarded in [`Shared`]: the
-/// instruments behind the enriched `stats` op. Lock traffic is one short
-/// critical section per request (plus one per completed job), far off
-/// any search hot path.
-struct ServeMetrics {
-    /// Queue wait of every executed job, microseconds.
-    queue_wait_us: Histogram,
-    /// Service time of every executed job (crashed included),
-    /// microseconds.
-    service_us: Histogram,
-    /// Request frame payload sizes, bytes.
-    frame_bytes: Histogram,
-    /// Requests per op (`synth`, `ping`, `stats`, `shutdown`, `invalid`).
-    ops: BTreeMap<String, u64>,
-    /// Requests per client peer (IP for TCP, `unix` for sockets).
-    clients: BTreeMap<String, u64>,
-}
-
-impl ServeMetrics {
-    fn new() -> ServeMetrics {
-        ServeMetrics {
-            queue_wait_us: Histogram::new(EXP2_BOUNDS),
-            service_us: Histogram::new(EXP2_BOUNDS),
-            frame_bytes: Histogram::new(EXP2_BOUNDS),
-            ops: BTreeMap::new(),
-            clients: BTreeMap::new(),
-        }
-    }
-}
-
-fn count_map_json(m: &BTreeMap<String, u64>) -> Json {
-    Json::Obj(m.iter().map(|(k, v)| (k.clone(), (*v).into())).collect())
-}
-
-/// Counters the daemon keeps while serving; snapshotted by the `stats`
-/// op and folded into the final [`ServeSummary`].
+/// The daemon's shared state: gauges and admission events as atomics,
+/// and one tally of every settled request behind the `stats` op and the
+/// final [`ServeSummary`].
 struct Shared {
     /// Jobs sitting in the admission queue (approximate; for hints).
     depth: AtomicUsize,
@@ -330,20 +303,6 @@ struct Shared {
     connections: AtomicU64,
     /// Synthesis jobs admitted to the queue.
     accepted: AtomicU64,
-    /// Jobs that ran to a report (solved or not).
-    completed: AtomicU64,
-    /// Completed jobs whose outcome was a program.
-    solved: AtomicU64,
-    /// Jobs shed at admission with `overloaded`.
-    shed: AtomicU64,
-    /// Jobs that panicked under the unwind guard.
-    crashed: AtomicU64,
-    /// Malformed requests (bad frame payloads, invalid problems).
-    rejected: AtomicU64,
-    /// Queued-but-unstarted jobs answered `shutting_down` during drain.
-    drained: AtomicU64,
-    /// Warm-cache hits summed across workers.
-    warm_hits: AtomicU64,
     /// Exponentially-weighted mean service time, microseconds.
     ewma_us: AtomicU64,
     /// Job sequence numbers (cancel-registry keys).
@@ -352,30 +311,27 @@ struct Shared {
     slow_traces: AtomicU64,
     /// Cancel tokens of in-flight jobs, for drain.
     cancels: Mutex<HashMap<u64, CancelToken>>,
-    /// Live request-shape histograms and per-op/per-client counts.
-    metrics: Mutex<ServeMetrics>,
+    /// Every settled request, folded by [`AccessReport::add`]; only
+    /// [`Shared::settle`] changes it.
+    tally: Mutex<AccessReport>,
+    /// The access log, when [`ServeConfig::access_log`] is set.
+    access: Option<AccessLog>,
     started: Instant,
 }
 
 impl Shared {
-    fn new() -> Shared {
+    fn new(access: Option<AccessLog>) -> Shared {
         Shared {
             depth: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             connections: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            solved: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            crashed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
             ewma_us: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             slow_traces: AtomicU64::new(0),
             cancels: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(ServeMetrics::new()),
+            tally: Mutex::new(AccessReport::default()),
+            access,
             started: Instant::now(),
         }
     }
@@ -385,29 +341,51 @@ impl Shared {
         self.started.elapsed().as_secs_f64() * 1e3
     }
 
-    /// Locks the live metrics, recovering from a poisoned lock (a panic
-    /// while holding it leaves counters merely stale, never corrupt
-    /// enough to justify wedging every later request).
-    fn metrics(&self) -> std::sync::MutexGuard<'_, ServeMetrics> {
-        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Locks the tally, recovering from a poisoned lock (a panic while
+    /// holding it leaves counts merely stale, never corrupt enough to
+    /// justify wedging every later request).
+    fn tally(&self) -> std::sync::MutexGuard<'_, AccessReport> {
+        self.tally.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Accounts one inbound request's shape (called once per request on
-    /// the connection thread, before dispatch).
-    fn record_request_shape(&self, op: &str, peer: &str, frame_bytes: u64) {
-        let mut m = self.metrics();
-        m.frame_bytes.record(frame_bytes);
-        *m.ops.entry(op.to_owned()).or_default() += 1;
-        *m.clients.entry(peer.to_owned()).or_default() += 1;
+    /// Accounts one decided request: stamps its time and `status`, folds
+    /// it into the live tally and appends it to the access log. The only
+    /// code that changes a per-request count or writes the log; every
+    /// request reaches it exactly once. A failed append is reported,
+    /// never propagated — telemetry must not take down a request.
+    fn settle(&self, mut record: AccessRecord, status: &str) {
+        record.t_ms = self.t_ms();
+        record.status = status.to_owned();
+        self.tally().add(&record);
+        if let Some(log) = &self.access {
+            if let Err(e) = log.append(&record) {
+                eprintln!("warning: access-log append failed: {e}");
+            }
+        }
     }
 
-    /// Accounts one executed job's latencies.
-    fn record_timings(&self, queue_wait: Duration, service: Duration) {
-        let mut m = self.metrics();
-        m.queue_wait_us
-            .record(queue_wait.as_micros().min(u128::from(u64::MAX)) as u64);
-        m.service_us
-            .record(service.as_micros().min(u128::from(u64::MAX)) as u64);
+    /// The accounting as of now: per-request counts from the tally,
+    /// connection, admission and capture counts from the atomics.
+    fn summary(&self, drain_elapsed: Duration) -> ServeSummary {
+        let t = self.tally();
+        ServeSummary {
+            connections: self.connections.load(Ordering::Relaxed),
+            accepted: self.accepted.load(Ordering::Relaxed),
+            completed: t.completed(),
+            solved: t.solved,
+            shed: t.shed,
+            crashed: t.crashed,
+            rejected: t.rejected,
+            drained: t.drained,
+            warm_hits: t.warm_hits,
+            slow_traces: self.slow_traces.load(Ordering::Relaxed),
+            drain_elapsed,
+            queue_wait_us: t.queue_wait_us.clone(),
+            service_us: t.service_us.clone(),
+            frame_bytes: t.frame_bytes.clone(),
+            ops: t.ops.clone(),
+            clients: t.clients.clone(),
+        }
     }
 
     fn register_cancel(&self, seq: u64, token: CancelToken) {
@@ -453,60 +431,41 @@ impl Shared {
         )
     }
 
+    /// The `stats` reply's counters: the gauges, then the same counts
+    /// the drain summary reports.
     fn snapshot_json(&self, config: &ServeConfig, warm: &WarmCache) -> Json {
         let (warm_lookups_hit, warm_lookups_miss, warm_evictions) = warm.counters();
-        let m = self.metrics();
-        Json::obj([
-            (
-                "uptime_ms",
-                Json::Float(self.started.elapsed().as_secs_f64() * 1e3),
-            ),
+        let mut pairs = vec![
+            ("uptime_ms", Json::Float(self.t_ms())),
             ("workers", config.workers.into()),
             ("queue_capacity", config.queue_capacity.into()),
             ("queue_depth", self.depth.load(Ordering::Relaxed).into()),
             ("in_flight", self.in_flight.load(Ordering::Relaxed).into()),
             (
-                "connections",
-                self.connections.load(Ordering::Relaxed).into(),
-            ),
-            ("accepted", self.accepted.load(Ordering::Relaxed).into()),
-            ("completed", self.completed.load(Ordering::Relaxed).into()),
-            ("solved", self.solved.load(Ordering::Relaxed).into()),
-            ("shed", self.shed.load(Ordering::Relaxed).into()),
-            ("crashed", self.crashed.load(Ordering::Relaxed).into()),
-            ("rejected", self.rejected.load(Ordering::Relaxed).into()),
-            ("drained", self.drained.load(Ordering::Relaxed).into()),
-            ("warm_hits", self.warm_hits.load(Ordering::Relaxed).into()),
-            (
                 "ewma_service_us",
                 self.ewma_us.load(Ordering::Relaxed).into(),
-            ),
-            (
-                "slow_traces",
-                self.slow_traces.load(Ordering::Relaxed).into(),
             ),
             ("warm_cache_entries", warm.len().into()),
             ("warm_cache_bytes", warm.approx_bytes().into()),
             ("warm_cache_lookup_hits", warm_lookups_hit.into()),
             ("warm_cache_lookup_misses", warm_lookups_miss.into()),
             ("warm_cache_evictions", warm_evictions.into()),
-            ("queue_wait_us", m.queue_wait_us.summary_json()),
-            ("service_us", m.service_us.summary_json()),
-            ("frame_bytes", m.frame_bytes.summary_json()),
-            ("ops", count_map_json(&m.ops)),
-            ("clients", count_map_json(&m.clients)),
-        ])
+        ];
+        pairs.extend(self.summary(Duration::ZERO).counters());
+        Json::obj(pairs)
     }
 }
 
-/// Final accounting returned by [`Server::run`] after a drain.
+/// Final accounting returned by [`Server::run`] after a drain. The
+/// per-request counts and histograms come from the tally of settled
+/// access records (see [`AccessReport::add`] for what each counts).
 #[derive(Clone, Debug)]
 pub struct ServeSummary {
     /// Connections ever accepted.
     pub connections: u64,
     /// Synthesis jobs admitted.
     pub accepted: u64,
-    /// Jobs that ran to a report.
+    /// Jobs that ran on a worker: solved, unsolved, or crashed.
     pub completed: u64,
     /// Jobs solved with a program.
     pub solved: u64,
@@ -514,26 +473,35 @@ pub struct ServeSummary {
     pub shed: u64,
     /// Jobs that panicked (and were answered structurally).
     pub crashed: u64,
-    /// Malformed requests.
+    /// Requests answered `error` without a search: unparsable payloads,
+    /// invalid problems, unknown fail-point sites.
     pub rejected: u64,
     /// Queued jobs answered `shutting_down` at drain.
     pub drained: u64,
+    /// Warm-cache hits summed over executed jobs.
+    pub warm_hits: u64,
     /// Slow traces captured.
     pub slow_traces: u64,
     /// Wall-clock from drain start to full stop.
     pub drain_elapsed: Duration,
-    /// Queue-wait distribution over every executed job, microseconds.
+    /// Queue-wait distribution over every admitted job (drained ones
+    /// included), microseconds.
     pub queue_wait_us: Histogram,
     /// Service-time distribution over every executed job, microseconds.
     pub service_us: Histogram,
+    /// Request frame payload sizes, bytes.
+    pub frame_bytes: Histogram,
+    /// Requests per op (`synth`, `ping`, `stats`, `shutdown`, `invalid`).
+    pub ops: BTreeMap<String, u64>,
+    /// Per-peer breakdowns (IP for TCP, `unix` for sockets).
+    pub clients: BTreeMap<String, ClientStats>,
 }
 
 impl ServeSummary {
-    /// Serializes the summary as a JSON object, latency summaries
-    /// included — a clean shutdown leaves a usable one-line capacity
-    /// record, not just counts.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
+    /// The counters as JSON pairs, latency summaries included — shared
+    /// by [`ServeSummary::to_json`] and the `stats` reply.
+    fn counters(&self) -> [(&'static str, Json); 15] {
+        [
             ("connections", self.connections.into()),
             ("accepted", self.accepted.into()),
             ("completed", self.completed.into()),
@@ -542,14 +510,26 @@ impl ServeSummary {
             ("crashed", self.crashed.into()),
             ("rejected", self.rejected.into()),
             ("drained", self.drained.into()),
+            ("warm_hits", self.warm_hits.into()),
             ("slow_traces", self.slow_traces.into()),
-            (
-                "drain_elapsed_ms",
-                Json::Float(self.drain_elapsed.as_secs_f64() * 1e3),
-            ),
             ("queue_wait_us", self.queue_wait_us.summary_json()),
             ("service_us", self.service_us.summary_json()),
-        ])
+            ("frame_bytes", self.frame_bytes.summary_json()),
+            ("ops", count_map_json(&self.ops)),
+            ("clients", clients_json(&self.clients)),
+        ]
+    }
+
+    /// Serializes the summary as a JSON object, latency summaries
+    /// included — a clean shutdown leaves a usable one-line capacity
+    /// record, not just counts.
+    pub fn to_json(&self) -> Json {
+        let drain_ms = Json::Float(self.drain_elapsed.as_secs_f64() * 1e3);
+        Json::obj(
+            self.counters()
+                .into_iter()
+                .chain([("drain_elapsed_ms", drain_ms)]),
+        )
     }
 
     /// A latency quantile in milliseconds (0 when no job was timed):
@@ -597,13 +577,9 @@ fn retry_hint_ms(ewma_us: u64, depth: usize, workers: usize) -> u64 {
 /// crosses directly) and a reply channel the worker answers exactly once.
 struct Job {
     seq: u64,
-    /// Server-assigned request ID (`c<conn>-r<n>`): the access-log key,
-    /// corpus key, and slow-trace filename.
-    req_id: String,
-    /// Client peer, carried for the worker-side access record.
-    peer: String,
-    /// Request frame payload size, carried for the access record.
-    frame_bytes: u64,
+    /// The request's access record, settled by the worker. Its `req_id`
+    /// (`c<conn>-r<n>`) is also the corpus key and slow-trace filename.
+    record: AccessRecord,
     id: Option<String>,
     spec: Problem,
     timeout: Duration,
@@ -695,7 +671,7 @@ impl Server {
         if let Some(dir) = &config.slow_trace_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let shared = Shared::new();
+        let shared = Shared::new(access);
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_capacity);
         let job_rx = Mutex::new(job_rx);
         // One warm cache for the whole pool: any worker's finished search
@@ -707,15 +683,7 @@ impl Server {
         thread::scope(|scope| {
             for _ in 0..config.workers.max(1) {
                 scope.spawn(|| {
-                    worker_loop(
-                        &config,
-                        &shared,
-                        &control,
-                        &job_rx,
-                        &warm,
-                        corpus.as_ref(),
-                        access.as_ref(),
-                    )
+                    worker_loop(&config, &shared, &control, &job_rx, &warm, corpus.as_ref())
                 });
             }
             while !control.load(Ordering::SeqCst) {
@@ -728,12 +696,9 @@ impl Server {
                     Ok(conn) => {
                         let conn_no = shared.connections.fetch_add(1, Ordering::Relaxed) + 1;
                         let tx = job_tx.clone();
-                        let (config, shared, control) = (&config, &shared, &control);
-                        let (warm, access) = (&warm, access.as_ref());
+                        let (config, shared, control, warm) = (&config, &shared, &control, &warm);
                         scope.spawn(move || {
-                            connection_loop(
-                                conn, conn_no, config, shared, control, tx, warm, access,
-                            )
+                            connection_loop(conn, conn_no, config, shared, control, tx, warm)
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(idle_nap),
@@ -761,66 +726,7 @@ impl Server {
         if let Some(e) = listen_error {
             return Err(e);
         }
-        let (queue_wait_us, service_us) = {
-            let m = shared.metrics();
-            (m.queue_wait_us.clone(), m.service_us.clone())
-        };
-        Ok(ServeSummary {
-            connections: shared.connections.load(Ordering::Relaxed),
-            accepted: shared.accepted.load(Ordering::Relaxed),
-            completed: shared.completed.load(Ordering::Relaxed),
-            solved: shared.solved.load(Ordering::Relaxed),
-            shed: shared.shed.load(Ordering::Relaxed),
-            crashed: shared.crashed.load(Ordering::Relaxed),
-            rejected: shared.rejected.load(Ordering::Relaxed),
-            drained: shared.drained.load(Ordering::Relaxed),
-            slow_traces: shared.slow_traces.load(Ordering::Relaxed),
-            drain_elapsed: drain_started_at.map_or(Duration::ZERO, |t| t.elapsed()),
-            queue_wait_us,
-            service_us,
-        })
-    }
-}
-
-/// Per-request context a connection thread hands to the dispatchers:
-/// the minted request ID, the client identity, and the access log.
-struct RequestCtx<'a> {
-    req_id: String,
-    peer: &'a str,
-    frame_bytes: u64,
-    access: Option<&'a AccessLog>,
-}
-
-impl RequestCtx<'_> {
-    /// A record skeleton for requests decided on the connection thread
-    /// (non-synthesis ops and admission rejections): no queue wait, no
-    /// service time — the request never reached a worker.
-    fn record(&self, shared: &Shared, op: &str, status: &str) -> AccessRecord {
-        AccessRecord {
-            t_ms: shared.t_ms(),
-            req_id: self.req_id.clone(),
-            op: op.to_owned(),
-            peer: self.peer.to_owned(),
-            status: status.to_owned(),
-            frame_bytes: self.frame_bytes,
-            queue_wait_ms: None,
-            service_ms: None,
-            warm_hits: None,
-            shed: false,
-            crashed: false,
-            problem: None,
-            fingerprint: None,
-        }
-    }
-}
-
-/// Appends one access record, reporting (never propagating) failures:
-/// telemetry must not take down a request.
-fn append_access(access: Option<&AccessLog>, record: &AccessRecord) {
-    if let Some(log) = access {
-        if let Err(e) = log.append(record) {
-            eprintln!("warning: access-log append failed: {e}");
-        }
+        Ok(shared.summary(drain_started_at.map_or(Duration::ZERO, |t| t.elapsed())))
     }
 }
 
@@ -830,8 +736,8 @@ fn append_access(access: Option<&AccessLog>, record: &AccessRecord) {
 /// connection keeps going — the framing layer is still in sync.
 ///
 /// Every request is stamped with a server-assigned ID (`c<conn>-r<n>`)
-/// before dispatch; the reply carries it back as `req_id`.
-#[allow(clippy::too_many_arguments)]
+/// and given its access record before dispatch; the reply carries the ID
+/// back as `req_id`.
 fn connection_loop(
     mut conn: Conn,
     conn_no: u64,
@@ -840,7 +746,6 @@ fn connection_loop(
     control: &AtomicBool,
     job_tx: mpsc::SyncSender<Job>,
     warm: &WarmCache,
-    access: Option<&AccessLog>,
 ) {
     if conn.set_read_timeout(config.read_timeout).is_err() {
         return;
@@ -861,83 +766,78 @@ fn connection_loop(
             Err(_) => return,
         };
         req_no += 1;
-        let ctx = RequestCtx {
-            req_id: format!("c{conn_no}-r{req_no}"),
-            peer: &peer,
-            frame_bytes: payload.len() as u64,
-            access,
-        };
-        let reply = handle_payload(&payload, config, shared, control, &job_tx, warm, &ctx);
-        let reply = proto::tag_req_id(reply, &ctx.req_id);
+        let req_id = format!("c{conn_no}-r{req_no}");
+        let record = AccessRecord::received(req_id.clone(), peer.clone(), payload.len() as u64);
+        let reply = handle_payload(&payload, record, config, shared, control, &job_tx, warm);
+        let reply = proto::tag_req_id(reply, &req_id);
         if write_frame(&mut conn, reply.to_string().as_bytes()).is_err() {
             return;
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn handle_payload(
     payload: &[u8],
+    mut record: AccessRecord,
     config: &ServeConfig,
     shared: &Shared,
     control: &AtomicBool,
     job_tx: &mpsc::SyncSender<Job>,
     warm: &WarmCache,
-    ctx: &RequestCtx<'_>,
 ) -> Json {
     let req = match proto::parse_request(payload) {
         Ok(r) => r,
         Err(msg) => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            shared.record_request_shape("invalid", ctx.peer, ctx.frame_bytes);
-            append_access(ctx.access, &ctx.record(shared, "invalid", "error"));
+            shared.settle(record, "error");
             return proto::resp_error(None, &msg);
         }
     };
-    let op = match req.op {
+    record.op = match req.op {
         ReqOp::Ping => "ping",
         ReqOp::Stats => "stats",
         ReqOp::Shutdown => "shutdown",
         ReqOp::Synth => "synth",
-    };
-    shared.record_request_shape(op, ctx.peer, ctx.frame_bytes);
+    }
+    .to_owned();
     let id = req.id.clone();
     match req.op {
         ReqOp::Ping => {
-            append_access(ctx.access, &ctx.record(shared, op, "ok"));
+            shared.settle(record, "ok");
             proto::resp_pong(id.as_deref())
         }
         ReqOp::Stats => {
-            append_access(ctx.access, &ctx.record(shared, op, "ok"));
+            // Settled first, so the reply counts its own request.
+            shared.settle(record, "ok");
             proto::resp_stats(id.as_deref(), shared.snapshot_json(config, warm))
         }
         ReqOp::Shutdown => {
             control.store(true, Ordering::SeqCst);
-            append_access(ctx.access, &ctx.record(shared, op, "ok"));
+            shared.settle(record, "ok");
             proto::resp_draining(id.as_deref())
         }
-        ReqOp::Synth => admit_synth(req, config, shared, control, job_tx, ctx),
+        ReqOp::Synth => admit_synth(req, record, config, shared, control, job_tx),
     }
 }
 
 /// Validates a synth request on the connection thread (cheap, and bad
 /// problems never consume a queue slot), then runs admission control.
 ///
-/// Access-record discipline: this function writes the record for every
+/// Access-record discipline: this function settles the record of every
 /// request it *decides* (drain refusal, invalid problem, shed,
-/// disconnected queue); an admitted job's record is written by the
-/// worker, which alone knows queue wait, service time, and outcome.
+/// disconnected queue); an admitted job's record rides in the [`Job`]
+/// and is settled by the worker, which alone knows queue wait, service
+/// time, and outcome.
 fn admit_synth(
     req: Request,
+    mut record: AccessRecord,
     config: &ServeConfig,
     shared: &Shared,
     control: &AtomicBool,
     job_tx: &mpsc::SyncSender<Job>,
-    ctx: &RequestCtx<'_>,
 ) -> Json {
     let id = req.id.clone();
     if control.load(Ordering::SeqCst) {
-        append_access(ctx.access, &ctx.record(shared, "synth", "shutting_down"));
+        shared.settle(record, "shutting_down");
         return proto::resp_shutting_down(id.as_deref());
     }
     let problem: Result<Problem, String> = match (&req.problem_source, &req.problem_json) {
@@ -948,8 +848,7 @@ fn admit_synth(
     let problem = match problem {
         Ok(p) => p,
         Err(msg) => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            append_access(ctx.access, &ctx.record(shared, "synth", "error"));
+            shared.settle(record, "error");
             return proto::resp_error(id.as_deref(), &format!("invalid problem: {msg}"));
         }
     };
@@ -959,12 +858,10 @@ fn admit_synth(
         .unwrap_or(config.default_timeout)
         .min(config.max_timeout);
     let (reply_tx, reply_rx) = mpsc::channel();
-    let problem_name = problem.name().to_owned();
+    record.problem = Some(problem.name().to_owned());
     let job = Job {
         seq: shared.seq.fetch_add(1, Ordering::Relaxed),
-        req_id: ctx.req_id.clone(),
-        peer: ctx.peer.to_owned(),
-        frame_bytes: ctx.frame_bytes,
+        record,
         id: id.clone(),
         spec: problem,
         timeout,
@@ -983,20 +880,18 @@ fn admit_synth(
                 Err(_) => proto::resp_error(id.as_deref(), "worker disappeared mid-request"),
             }
         }
-        Err(TrySendError::Full(_)) => {
-            shared.shed.fetch_add(1, Ordering::Relaxed);
-            let mut record = ctx.record(shared, "synth", "overloaded");
+        Err(TrySendError::Full(job)) => {
+            let mut record = job.record;
             record.shed = true;
-            record.problem = Some(problem_name);
-            append_access(ctx.access, &record);
+            shared.settle(record, "overloaded");
             proto::resp_overloaded(
                 id.as_deref(),
                 shared.retry_after_ms(config.workers),
                 shared.depth.load(Ordering::Relaxed),
             )
         }
-        Err(TrySendError::Disconnected(_)) => {
-            append_access(ctx.access, &ctx.record(shared, "synth", "shutting_down"));
+        Err(TrySendError::Disconnected(job)) => {
+            shared.settle(job.record, "shutting_down");
             proto::resp_shutting_down(id.as_deref())
         }
     }
@@ -1009,7 +904,6 @@ fn worker_loop(
     job_rx: &Mutex<mpsc::Receiver<Job>>,
     warm: &WarmCache,
     corpus: Option<&Corpus>,
-    access: Option<&AccessLog>,
 ) {
     loop {
         let next = {
@@ -1023,29 +917,13 @@ fn worker_loop(
             Ok(job) => {
                 shared.depth.fetch_sub(1, Ordering::SeqCst);
                 if control.load(Ordering::SeqCst) {
-                    shared.drained.fetch_add(1, Ordering::Relaxed);
-                    append_access(
-                        access,
-                        &AccessRecord {
-                            t_ms: shared.t_ms(),
-                            req_id: job.req_id.clone(),
-                            op: "synth".to_owned(),
-                            peer: job.peer.clone(),
-                            status: "shutting_down".to_owned(),
-                            frame_bytes: job.frame_bytes,
-                            queue_wait_ms: Some(job.enqueued.elapsed().as_secs_f64() * 1e3),
-                            service_ms: None,
-                            warm_hits: None,
-                            shed: false,
-                            crashed: false,
-                            problem: Some(job.spec.name().to_owned()),
-                            fingerprint: None,
-                        },
-                    );
+                    let mut record = job.record;
+                    record.queue_wait_ms = Some(job.enqueued.elapsed().as_secs_f64() * 1e3);
+                    shared.settle(record, "shutting_down");
                     let _ = job.reply.send(proto::resp_shutting_down(job.id.as_deref()));
                     continue;
                 }
-                execute(job, config, shared, warm, corpus, access);
+                execute(job, config, shared, warm, corpus);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if control.load(Ordering::SeqCst) {
@@ -1086,17 +964,17 @@ impl Write for TraceBuf {
 
 /// Runs one job under the unwind guard and answers its reply channel
 /// exactly once. The receiver may have hung up (connection died); the
-/// job is still executed and accounted, so send results are ignored.
+/// job is still executed and settled, so send results are ignored.
 fn execute(
     job: Job,
     config: &ServeConfig,
     shared: &Shared,
     warm: &WarmCache,
     corpus: Option<&Corpus>,
-    access: Option<&AccessLog>,
 ) {
-    let queue_wait = job.enqueued.elapsed();
-    let queue_wait_ms = queue_wait.as_secs_f64() * 1e3;
+    let queue_wait_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+    let mut record = job.record;
+    record.queue_wait_ms = Some(queue_wait_ms);
     let problem = job.spec;
     let mut options = config.options.clone();
     options.timeout = Some(job.timeout);
@@ -1108,6 +986,7 @@ fn execute(
         if !arm_failpoint(site) {
             shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             shared.unregister_cancel(job.seq);
+            shared.settle(record, "error");
             let _ = job.reply.send(proto::resp_error(
                 job.id.as_deref(),
                 &format!("unknown failpoint site `{site}`"),
@@ -1151,13 +1030,12 @@ fn execute(
     crate::failpoints::reset();
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     shared.unregister_cancel(job.seq);
-    shared.completed.fetch_add(1, Ordering::Relaxed);
-    shared.record_timings(queue_wait, elapsed);
+    record.service_ms = Some(elapsed.as_secs_f64() * 1e3);
     if let Some(tracer) = slow_tracer {
         let _ = tracer.finish();
         if let Some(dir) = &config.slow_trace_dir {
             if elapsed.as_millis() as u64 >= config.slow_trace_ms.unwrap_or(0) {
-                let path = dir.join(format!("{}.jsonl", job.req_id));
+                let path = dir.join(format!("{}.jsonl", record.req_id));
                 match std::fs::write(&path, trace_buf.take()) {
                     Ok(()) => {
                         shared.slow_traces.fetch_add(1, Ordering::Relaxed);
@@ -1170,61 +1048,42 @@ fn execute(
             }
         }
     }
-    let fingerprint = (access.is_some() || corpus.is_some()).then(|| options_fingerprint(&options));
-    let mut record = AccessRecord {
-        t_ms: shared.t_ms(),
-        req_id: job.req_id.clone(),
-        op: "synth".to_owned(),
-        peer: job.peer.clone(),
-        status: String::new(),
-        frame_bytes: job.frame_bytes,
-        queue_wait_ms: Some(queue_wait_ms),
-        service_ms: Some(elapsed.as_secs_f64() * 1e3),
-        warm_hits: None,
-        shed: false,
-        crashed: false,
-        problem: Some(problem.name().to_owned()),
-        fingerprint: fingerprint.clone(),
-    };
-    let reply = match result {
+    let fingerprint =
+        (shared.access.is_some() || corpus.is_some()).then(|| options_fingerprint(&options));
+    let (status, reply) = match result {
         Ok(report) => {
-            shared
-                .warm_hits
-                .fetch_add(report.stats.warm_hits, Ordering::Relaxed);
-            if report.outcome.is_ok() {
-                shared.solved.fetch_add(1, Ordering::Relaxed);
-            }
             shared.record_service(elapsed);
-            record.status = if report.outcome.is_ok() {
-                "ok".to_owned()
-            } else {
-                "unsolved".to_owned()
-            };
             record.warm_hits = Some(report.stats.warm_hits);
             if let Some(corpus) = corpus {
                 let m = report.to_measurement(problem.name(), problem.examples().len());
                 let run = RunRecord::of_served_request(
                     &m,
                     fingerprint.as_deref().unwrap_or_default(),
-                    &job.req_id,
+                    &record.req_id,
                 );
                 if let Err(e) = corpus.append(&[run]) {
                     eprintln!("warning: corpus append failed: {e}");
                 }
             }
-            proto::resp_report(job.id.as_deref(), &report, queue_wait_ms)
+            let status = if report.outcome.is_ok() {
+                "ok"
+            } else {
+                "unsolved"
+            };
+            let reply = proto::resp_report(job.id.as_deref(), &report, queue_wait_ms);
+            (status, reply)
         }
         Err(payload) => {
-            shared.crashed.fetch_add(1, Ordering::Relaxed);
-            record.status = "error".to_owned();
             record.crashed = true;
-            proto::resp_error(
+            let reply = proto::resp_error(
                 job.id.as_deref(),
                 &format!("synthesis crashed: {}", panic_message(payload.as_ref())),
-            )
+            );
+            ("error", reply)
         }
     };
-    append_access(access, &record);
+    record.fingerprint = fingerprint;
+    shared.settle(record, status);
     let _ = job.reply.send(reply);
 }
 

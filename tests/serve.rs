@@ -582,9 +582,9 @@ fn observability_is_observation_only_and_leaves_artifacts() {
 /// The access-log writer under load: concurrent connection threads and
 /// workers append records to one file, and every line must still be a
 /// whole, parseable record — `load_access_log` fails on any torn write.
-/// Every request (ok or shed) produces exactly one record with a unique
-/// request ID, and the offline analysis agrees with the daemon's own
-/// shed accounting.
+/// Every request (ok, shed, ping, or unparsable) produces exactly one
+/// record with a unique request ID, and the offline analysis of the log
+/// agrees with the daemon's own drain summary on every count.
 #[test]
 fn access_log_interleaves_whole_lines_under_saturation() {
     let dir = temp_dir("torn");
@@ -609,6 +609,8 @@ fn access_log_interleaves_whole_lines_under_saturation() {
                     let mut c_ok = 0u64;
                     let mut c_shed = 0u64;
                     let mut client = Client::connect(addr).expect("connect");
+                    let ping = client.call(&Json::obj([("op", "ping".into())]));
+                    assert_eq!(status_of(&ping.expect("pong")), "ok");
                     for r in 0..per_client {
                         let src = [EVENS, ROTATE, INCRS][(c + r as usize) % 3];
                         let resp = client
@@ -630,10 +632,19 @@ fn access_log_interleaves_whole_lines_under_saturation() {
             sheds += c_shed;
         }
     });
+    let garbage = 3u64;
+    {
+        let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
+        let mut reader = frame::FrameReader::new(frame::MAX_FRAME_BYTES);
+        for _ in 0..garbage {
+            frame::write_frame(&mut raw, b"{not json").unwrap();
+            reader.read_frame(&mut raw).unwrap().expect("error reply");
+        }
+    }
     let summary = stop(&control, handle);
 
     let records = load_access_log(&log).expect("every line parses — no torn writes");
-    let total = clients as u64 * per_client;
+    let total = clients as u64 * (per_client + 1) + garbage;
     assert_eq!(records.len() as u64, total, "one record per request");
     let mut ids: Vec<&str> = records.iter().map(|r| r.req_id.as_str()).collect();
     ids.sort_unstable();
@@ -642,9 +653,35 @@ fn access_log_interleaves_whole_lines_under_saturation() {
 
     let report = AccessReport::analyze(&records);
     assert_eq!(report.requests, total);
-    assert_eq!(report.shed, summary.shed, "analysis matches the daemon");
+    let log_counts = [
+        report.completed(),
+        report.solved,
+        report.shed,
+        report.crashed,
+        report.rejected,
+        report.drained,
+        report.warm_hits,
+        report.queue_wait_us.count(),
+        report.service_us.count(),
+    ];
+    let daemon_counts = [
+        summary.completed,
+        summary.solved,
+        summary.shed,
+        summary.crashed,
+        summary.rejected,
+        summary.drained,
+        summary.warm_hits,
+        summary.queue_wait_us.count(),
+        summary.service_us.count(),
+    ];
+    assert_eq!(log_counts, daemon_counts, "analysis matches the daemon");
+    assert_eq!(report.ops, summary.ops, "analysis matches the daemon");
+    assert_eq!(report.rejected, garbage);
     assert_eq!(report.shed, sheds, "analysis matches the clients");
-    assert_eq!(report.statuses.get("ok").copied().unwrap_or(0), oks);
+    assert_eq!(report.solved, oks, "analysis matches the clients");
+    let pings = clients as u64;
+    assert_eq!(report.statuses.get("ok").copied().unwrap_or(0), oks + pings);
     assert!(
         report.service_ms(0.5) <= report.service_ms(0.99),
         "p50 <= p99"
@@ -703,12 +740,18 @@ fn stats_and_summary_carry_latency_histograms() {
 
 /// Crash isolation under fault injection: a request that panics inside
 /// the engine yields a structured `error`, concurrent requests complete,
-/// and the daemon serves the next request as if nothing happened.
+/// and the daemon serves the next request as if nothing happened. A
+/// request naming an unknown fail-point site is rejected, and every
+/// request — the crashed and the rejected one included — leaves exactly
+/// one access record.
 #[cfg(feature = "failpoints")]
 #[test]
 fn a_panicking_request_cannot_take_the_daemon_down() {
+    let dir = temp_dir("crash");
+    let log = dir.join("access.jsonl");
     let config = ServeConfig {
         workers: 2,
+        access_log: Some(log.clone()),
         ..ServeConfig::default()
     };
     let (addr, control, handle) = start(config);
@@ -751,7 +794,21 @@ fn a_panicking_request_cannot_take_the_daemon_down() {
         .expect("answered");
     assert_eq!(status_of(&next), "ok");
 
+    let unknown = c
+        .call(&Json::obj([
+            ("op", "synth".into()),
+            ("id", "nowhere".into()),
+            ("problem", ROTATE.into()),
+            ("timeout_ms", 30_000u64.into()),
+            ("failpoint", "no.such.site".into()),
+        ]))
+        .expect("answered");
+    assert_eq!(status_of(&unknown), "error");
+
     let summary = stop(&control, handle);
     assert_eq!(summary.crashed, 1, "{summary:?}");
     assert!(summary.solved >= 2);
+    assert_eq!(summary.rejected, 1, "{summary:?}");
+    let records = load_access_log(&log).expect("parse access log");
+    assert_eq!(records.len(), 4, "one record per request: {records:?}");
 }

@@ -2,11 +2,13 @@
 //! it in release with `-- --ignored`). Mixed good/bad traffic — quick
 //! solvable problems, invalid problems, protocol garbage, and (under
 //! `--features failpoints`) engine panics — hammers the daemon for
-//! `LAMBDA2_SOAK_SECS` seconds (default 60). Throughout, the byte
-//! accounting the daemon itself reports must stay bounded: the warm
-//! cache honors its configured budget (the RSS proxy — the only
-//! unbounded-growth candidate in shared state), and the access log
-//! grows linearly in requests, not time.
+//! `LAMBDA2_SOAK_SECS` seconds (default 60). Throughout, memory must
+//! stay bounded: the warm cache honors its configured byte budget, the
+//! access log grows linearly in requests, not time, and at the end the
+//! process's peak resident set (`VmHWM`) sits under a fixed ceiling.
+//! The cache's own accounting is not enough on its own: every search
+//! also builds term stores of its own, and the daemon's tally keeps one
+//! entry per client peer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
@@ -40,6 +42,20 @@ const WARM_BUDGET: usize = 8 << 20;
 /// of short fields; a kilobyte of slack per request catches any
 /// accidental payload echo (problem sources are hundreds of bytes).
 const LOG_BYTES_PER_REQUEST: u64 = 1024;
+
+/// Ceiling on the soak process's peak resident set, KiB. The process
+/// holds the daemon, its workers and the clients. A 60 s release run
+/// peaked at 288 MiB (2-core x86-64 Linux); the ceiling allows 1.5x that
+/// for allocator and scheduling differences between machines.
+const PEAK_RSS_CEILING_KB: u64 = 432 << 10;
+
+/// This process's peak resident set (`VmHWM`) in KiB, or `None` where
+/// `/proc` is absent.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
 
 #[test]
 #[ignore = "60s soak; run explicitly or via CI with -- --ignored"]
@@ -161,9 +177,16 @@ fn soak_byte_accounting_stays_bounded() {
         records.len()
     );
     assert_eq!(report.shed, summary.shed);
+    let peak_kb = peak_rss_kb();
+    if let Some(kb) = peak_kb {
+        assert!(
+            kb <= PEAK_RSS_CEILING_KB,
+            "peak RSS {kb} KiB exceeds the {PEAK_RSS_CEILING_KB} KiB ceiling"
+        );
+    }
     println!(
         "soak: {total} requests in {secs}s, {} records, {} log bytes, \
-         {} shed, {} crashed",
+         {} shed, {} crashed, peak RSS {peak_kb:?} KiB",
         records.len(),
         log_bytes,
         summary.shed,
