@@ -59,9 +59,9 @@ use lambda2_synth::serve::{request_with_retry, Backoff};
 use lambda2_synth::{
     aggregate, collapse_tree, diff_traces, ingest_bench, ingest_measurement, lint_source,
     load_access_log, load_records, load_trace, options_fingerprint, parse_problem, regress,
-    render_access_html, render_html, summarize, AccessReport, Corpus, DiffOutcome, FindingKind,
-    JsonlTracer, Measurement, Problem, RegressThresholds, RunRecord, SearchOptions, SearchReport,
-    ServeConfig, Server, Synthesis, Synthesizer, Trace, TraceEvent, Tracer, Weight,
+    summarize, AccessReport, Corpus, DiffOutcome, FindingKind, JsonlTracer, Measurement, Problem,
+    RegressThresholds, RunRecord, SearchOptions, SearchReport, ServeConfig, Server, Synthesis,
+    Synthesizer, Trace, TraceEvent, Tracer, Weight,
 };
 
 /// Default daemon address shared by `l2 serve` and `l2 client`.
@@ -79,7 +79,6 @@ const COMMANDS: &[(&str, &str, &str)] = &[
     ("profile", "summary <trace.jsonl>", "per-rule attribution"),
     ("profile", "tree <trace.jsonl>", "flamegraph stacks"),
     ("profile", "diff <a.jsonl> <b.jsonl>", "first divergence"),
-    ("profile", "report <trace.jsonl>", "HTML report"),
     ("corpus", "ingest <dir> <file>...", "backfill records"),
     ("corpus", "list <dir>", "one line per problem+config"),
     ("corpus", "stats <dir>", "cross-run aggregates"),
@@ -198,8 +197,8 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "--out",
         kind: FILE,
-        scope: &["profile", "serve report"],
-        help: "write the tree or HTML report to <path>",
+        scope: &["profile"],
+        help: "write the tree to <path>",
     },
     Flag {
         name: "--wall-ratio",
@@ -963,7 +962,7 @@ fn cmd_lint(paths: &[String], args: &Args) -> ExitCode {
     }
 }
 
-/// `l2 profile <summary|tree|diff|report> <trace>...` — offline analysis
+/// `l2 profile <summary|tree|diff> <trace>...` — offline analysis
 /// of `--trace` JSONL files. Exit codes: 0 on success (for `diff`:
 /// identical traces), 1 when `diff` finds a divergence or truncation,
 /// 2 on usage or I/O errors (`Err`).
@@ -984,7 +983,14 @@ fn cmd_profile(sub: &str, files: &[String], args: &Args) -> Result<ExitCode, Str
             };
             let stacks = collapse_tree(&read_trace(trace)?, weight).map_err(|e| e.to_string())?;
             let out: String = stacks.iter().map(|(s, w)| format!("{s} {w}\n")).collect();
-            deliver(&out, args.path("--out"), "collapsed stacks")?;
+            match args.path("--out") {
+                Some(path) => {
+                    std::fs::write(&path, out)
+                        .map_err(|e| format!("writing {}: {e}", path.display()))?;
+                    eprintln!("collapsed stacks -> {}", path.display());
+                }
+                None => emit(&out),
+            }
         }
         ("diff", [a, b]) => {
             let outcome = diff_traces(&read_trace(a)?, &read_trace(b)?);
@@ -1017,12 +1023,6 @@ fn cmd_profile(sub: &str, files: &[String], args: &Args) -> Result<ExitCode, Str
                 return Ok(ExitCode::FAILURE);
             }
         }
-        ("report", [trace]) => {
-            let html = render_html(&read_trace(trace)?, trace);
-            let out = args.path("--out");
-            let out = out.unwrap_or_else(|| PathBuf::from(trace).with_extension("html"));
-            deliver(&html, Some(out), "report")?;
-        }
         _ => return Ok(usage_error(Some("profile"))),
     }
     Ok(ExitCode::SUCCESS)
@@ -1031,20 +1031,6 @@ fn cmd_profile(sub: &str, files: &[String], args: &Args) -> Result<ExitCode, Str
 /// Loads a `--trace` file for `l2 profile`.
 fn read_trace(path: &str) -> Result<Trace, String> {
     load_trace(Path::new(path)).map_err(|e| e.to_string())
-}
-
-/// Writes `content` to `out`, naming it `what` on stderr, or to stdout
-/// when there is no `out`.
-fn deliver(content: &str, out: Option<PathBuf>, what: &str) -> Result<(), String> {
-    match out {
-        Some(path) => {
-            std::fs::write(&path, content)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            eprintln!("{what} -> {}", path.display());
-        }
-        None => emit(content),
-    }
-    Ok(())
 }
 
 /// One JSON object describing a [`DiffOutcome`].
@@ -1294,9 +1280,8 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
 
 /// `l2 serve report <access.jsonl>` — offline analyzer for a daemon's
 /// access log. Prints a human-readable summary (or the full analysis as
-/// one JSON line with `--json`) and writes a self-contained HTML
-/// dashboard next to the log (or to `--out`). Exit codes: 0 on success,
-/// 2 on usage errors or an unreadable/invalid log.
+/// one JSON line with `--json`); it writes no file. Exit codes: 0 on
+/// success, 2 on usage errors or an unreadable/invalid log.
 fn cmd_serve_report(files: &[String], args: &Args) -> Result<ExitCode, String> {
     let [log_path] = files else {
         return Ok(usage_error(Some("serve report")));
@@ -1308,13 +1293,6 @@ fn cmd_serve_report(files: &[String], args: &Args) -> Result<ExitCode, String> {
     } else {
         emit(&report.render_text());
     }
-    let out = args.path("--out");
-    let out = out.unwrap_or_else(|| PathBuf::from(log_path).with_extension("html"));
-    deliver(
-        &render_access_html(&report, log_path),
-        Some(out),
-        "dashboard",
-    )?;
     Ok(ExitCode::SUCCESS)
 }
 

@@ -60,33 +60,42 @@ fn flags_outside_their_command_are_usage_errors() {
     let dir = std::env::temp_dir().join(format!("l2-help-scope-{}", std::process::id()));
     let corpus = dir.join("c");
     let corpus = corpus.to_str().expect("utf8 path");
-    for (args, flag, command) in [
+    let out_path = dir.join("x");
+    let out_path = out_path.to_str().expect("utf8 path");
+    for (args, needles) in [
         (
             &["eval", "--corpus", corpus, "(+ 1 2)"][..],
-            "--corpus",
-            "eval",
+            &["--corpus", "`l2 eval`"][..],
         ),
-        (&["list", "--warm-bytes", "5"], "--warm-bytes", "list"),
+        (
+            &["list", "--warm-bytes", "5"],
+            &["--warm-bytes", "`l2 list`"],
+        ),
         (
             &["lint", "--no-static-prune", "p.l2"],
-            "--no-static-prune",
-            "lint",
+            &["--no-static-prune", "`l2 lint`"],
         ),
         (
             &["--progress", "bench", "ident", "head"],
-            "--progress",
-            "bench",
+            &["--progress", "`l2 bench`"],
         ),
+        (
+            &["serve", "report", "log", "--out", out_path],
+            &["--out", "`l2 serve report`"],
+        ),
+        // `report` is no `profile` form: the profile usage, exit 2.
+        (&["profile", "report", "t.jsonl"], &["l2 profile summary"]),
     ] {
         let out = l2(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "{stderr}");
-        assert!(stderr.contains(&format!("`l2 {command}`")), "{stderr}");
+        for needle in needles {
+            assert!(stderr.contains(needle), "{stderr}");
+        }
         assert!(out.stdout.is_empty(), "{args:?}");
     }
     assert!(
         !dir.exists(),
-        "a rejected --corpus must not create its directory"
+        "a rejected --corpus or --out must not create its path"
     );
 }

@@ -26,7 +26,7 @@ use lambda2_lang::value::Value;
 use crate::enumerate::{canonical, op_result_type, EnumLimits, TermStore};
 use crate::govern::{Attempt, Budget, Rung, SearchReport, DEFAULT_MAX_OVERSHOOT};
 use crate::problem::Problem;
-use crate::search::{SynthError, Synthesis};
+use crate::search::{SearchOptions, SynthError, Synthesis};
 use crate::spec::Spec;
 use crate::stats::Stats;
 use crate::verify::Program;
@@ -54,6 +54,20 @@ impl Default for BaselineOptions {
             max_lambda_body_cost: 7,
             max_pool_terms: 3_000,
             eval_fuel: 50_000,
+        }
+    }
+}
+
+impl BaselineOptions {
+    /// The baseline run that stands in for a λ² search with `options`:
+    /// the same deadline, cost ceiling and evaluation fuel, and the
+    /// default lambda-body pool.
+    pub(crate) fn for_search(options: &SearchOptions) -> BaselineOptions {
+        BaselineOptions {
+            max_cost: options.max_cost,
+            timeout: options.timeout,
+            eval_fuel: options.eval_fuel,
+            ..BaselineOptions::default()
         }
     }
 }

@@ -220,7 +220,7 @@ impl Budget {
 
     /// A snapshot of the poll-gap distribution (microseconds between
     /// consecutive clock polls). The search folds this into
-    /// `Stats::metrics` when metrics are enabled.
+    /// `Stats::metrics`.
     pub fn poll_gap_us(&self) -> Histogram {
         self.poll_gap_us.borrow().clone()
     }

@@ -86,7 +86,6 @@ pub use obs::profile::{
     collapse_tree, diff_traces, load_trace, parse_trace, summarize, DiffOutcome, ProfileError,
     Summary, Trace, Weight,
 };
-pub use obs::report::{render_access_html, render_html};
 pub use obs::{
     CollectTracer, JsonlTracer, NoopTracer, PhaseTimes, TraceEvent, Tracer, SCHEMA_VERSION,
 };

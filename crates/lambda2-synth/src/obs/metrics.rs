@@ -310,8 +310,8 @@ impl SearchMetrics {
         ]
     }
 
-    /// `true` when no instrument has recorded anything (metrics were off
-    /// or the run did no work).
+    /// `true` when no instrument has recorded anything: metrics are always
+    /// recorded, so only a run that did no work is empty.
     pub fn is_empty(&self) -> bool {
         self.instruments().iter().all(|(_, h)| h.is_empty())
     }

@@ -26,7 +26,6 @@ pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod profile;
-pub mod report;
 
 use std::io::{self, Write};
 use std::time::{Duration, Instant};

@@ -394,9 +394,8 @@ impl Summary {
     ///
     /// Sections with nothing to show degrade to an explicit
     /// `(none recorded …)` note rather than a bare header: a trace from a
-    /// run with little or no instrumentation (e.g. `metrics` off, or an
-    /// engine path that never emitted that event family) is a valid input
-    /// here, not an error.
+    /// run that did little work, or an engine path that never emitted that
+    /// event family, is a valid input here, not an error.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -148,9 +148,8 @@ pub struct ParOutcome {
     /// Trace events, when the task asked for them (empty otherwise).
     pub events: Vec<TraceEvent>,
     /// Time the task spent queued before a worker picked it up. Also
-    /// recorded in the report's `queue_wait_us` metric (when the task's
-    /// options enable metrics) so batch p99s can attribute scheduling
-    /// delay separately from search time.
+    /// recorded in the report's `queue_wait_us` metric so batch p99s can
+    /// attribute scheduling delay separately from search time.
     pub queue_wait: Duration,
 }
 
@@ -217,11 +216,7 @@ fn run_task(task: &ParTask) -> (SearchReport, Vec<TraceEvent>) {
             Synthesizer::with_options(task.options.clone()).synthesize_report_traced(problem, tr)
         }
         ParEngine::Baseline => {
-            let bopts = BaselineOptions {
-                timeout: task.options.timeout,
-                max_cost: task.options.max_cost,
-                ..BaselineOptions::default()
-            };
+            let bopts = BaselineOptions::for_search(&task.options);
             let budget = Budget::new(task.options.timeout, task.options.max_overshoot);
             baseline_report(problem, &bopts, &budget)
         }

@@ -232,7 +232,7 @@ pub struct ClientStats {
 
 /// A tally of settled requests: the daemon's live counters (folded one
 /// record at a time by the settle step in `serve::server`) and the
-/// offline analysis `l2 serve report` prints and renders as a dashboard
+/// offline analysis `l2 serve report` prints
 /// ([`analyze`](AccessReport::analyze)). Both go through
 /// [`add`](AccessReport::add), so the `stats` op, the drain summary and
 /// the report count a request the same way.

@@ -87,8 +87,8 @@ impl Stats {
 
     /// Serializes the counters (including phase timings) as a JSON object.
     /// Histogram metrics are included under `"metrics"` only when at least
-    /// one instrument recorded something, so metrics-off runs serialize
-    /// exactly as before.
+    /// one instrument recorded something; metrics are always recorded, so
+    /// they are missing only from a run that did no work.
     pub fn to_json(&self) -> Json {
         let mut j = Json::obj([
             ("popped", self.popped.into()),

@@ -174,11 +174,7 @@ impl Synthesizer {
                 // Rung 3: the pure enumerative baseline — no hypotheses at
                 // all, so it is immune to whatever made the main engine's
                 // space explode.
-                let bopts = BaselineOptions {
-                    timeout: self.options.timeout,
-                    eval_fuel: self.options.eval_fuel,
-                    ..BaselineOptions::default()
-                };
+                let bopts = BaselineOptions::for_search(&self.options);
                 let budget = adopt(Budget::new(
                     self.options.timeout,
                     self.options.max_overshoot,
@@ -230,6 +226,18 @@ mod tests {
             .unwrap()
     }
 
+    fn sum_problem() -> Problem {
+        Problem::builder("sum")
+            .param("l", "[int]")
+            .returns("int")
+            .example(&["[]"], "0")
+            .example(&["[1]"], "1")
+            .example(&["[1 2]"], "3")
+            .example(&["[1 2 3]"], "6")
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn builder_methods_set_options() {
         let s = Synthesizer::new()
@@ -251,15 +259,7 @@ mod tests {
 
     #[test]
     fn synthesize_smoke() {
-        let p = Problem::builder("sum")
-            .param("l", "[int]")
-            .returns("int")
-            .example(&["[]"], "0")
-            .example(&["[1]"], "1")
-            .example(&["[1 2]"], "3")
-            .example(&["[1 2 3]"], "6")
-            .build()
-            .unwrap();
+        let p = sum_problem();
         let s = Synthesizer::new().synthesize(&p).unwrap();
         assert!(s.program.satisfies_problem(&p, 10_000));
         assert!(s.stats.popped > 0);
@@ -296,6 +296,26 @@ mod tests {
         let solved = report.outcome.expect("baseline rung solves identity");
         assert_eq!(solved.program.body().to_string(), "l");
         assert!(report.frontier.is_empty());
+    }
+
+    #[test]
+    fn baseline_rung_keeps_the_cost_ceiling() {
+        // `sum`'s least-cost program costs 10. Under a ceiling of 9 the
+        // 3-pop cap still sends the ladder down to the baseline rung,
+        // which must search under the same ceiling and come back empty.
+        let p = sum_problem();
+        let s = Synthesizer::with_options(SearchOptions {
+            max_popped: 3,
+            max_cost: 9,
+            retry_ladder: true,
+            ..SearchOptions::default()
+        });
+        let report = s.synthesize_report(&p);
+        let rungs: Vec<Rung> = report.attempts.iter().map(|a| a.rung).collect();
+        assert_eq!(rungs, vec![Rung::Full, Rung::Degraded, Rung::Baseline]);
+        if let Ok(solved) = report.outcome {
+            panic!("cost {} above the ceiling of 9", solved.cost);
+        }
     }
 
     #[test]
