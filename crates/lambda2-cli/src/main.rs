@@ -519,6 +519,20 @@ fn usage_error(command: Option<&str>) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Names why a command line fits none of `command`'s forms — a
+/// sub-command it does not know, or a known one given the wrong number of
+/// operands — then prints the command's usage: exit 2.
+fn form_error(command: &str, sub: &str, operands: usize) -> ExitCode {
+    let form = COMMANDS
+        .iter()
+        .find(|(c, form, _)| *c == command && form.split(' ').next() == Some(sub));
+    match form {
+        Some((_, form, _)) => eprintln!("error: `l2 {command} {form}` got {operands} operand(s)"),
+        None => eprintln!("error: `l2 {command}` has no sub-command `{sub}`"),
+    }
+    usage_error(Some(command))
+}
+
 /// The exit code of a synthesizing command: 1 when it failed.
 fn finish(result: Result<(), String>) -> Result<ExitCode, String> {
     Ok(match result {
@@ -1023,7 +1037,7 @@ fn cmd_profile(sub: &str, files: &[String], args: &Args) -> Result<ExitCode, Str
                 return Ok(ExitCode::FAILURE);
             }
         }
-        _ => return Ok(usage_error(Some("profile"))),
+        _ => return Ok(form_error("profile", sub, files.len())),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1202,7 +1216,7 @@ fn cmd_corpus(sub: &str, rest: &[String], args: &Args) -> Result<ExitCode, Strin
                 return Ok(ExitCode::FAILURE);
             }
         }
-        _ => return Ok(usage_error(Some("corpus"))),
+        _ => return Ok(form_error("corpus", sub, rest.len())),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1284,6 +1298,10 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
 /// success, 2 on usage errors or an unreadable/invalid log.
 fn cmd_serve_report(files: &[String], args: &Args) -> Result<ExitCode, String> {
     let [log_path] = files else {
+        eprintln!(
+            "error: `l2 serve report <access.jsonl>` got {} operand(s)",
+            files.len()
+        );
         return Ok(usage_error(Some("serve report")));
     };
     let records = load_access_log(Path::new(log_path)).map_err(|e| e.to_string())?;

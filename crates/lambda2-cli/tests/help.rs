@@ -83,8 +83,33 @@ fn flags_outside_their_command_are_usage_errors() {
             &["serve", "report", "log", "--out", out_path],
             &["--out", "`l2 serve report`"],
         ),
-        // `report` is no `profile` form: the profile usage, exit 2.
-        (&["profile", "report", "t.jsonl"], &["l2 profile summary"]),
+        // A word that is no form of the command is named, then the
+        // command's usage follows: exit 2.
+        (
+            &["profile", "report", "t.jsonl"],
+            &["no sub-command `report`", "l2 profile summary"],
+        ),
+        (
+            &["profile", "sumary", "x"],
+            &["no sub-command `sumary`", "l2 profile summary"],
+        ),
+        (
+            &["corpus", "frob", "x"],
+            &["no sub-command `frob`", "l2 corpus regress"],
+        ),
+        // A known form given the wrong operand count says so.
+        (
+            &["profile", "diff", "a.jsonl"],
+            &["`l2 profile diff <a.jsonl> <b.jsonl>` got 1 operand"],
+        ),
+        (
+            &["serve", "report", "a.jsonl", "b.jsonl"],
+            &["`l2 serve report <access.jsonl>` got 2 operand"],
+        ),
+        (
+            &["serve", "report"],
+            &["`l2 serve report <access.jsonl>` got 0 operand"],
+        ),
     ] {
         let out = l2(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

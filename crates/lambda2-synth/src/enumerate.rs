@@ -14,9 +14,10 @@
 //! deduction rule.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
-use lambda2_lang::ast::Expr;
+use lambda2_lang::ast::{Expr, Op};
 use lambda2_lang::env::Env;
 use lambda2_lang::error::EvalError;
 use lambda2_lang::symbol::Symbol;
@@ -101,6 +102,142 @@ pub struct TermEntry {
     pub sig: Signature,
     /// Its exact cost.
     pub cost: u32,
+    /// Index of `ty` in the owning store's type table.
+    ty_id: TyId,
+    /// Its dedup key ([`dedup_key`] of `ty` and `sig`), kept so a rollback
+    /// can leave the dedup index without re-hashing the signature.
+    key: u64,
+}
+
+/// Index into a store's table of canonical types.
+type TyId = u32;
+
+/// The `rhs` of a unary operator's result-type lookup.
+const NO_TY: TyId = TyId::MAX;
+
+/// An operator (`None` for `if`) and its argument types.
+type ResultKey = (Option<Op>, TyId, TyId);
+
+/// Monotone per-store counts of what happened to each candidate term the
+/// enumerator considered: every candidate is ill-typed, errs on every
+/// row, duplicates a kept term, or is kept (inserted). For a store no
+/// limit truncated, `candidates = ill_typed + all_error + duplicates +
+/// inserted`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Funnel {
+    /// Candidate terms considered (leaves and shape-compatible operator
+    /// and `if` applications).
+    pub candidates: u64,
+    /// Candidates whose argument types do not fit (one per skipped pair).
+    pub ill_typed: u64,
+    /// Candidates that evaluated to an error on every spec row.
+    pub all_error: u64,
+    /// Candidates observationally equal to a kept term.
+    pub duplicates: u64,
+    /// Terms ever materialized into the store. Unlike the store's length
+    /// it never decreases: level rollbacks and (at the search level) LRU
+    /// eviction + rebuild keep adding to it, so it measures enumeration
+    /// *work done*, not the current cache size.
+    pub inserted: u64,
+}
+
+impl Funnel {
+    /// The counts accumulated since `earlier` (a snapshot of the same
+    /// store).
+    pub fn since(&self, earlier: &Funnel) -> Funnel {
+        Funnel {
+            candidates: self.candidates - earlier.candidates,
+            ill_typed: self.ill_typed - earlier.ill_typed,
+            all_error: self.all_error - earlier.all_error,
+            duplicates: self.duplicates - earlier.duplicates,
+            inserted: self.inserted - earlier.inserted,
+        }
+    }
+}
+
+/// A seedless word-wise multiply-rotate hasher: one rotate, xor and
+/// multiply per written word, so a signature of small values hashes in a
+/// few cycles per value. Deterministic across processes and runs (stores
+/// are deterministic caches); `finish` folds the well-mixed high bits
+/// into the low ones that index a table.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// The observational-equivalence key of a term: its canonical type and
+/// signature, hashed word-wise.
+fn dedup_key(ty: &Type, sig: &[Result<Value, EvalError>]) -> u64 {
+    let mut h = WordHasher::default();
+    ty.hash(&mut h);
+    sig.hash(&mut h);
+    h.finish()
+}
+
+/// Hashes a `u64` key as itself: for maps keyed by [`dedup_key`], whose
+/// keys are already hashes.
+#[derive(Clone, Copy, Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys of the dedup index are u64 hashes")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A cost-stratified store of enumerated terms for one context.
@@ -119,18 +256,27 @@ pub struct TermStore {
     arena: TermArena,
     terms: Vec<TermEntry>,
     levels: Vec<Vec<usize>>, // levels[k] = indices of terms with cost k
-    // Observational-equivalence index: hash of (type, signature) -> term
-    // indices with that hash (collisions resolved by real comparison).
-    seen: HashMap<u64, Vec<usize>>,
+    // Observational-equivalence index: dedup key of (type, signature) ->
+    // term indices with that key (collisions resolved by real comparison).
+    seen: HashMap<u64, Vec<usize>, BuildHasherDefault<KeyHasher>>,
+    /// Every canonical type a term or a result-type lookup produced, each
+    /// once; [`TyId`]s index it.
+    types: Vec<Type>,
+    /// Result type of each (operator, argument types) combination seen so
+    /// far, `None` for ill-typed; the operator is `None` for an `if`'s two
+    /// branch types. Computed once per combination, not per candidate.
+    result_types: HashMap<ResultKey, Option<TyId>, BuildHasherDefault<WordHasher>>,
+    /// The candidate being tried, evaluated on every environment: dedup
+    /// runs on it, and only a kept candidate takes it as its signature.
+    scratch: Signature,
     built_upto: u32,
     limits: EnumLimits,
     truncated: bool,
     approx_bytes: usize,
-    /// Monotone count of terms ever materialized into this store. Unlike
-    /// `terms.len()` it never decreases: level rollbacks and (at the
-    /// search level) LRU eviction + rebuild keep adding to it, so it
-    /// measures enumeration *work done*, not the current cache size.
-    inserted: u64,
+    /// `approx_bytes` when the level being built started; a rollback
+    /// restores it.
+    level_start_bytes: usize,
+    funnel: Funnel,
     /// Terms surviving dedup per *completed* enumeration level — one
     /// observation per level built. The search folds this into
     /// `Stats::metrics` (once per store build; see `Search::evict`).
@@ -178,12 +324,16 @@ impl TermStore {
             arena: TermArena::new(),
             terms: Vec::new(),
             levels: vec![Vec::new()], // level 0 is always empty
-            seen: HashMap::new(),
+            seen: HashMap::default(),
+            types: Vec::new(),
+            result_types: HashMap::default(),
+            scratch: Vec::new(),
             built_upto: 0,
             limits,
             truncated: false,
             approx_bytes: 0,
-            inserted: 0,
+            level_start_bytes: 0,
+            funnel: Funnel::default(),
             level_terms: Histogram::new(crate::obs::metrics::EXP2_BOUNDS),
         }
     }
@@ -200,10 +350,17 @@ impl TermStore {
     }
 
     /// Monotone count of terms ever materialized (survives rollbacks;
-    /// never decreases). The search accumulates deltas of this counter
-    /// into `Stats::enumerated_terms`.
+    /// never decreases): [`Funnel::inserted`].
     pub fn inserted(&self) -> u64 {
-        self.inserted
+        self.funnel.inserted
+    }
+
+    /// Monotone counts of the candidates this store considered and what
+    /// became of them (survive rollbacks; never decrease). The search
+    /// accumulates their deltas into `Stats` (`enumerated_terms` is
+    /// `inserted`).
+    pub fn funnel(&self) -> Funnel {
+        self.funnel
     }
 
     /// Distribution of terms surviving dedup per completed level — one
@@ -302,35 +459,25 @@ impl TermStore {
 
     /// Undoes a partially built level `cost`: pops the level, drops its
     /// terms (always a suffix of `terms` — inserts only append), removes
-    /// them from the dedup index, and returns their bytes.
+    /// them from the dedup index by their stored keys, and restores the
+    /// byte count the level started from.
     fn rollback_level(&mut self, cost: u32) {
         debug_assert_eq!(self.levels.len(), cost as usize + 1);
         let removed = self.levels.pop().expect("level was pushed at build entry");
         let keep = self.terms.len() - removed.len();
         debug_assert!(removed.iter().all(|&i| i >= keep));
-        for t in self.terms.drain(keep..) {
-            self.approx_bytes -= 160
-                + t.sig
-                    .iter()
-                    .map(|r| match r {
-                        Ok(v) => 24 * v.size(),
-                        Err(_) => 8,
-                    })
-                    .sum::<usize>();
-            if !self.envs.is_empty() {
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                t.ty.hash(&mut h);
-                t.sig.hash(&mut h);
-                let key = h.finish();
-                if let Some(bucket) = self.seen.get_mut(&key) {
+        if !self.envs.is_empty() {
+            for t in &self.terms[keep..] {
+                if let Some(bucket) = self.seen.get_mut(&t.key) {
                     bucket.retain(|&i| i < keep);
                     if bucket.is_empty() {
-                        self.seen.remove(&key);
+                        self.seen.remove(&t.key);
                     }
                 }
             }
         }
+        self.terms.truncate(keep);
+        self.approx_bytes = self.level_start_bytes;
     }
 
     /// Terms of exactly `cost` (must have been built with [`TermStore::ensure`]).
@@ -413,6 +560,7 @@ impl TermStore {
     ) -> Result<(), BudgetExceeded> {
         debug_assert_eq!(self.levels.len(), cost as usize);
         self.levels.push(Vec::new());
+        self.level_start_bytes = self.approx_bytes;
         let costs = library.costs().clone();
 
         // Leaves: constants.
@@ -423,19 +571,26 @@ impl TermStore {
                     n += 1;
                     Type::Var(n - 1)
                 });
-                let sig: Signature = self.envs.iter().map(|_| Ok(c.clone())).collect();
-                self.insert(Node::Lit(c.clone()), ty, sig, cost);
+                let ty = self.intern_type(canonical(&ty));
+                self.scratch.clear();
+                self.scratch.extend(self.envs.iter().map(|_| Ok(c.clone())));
+                self.funnel.candidates += 1;
+                self.insert(Node::Lit(c.clone()), ty, cost);
             }
         }
         // Leaves: variables.
         if cost == costs.var {
-            for (sym, ty) in self.scope.clone() {
-                let sig: Signature = self
-                    .envs
-                    .iter()
-                    .map(|env| env.lookup(sym).cloned().ok_or(EvalError::Unbound(sym)))
-                    .collect();
-                self.insert(Node::Var(sym), ty.clone(), sig, cost);
+            for i in 0..self.scope.len() {
+                let (sym, ty) = self.scope[i].clone();
+                let ty = self.intern_type(canonical(&ty));
+                self.scratch.clear();
+                self.scratch.extend(
+                    self.envs
+                        .iter()
+                        .map(|env| env.lookup(sym).cloned().ok_or(EvalError::Unbound(sym))),
+                );
+                self.funnel.candidates += 1;
+                self.insert(Node::Var(sym), ty, cost);
             }
         }
 
@@ -507,21 +662,25 @@ impl TermStore {
                     for (tty, tis) in &thens {
                         for (ety, eis) in &elses {
                             // Ground types must match exactly; any
-                            // variable-typed side joins with everything
-                            // (the precise join is re-checked in try_if).
-                            let compatible = if tty.is_ground() && ety.is_ground() {
-                                tty == ety
-                            } else {
-                                true
-                            };
-                            if !compatible {
+                            // variable-typed side may join with anything.
+                            let (tg, eg) = (
+                                self.types[*tty as usize].is_ground(),
+                                self.types[*ety as usize].is_ground(),
+                            );
+                            if tg && eg && tty != ety {
                                 continue;
                             }
+                            let Some(ret) = self.result_type(None, *tty, *ety) else {
+                                let pairs = (tis.len() * eis.len() * conds.len()) as u64;
+                                self.funnel.candidates += pairs;
+                                self.funnel.ill_typed += pairs;
+                                continue;
+                            };
                             for &ti in tis {
                                 for &ei in eis {
                                     for &ci in &conds {
                                         budget.tick()?;
-                                        self.try_if(ci, ti, ei, cost);
+                                        self.try_if(ci, ti, ei, ret, cost);
                                         if self.over_limit(cost) {
                                             return Ok(());
                                         }
@@ -536,14 +695,14 @@ impl TermStore {
         Ok(())
     }
 
-    /// Groups a level's term indices by canonical type.
-    fn type_buckets(&self, cost: u32) -> Vec<(Type, Vec<usize>)> {
-        let mut out: Vec<(Type, Vec<usize>)> = Vec::new();
+    /// Groups a level's term indices by type, in first-occurrence order.
+    fn type_buckets(&self, cost: u32) -> Vec<(TyId, Vec<usize>)> {
+        let mut out: Vec<(TyId, Vec<usize>)> = Vec::new();
         for &i in self.levels.get(cost as usize).into_iter().flatten() {
-            let ty = &self.terms[i].ty;
-            match out.iter_mut().find(|(t, _)| t == ty) {
+            let ty = self.terms[i].ty_id;
+            match out.iter_mut().find(|(t, _)| *t == ty) {
                 Some((_, ids)) => ids.push(i),
-                None => out.push((ty.clone(), vec![i])),
+                None => out.push((ty, vec![i])),
             }
         }
         out
@@ -581,63 +740,99 @@ impl TermStore {
         over
     }
 
-    fn try_op1(&mut self, op: lambda2_lang::ast::Op, i: usize, cost: u32) {
-        let Some(ret) = op_result_type(op, &[self.terms[i].ty.clone()]) else {
-            return;
+    /// The id of a canonical type, adding it to the table if new.
+    fn intern_type(&mut self, ty: Type) -> TyId {
+        let id = match self.types.iter().position(|t| *t == ty) {
+            Some(id) => id,
+            None => {
+                self.types.push(ty);
+                self.types.len() - 1
+            }
         };
-        let sig: Signature = self.terms[i]
-            .sig
-            .iter()
-            .map(|a| match a {
-                Ok(v) => op.apply(std::slice::from_ref(v)),
-                Err(e) => Err(*e),
-            })
-            .collect();
-        if self.all_err(&sig) {
-            return;
-        }
-        self.insert(Node::Op1(op, self.terms[i].term), ret, sig, cost);
+        TyId::try_from(id).expect("few distinct types")
     }
 
-    fn try_op2(&mut self, op: lambda2_lang::ast::Op, i: usize, j: usize, cost: u32) {
-        let Some(ret) = op_result_type(op, &[self.terms[i].ty.clone(), self.terms[j].ty.clone()])
-        else {
+    /// The canonical result type of `op` on arguments of types `a` and `b`
+    /// (`b` is [`NO_TY`] for a unary operator), or of an `if` with branch
+    /// types `a` and `b` when `op` is `None`; `None` if ill-typed.
+    fn result_type(&mut self, op: Option<Op>, a: TyId, b: TyId) -> Option<TyId> {
+        if let Some(&ret) = self.result_types.get(&(op, a, b)) {
+            return ret;
+        }
+        let ta = self.types[a as usize].clone();
+        let ret = match op {
+            Some(op) if b == NO_TY => op_result_type(op, &[ta]),
+            Some(op) => op_result_type(op, &[ta, self.types[b as usize].clone()]),
+            None => join_types(&ta, &self.types[b as usize]),
+        };
+        let ret = ret.map(|t| self.intern_type(canonical(&t)));
+        self.result_types.insert((op, a, b), ret);
+        ret
+    }
+
+    fn try_op1(&mut self, op: Op, i: usize, cost: u32) {
+        self.funnel.candidates += 1;
+        let Some(ret) = self.result_type(Some(op), self.terms[i].ty_id, NO_TY) else {
+            self.funnel.ill_typed += 1;
             return;
         };
-        let sig: Signature = self.terms[i]
-            .sig
-            .iter()
-            .zip(&self.terms[j].sig)
-            .map(|(a, b)| match (a, b) {
-                (Ok(x), Ok(y)) => op.apply(&[x.clone(), y.clone()]),
-                (Err(e), _) | (_, Err(e)) => Err(*e),
-            })
-            .collect();
-        if self.all_err(&sig) {
+        self.scratch.clear();
+        self.scratch
+            .extend(self.terms[i].sig.iter().map(|a| match a {
+                Ok(v) => op.apply(std::slice::from_ref(v)),
+                Err(e) => Err(*e),
+            }));
+        if self.all_err() {
+            return;
+        }
+        self.insert(Node::Op1(op, self.terms[i].term), ret, cost);
+    }
+
+    fn try_op2(&mut self, op: Op, i: usize, j: usize, cost: u32) {
+        self.funnel.candidates += 1;
+        let Some(ret) = self.result_type(Some(op), self.terms[i].ty_id, self.terms[j].ty_id) else {
+            self.funnel.ill_typed += 1;
+            return;
+        };
+        self.scratch.clear();
+        self.scratch.extend(
+            self.terms[i]
+                .sig
+                .iter()
+                .zip(&self.terms[j].sig)
+                .map(|(a, b)| match (a, b) {
+                    (Ok(x), Ok(y)) => op.apply(&[x.clone(), y.clone()]),
+                    (Err(e), _) | (_, Err(e)) => Err(*e),
+                }),
+        );
+        if self.all_err() {
             return;
         }
         self.insert(
             Node::Op2(op, self.terms[i].term, self.terms[j].term),
             ret,
-            sig,
             cost,
         );
     }
 
-    fn try_if(&mut self, ci: usize, ti: usize, ei: usize, cost: u32) {
-        let (tty, ety) = (self.terms[ti].ty.clone(), self.terms[ei].ty.clone());
-        let Some(ret) = join_types(&tty, &ety) else {
-            return;
-        };
-        let sig: Signature = (0..self.envs.len().max(self.terms[ci].sig.len()))
-            .map(|r| match &self.terms[ci].sig[r] {
-                Ok(Value::Bool(true)) => self.terms[ti].sig[r].clone(),
-                Ok(Value::Bool(false)) => self.terms[ei].sig[r].clone(),
+    /// `ret` is the join of the branch types, looked up once per bucket
+    /// pair by the caller.
+    fn try_if(&mut self, ci: usize, ti: usize, ei: usize, ret: TyId, cost: u32) {
+        self.funnel.candidates += 1;
+        let (c, t, e) = (
+            &self.terms[ci].sig,
+            &self.terms[ti].sig,
+            &self.terms[ei].sig,
+        );
+        self.scratch.clear();
+        self.scratch
+            .extend(c.iter().zip(t.iter().zip(e)).map(|(c, (t, e))| match c {
+                Ok(Value::Bool(true)) => t.clone(),
+                Ok(Value::Bool(false)) => e.clone(),
                 Ok(_) => Err(EvalError::TypeMismatch),
                 Err(e) => Err(*e),
-            })
-            .collect();
-        if self.all_err(&sig) {
+            }));
+        if self.all_err() {
             return;
         }
         self.insert(
@@ -647,37 +842,41 @@ impl TermStore {
                 self.terms[ei].term,
             ),
             ret,
-            sig,
             cost,
         );
     }
 
-    fn all_err(&self, sig: &Signature) -> bool {
-        self.n_rows > 0 && sig[..self.n_rows].iter().all(Result::is_err)
+    /// `true` (and counted) if the candidate in `scratch` errs on every
+    /// spec row.
+    fn all_err(&mut self) -> bool {
+        let all = self.n_rows > 0 && self.scratch[..self.n_rows].iter().all(Result::is_err);
+        if all {
+            self.funnel.all_error += 1;
+        }
+        all
     }
 
-    fn insert(&mut self, node: Node, ty: Type, sig: Signature, cost: u32) {
-        let ty = canonical(&ty);
+    /// Keeps the candidate evaluated into `scratch` unless a kept term has
+    /// the same type and signature.
+    fn insert(&mut self, node: Node, ty: TyId, cost: u32) {
         // Observational equivalence: with at least one environment, terms
         // with equal (type, signature) are interchangeable — keep the first
         // (cheapest, since levels are built in cost order).
+        let key = dedup_key(&self.types[ty as usize], &self.scratch);
         if !self.envs.is_empty() {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            ty.hash(&mut h);
-            sig.hash(&mut h);
-            let key = h.finish();
             let bucket = self.seen.entry(key).or_default();
             if bucket
                 .iter()
-                .any(|&i| self.terms[i].ty == ty && self.terms[i].sig == sig)
+                .any(|&i| self.terms[i].ty_id == ty && self.terms[i].sig == self.scratch)
             {
+                self.funnel.duplicates += 1;
                 return;
             }
             bucket.push(self.terms.len());
         }
+        let sig = std::mem::replace(&mut self.scratch, Vec::with_capacity(self.envs.len()));
         let idx = self.terms.len();
-        self.inserted += 1;
+        self.funnel.inserted += 1;
         self.approx_bytes += 160
             + sig
                 .iter()
@@ -693,9 +892,11 @@ impl TermStore {
         let term = self.arena.intern(node);
         self.terms.push(TermEntry {
             term,
-            ty,
+            ty: self.types[ty as usize].clone(),
             sig,
             cost,
+            ty_id: ty,
+            key,
         });
         self.levels[cost as usize].push(idx);
     }
@@ -811,8 +1012,7 @@ impl Shape {
     }
 }
 
-fn unary_arg_shape(op: lambda2_lang::ast::Op) -> Shape {
-    use lambda2_lang::ast::Op;
+fn unary_arg_shape(op: Op) -> Shape {
     match op {
         Op::Not => Shape::Bool,
         Op::Car | Op::Cdr | Op::IsEmpty | Op::Last => Shape::List,
@@ -822,8 +1022,7 @@ fn unary_arg_shape(op: lambda2_lang::ast::Op) -> Shape {
     }
 }
 
-fn binary_arg_shapes(op: lambda2_lang::ast::Op) -> (Shape, Shape) {
-    use lambda2_lang::ast::Op;
+fn binary_arg_shapes(op: Op) -> (Shape, Shape) {
     match op {
         Op::Add | Op::Sub | Op::Mul | Op::Div | Op::Mod | Op::Lt | Op::Le | Op::Gt | Op::Ge => {
             (Shape::Int, Shape::Int)
@@ -1089,8 +1288,7 @@ pub fn unifiable(a: &Type, b: &Type) -> bool {
 /// pairs), so ground argument types take an allocation-free fast path;
 /// only types containing variables (empty-container literals and their
 /// derivatives) fall back to full unification.
-pub fn op_result_type(op: lambda2_lang::ast::Op, args: &[Type]) -> Option<Type> {
-    use lambda2_lang::ast::Op;
+pub fn op_result_type(op: Op, args: &[Type]) -> Option<Type> {
     if args.len() != op.arity() {
         return None;
     }
@@ -1155,7 +1353,7 @@ pub fn op_result_type(op: lambda2_lang::ast::Op, args: &[Type]) -> Option<Type> 
     op_result_type_slow(op, args)
 }
 
-fn op_result_type_slow(op: lambda2_lang::ast::Op, args: &[Type]) -> Option<Type> {
+fn op_result_type_slow(op: Op, args: &[Type]) -> Option<Type> {
     let mut s = Subst::new();
     let scheme = s.instantiate(&op.type_scheme());
     let Type::Fun(params, ret) = scheme else {
@@ -1187,7 +1385,6 @@ pub fn join_types(a: &Type, b: &Type) -> Option<Type> {
 mod tests {
     use super::*;
     use crate::spec::{ExampleRow, Spec};
-    use lambda2_lang::ast::Op;
     use lambda2_lang::parser::parse_value;
 
     fn sym(s: &str) -> Symbol {
@@ -1209,6 +1406,223 @@ mod tests {
         ];
         let spec = Spec::new(rows).unwrap();
         (TermStore::new(scope, &spec, EnumLimits::default()), spec)
+    }
+
+    /// `store_with_rows()` built to cost 5, rendered in store order, as
+    /// the enumerator before word-wise hashing and per-type-pair result
+    /// types produced it: any change of visit order or of a class's
+    /// representative shows here.
+    const GOLDEN_COST_5: &str = "\
+0
+1
+true
+false
+[]
+{}
+l
+(car l)
+(cdr l)
+(+ 1 1)
+(- 0 1)
+(cons 0 [])
+(cons 0 l)
+(cons 1 [])
+(cons 1 l)
+(cons true [])
+(cons false [])
+(cons [] [])
+(cons {} [])
+(cons l [])
+(car (cdr l))
+(cdr (cdr l))
+(empty? (cdr l))
+(cat l l)
+(tree 0 [])
+(tree 1 [])
+(tree true [])
+(tree false [])
+(tree [] [])
+(tree {} [])
+(tree l [])
+(+ 1 (car l))
+(- 0 (car l))
+(- 1 (car l))
+(- (car l) 1)
+(/ 1 (car l))
+(% 1 (car l))
+(< 1 (car l))
+(<= (car l) 1)
+(!= [] (cdr l))
+(cons 0 (cdr l))
+(cons 1 (cdr l))
+(cons (car l) [])
+(cons (car l) l)
+(cons (cdr l) [])
+(cdr (cons 0 []))
+(cdr (cons true []))
+(cdr (cons [] []))
+(cdr (cons {} []))
+(cdr (cons l []))
+(cdr (cat l l))
+(empty? (cdr (cdr l)))
+(cat l (cdr l))
+(tree (car l) [])
+(tree (cdr l) [])
+(children (tree 0 []))
+(children (tree true []))
+(children (tree [] []))
+(children (tree {} []))
+(children (tree l []))
+(+ 1 (+ 1 1))
+(+ 1 (car (cdr l)))
+(+ (car l) (car l))
+(- 0 (+ 1 1))
+(- 0 (car (cdr l)))
+(- 1 (car (cdr l)))
+(- (car (cdr l)) 1)
+(* 0 (car (cdr l)))
+(* (car l) (car l))
+(% 1 (car (cdr l)))
+(< 0 (car (cdr l)))
+(< (car (cdr l)) 0)
+(!= [] (cdr (cdr l)))
+(cons 0 (cons 0 []))
+(cons 0 (cons 0 l))
+(cons 0 (cons 1 []))
+(cons 0 (cons 1 l))
+(cons 0 (cdr (cdr l)))
+(cons 0 (cat l l))
+(cons 1 (cons 0 []))
+(cons 1 (cons 0 l))
+(cons 1 (cons 1 []))
+(cons 1 (cons 1 l))
+(cons 1 (cdr (cdr l)))
+(cons 1 (cat l l))
+(cons true (cons true []))
+(cons true (cons false []))
+(cons false (cons true []))
+(cons false (cons false []))
+(cons [] (cons [] []))
+(cons [] (cons l []))
+(cons {} (cons {} []))
+(cons l (cons [] []))
+(cons l (cons l []))
+(cons (+ 1 1) [])
+(cons (+ 1 1) l)
+(cons (- 0 1) [])
+(cons (- 0 1) l)
+(cons (cons 0 []) [])
+(cons (cons 0 l) [])
+(cons (cons 1 []) [])
+(cons (cons 1 l) [])
+(cons (cons true []) [])
+(cons (cons false []) [])
+(cons (cons [] []) [])
+(cons (cons {} []) [])
+(cons (cons l []) [])
+(cons (car (cdr l)) [])
+(cons (car (cdr l)) l)
+(cons (cdr (cdr l)) [])
+(cons (empty? (cdr l)) [])
+(cons (cat l l) [])
+(cons (tree 0 []) [])
+(cons (tree 1 []) [])
+(cons (tree true []) [])
+(cons (tree false []) [])
+(cons (tree [] []) [])
+(cons (tree {} []) [])
+(cons (tree l []) [])
+(car (cdr (cat l l)))
+(cdr (cdr (cat l l)))
+(cdr (cat l (cdr l)))
+(cat l (cons 0 []))
+(cat l (cons 0 l))
+(cat l (cons 1 []))
+(cat l (cons 1 l))
+(cat l (cdr (cdr l)))
+(cat l (cat l l))
+(cat (cdr (cdr l)) l)
+(tree 0 (cons {} []))
+(tree 1 (cons {} []))
+(tree true (cons {} []))
+(tree false (cons {} []))
+(tree [] (cons {} []))
+(tree {} (cons {} []))
+(tree l (cons {} []))
+(tree (+ 1 1) [])
+(tree (- 0 1) [])
+(tree (cons 0 []) [])
+(tree (cons 0 l) [])
+(tree (cons 1 []) [])
+(tree (cons 1 l) [])
+(tree (cons true []) [])
+(tree (cons false []) [])
+(tree (cons [] []) [])
+(tree (cons {} []) [])
+(tree (cons l []) [])
+(tree (car (cdr l)) [])
+(tree (cdr (cdr l)) [])
+(tree (empty? (cdr l)) [])
+(tree (cat l l) [])
+(tree (tree 0 []) [])
+(tree (tree 1 []) [])
+(tree (tree true []) [])
+(tree (tree false []) [])
+(tree (tree [] []) [])
+(tree (tree {} []) [])
+(tree (tree l []) [])";
+
+    #[test]
+    fn store_order_and_representatives_are_pinned() {
+        let (mut st, _) = store_with_rows();
+        st.ensure(5, &Library::default());
+        let rendered: Vec<String> = st.up_to_cost(5).map(|t| st.render(t)).collect();
+        let golden: Vec<&str> = GOLDEN_COST_5.lines().collect();
+        assert_eq!(rendered, golden);
+        for (i, a) in st.terms.iter().enumerate() {
+            for b in &st.terms[..i] {
+                assert!(
+                    a.ty != b.ty || a.sig != b.sig,
+                    "{} duplicates {}",
+                    st.render(a),
+                    st.render(b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dedup_keys_are_seedless() {
+        // Pinned: a store's dedup index must not depend on a per-process
+        // seed, so the same (type, signature) always hashes the same.
+        let sig = vec![
+            Ok(Value::Int(1)),
+            Err(EvalError::DivByZero),
+            Ok(parse_value("[1 2]").unwrap()),
+        ];
+        assert_eq!(
+            dedup_key(&Type::list(Type::Int), &sig),
+            0xc57c_c4fe_c17e_6a61
+        );
+        assert_ne!(dedup_key(&Type::Int, &sig), dedup_key(&Type::Bool, &sig));
+    }
+
+    #[test]
+    fn funnel_accounts_for_every_candidate() {
+        let (mut st, _) = store_with_rows();
+        st.ensure(5, &Library::default());
+        assert!(!st.truncated());
+        let f = st.funnel();
+        assert_eq!(
+            f.candidates,
+            f.ill_typed + f.all_error + f.duplicates + f.inserted,
+            "{f:?}"
+        );
+        assert_eq!(f.inserted, st.len() as u64);
+        assert!(
+            f.ill_typed > 0 && f.all_error > 0 && f.duplicates > 0,
+            "{f:?}"
+        );
     }
 
     #[test]

@@ -776,10 +776,14 @@ impl<'a> Search<'a> {
         let (library, budget) = (self.library, self.budget);
         let t_enum = Instant::now();
         let store = self.touch_store(info);
-        let before = store.inserted();
+        let before = store.funnel();
         let out = grow(store, library, budget);
-        let inserted = store.inserted() - before;
-        self.stats.enumerated_terms += inserted;
+        let funnel = store.funnel().since(&before);
+        self.stats.enumerated_terms += funnel.inserted;
+        self.stats.enum_candidates += funnel.candidates;
+        self.stats.enum_ill_typed += funnel.ill_typed;
+        self.stats.enum_all_error += funnel.all_error;
+        self.stats.enum_duplicates += funnel.duplicates;
         note_phase(
             &mut self.stats.phases.enumerate,
             &mut self.stats.metrics.enumerate_us,

@@ -41,6 +41,21 @@ pub struct Stats {
     /// evicted by the LRU sweep, and rebuilt on demand count every time
     /// they are materialized (and never vanish from the stat).
     pub enumerated_terms: u64,
+    /// Candidate terms the enumerators considered, counted like
+    /// `enumerated_terms`. Each one is ill-typed, all-error, a duplicate,
+    /// or kept: `enum_candidates = enum_ill_typed + enum_all_error +
+    /// enum_duplicates + enumerated_terms` unless a store limit truncated
+    /// enumeration (see [`Funnel`]).
+    ///
+    /// [`Funnel`]: crate::enumerate::Funnel
+    pub enum_candidates: u64,
+    /// Enumeration candidates whose argument types do not fit (distinct
+    /// from `ill_typed`, which counts combinator expansions).
+    pub enum_ill_typed: u64,
+    /// Enumeration candidates that err on every spec row.
+    pub enum_all_error: u64,
+    /// Enumeration candidates observationally equal to a kept term.
+    pub enum_duplicates: u64,
     /// Enumeration-store cache hits (an existing store was reused).
     pub store_hits: u64,
     /// Stores seeded from a cross-search [`WarmStores`] cache instead of
@@ -77,6 +92,10 @@ impl Stats {
         self.verified += other.verified;
         self.verify_failures += other.verify_failures;
         self.enumerated_terms += other.enumerated_terms;
+        self.enum_candidates += other.enum_candidates;
+        self.enum_ill_typed += other.enum_ill_typed;
+        self.enum_all_error += other.enum_all_error;
+        self.enum_duplicates += other.enum_duplicates;
         self.store_hits += other.store_hits;
         self.warm_hits += other.warm_hits;
         self.store_evictions += other.store_evictions;
@@ -101,6 +120,10 @@ impl Stats {
             ("verified", self.verified.into()),
             ("verify_failures", self.verify_failures.into()),
             ("enumerated_terms", self.enumerated_terms.into()),
+            ("enum_candidates", self.enum_candidates.into()),
+            ("enum_ill_typed", self.enum_ill_typed.into()),
+            ("enum_all_error", self.enum_all_error.into()),
+            ("enum_duplicates", self.enum_duplicates.into()),
             ("store_hits", self.store_hits.into()),
             ("warm_hits", self.warm_hits.into()),
             ("store_evictions", self.store_evictions.into()),
@@ -229,6 +252,10 @@ mod tests {
             verified: 6,
             verify_failures: 7,
             enumerated_terms: 8,
+            enum_candidates: 15,
+            enum_ill_typed: 16,
+            enum_all_error: 17,
+            enum_duplicates: 18,
             store_hits: 9,
             warm_hits: 13,
             store_evictions: 10,
@@ -250,6 +277,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.popped, 2);
         assert_eq!(a.enumerated_terms, 16);
+        assert_eq!(a.enum_candidates, 30);
+        assert_eq!(a.enum_ill_typed, 32);
+        assert_eq!(a.enum_all_error, 34);
+        assert_eq!(a.enum_duplicates, 36);
         assert_eq!(a.store_hits, 18);
         assert_eq!(a.store_evictions, 20);
         assert_eq!(a.faults, 22);
@@ -291,6 +322,10 @@ mod tests {
             "verified",
             "verify_failures",
             "enumerated_terms",
+            "enum_candidates",
+            "enum_ill_typed",
+            "enum_all_error",
+            "enum_duplicates",
             "store_hits",
             "store_evictions",
             "faults",
