@@ -102,11 +102,6 @@ pub struct TermEntry {
     pub sig: Signature,
     /// Its exact cost.
     pub cost: u32,
-    /// Index of `ty` in the owning store's type table.
-    ty_id: TyId,
-    /// Its dedup key ([`dedup_key`] of `ty` and `sig`), kept so a rollback
-    /// can leave the dedup index without re-hashing the signature.
-    key: u64,
 }
 
 /// Index into a store's table of canonical types.
@@ -255,6 +250,13 @@ pub struct TermStore {
     /// store stays a deterministic cache.
     arena: TermArena,
     terms: Vec<TermEntry>,
+    /// Per term (parallel to `terms`): the index of its type in `types`.
+    /// Kept apart so the candidate loops read dense ids and a `TermEntry`
+    /// stays as small as the closing scans want it.
+    ty_ids: Vec<TyId>,
+    /// Per term (parallel to `terms`): its [`dedup_key`], so a rollback
+    /// leaves the dedup index without re-hashing a signature.
+    keys: Vec<u64>,
     levels: Vec<Vec<usize>>, // levels[k] = indices of terms with cost k
     // Observational-equivalence index: dedup key of (type, signature) ->
     // term indices with that key (collisions resolved by real comparison).
@@ -323,6 +325,8 @@ impl TermStore {
             n_rows,
             arena: TermArena::new(),
             terms: Vec::new(),
+            ty_ids: Vec::new(),
+            keys: Vec::new(),
             levels: vec![Vec::new()], // level 0 is always empty
             seen: HashMap::default(),
             types: Vec::new(),
@@ -467,16 +471,18 @@ impl TermStore {
         let keep = self.terms.len() - removed.len();
         debug_assert!(removed.iter().all(|&i| i >= keep));
         if !self.envs.is_empty() {
-            for t in &self.terms[keep..] {
-                if let Some(bucket) = self.seen.get_mut(&t.key) {
+            for key in &self.keys[keep..] {
+                if let Some(bucket) = self.seen.get_mut(key) {
                     bucket.retain(|&i| i < keep);
                     if bucket.is_empty() {
-                        self.seen.remove(&t.key);
+                        self.seen.remove(key);
                     }
                 }
             }
         }
         self.terms.truncate(keep);
+        self.ty_ids.truncate(keep);
+        self.keys.truncate(keep);
         self.approx_bytes = self.level_start_bytes;
     }
 
@@ -699,7 +705,7 @@ impl TermStore {
     fn type_buckets(&self, cost: u32) -> Vec<(TyId, Vec<usize>)> {
         let mut out: Vec<(TyId, Vec<usize>)> = Vec::new();
         for &i in self.levels.get(cost as usize).into_iter().flatten() {
-            let ty = self.terms[i].ty_id;
+            let ty = self.ty_ids[i];
             match out.iter_mut().find(|(t, _)| *t == ty) {
                 Some((_, ids)) => ids.push(i),
                 None => out.push((ty, vec![i])),
@@ -772,7 +778,7 @@ impl TermStore {
 
     fn try_op1(&mut self, op: Op, i: usize, cost: u32) {
         self.funnel.candidates += 1;
-        let Some(ret) = self.result_type(Some(op), self.terms[i].ty_id, NO_TY) else {
+        let Some(ret) = self.result_type(Some(op), self.ty_ids[i], NO_TY) else {
             self.funnel.ill_typed += 1;
             return;
         };
@@ -790,7 +796,7 @@ impl TermStore {
 
     fn try_op2(&mut self, op: Op, i: usize, j: usize, cost: u32) {
         self.funnel.candidates += 1;
-        let Some(ret) = self.result_type(Some(op), self.terms[i].ty_id, self.terms[j].ty_id) else {
+        let Some(ret) = self.result_type(Some(op), self.ty_ids[i], self.ty_ids[j]) else {
             self.funnel.ill_typed += 1;
             return;
         };
@@ -867,7 +873,7 @@ impl TermStore {
             let bucket = self.seen.entry(key).or_default();
             if bucket
                 .iter()
-                .any(|&i| self.terms[i].ty_id == ty && self.terms[i].sig == self.scratch)
+                .any(|&i| self.ty_ids[i] == ty && self.terms[i].sig == self.scratch)
             {
                 self.funnel.duplicates += 1;
                 return;
@@ -895,9 +901,9 @@ impl TermStore {
             ty: self.types[ty as usize].clone(),
             sig,
             cost,
-            ty_id: ty,
-            key,
         });
+        self.ty_ids.push(ty);
+        self.keys.push(key);
         self.levels[cost as usize].push(idx);
     }
 }
