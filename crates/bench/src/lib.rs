@@ -189,17 +189,12 @@ pub fn results_dir() -> PathBuf {
 /// Writes `BENCH_<name>.json` into [`results_dir`] (creating it if
 /// needed): a single JSON object with the experiment name, top-level
 /// `meta` fields, and a `results` array of [`record`]s. Returns the path
-/// written.
-///
-/// When the `LAMBDA2_CORPUS_DIR` environment variable is set, the same
-/// document is also folded into the run corpus there (see
-/// [`lambda2_synth::ingest_bench`]), so every bench harness feeds the
-/// cross-run regression watchdog without per-binary plumbing.
+/// written. (`l2 corpus ingest <dir> <file>` folds such a file into a run
+/// corpus.)
 ///
 /// # Errors
 ///
-/// Propagates the underlying filesystem write failure; corpus failures
-/// are reported the same way (the bench file itself is already on disk).
+/// Propagates the underlying filesystem write failure.
 pub fn write_bench_json(
     name: &str,
     meta: &[(&'static str, Json)],
@@ -218,22 +213,6 @@ pub fn write_bench_json(
     pairs.push(("results".to_owned(), Json::Arr(records)));
     let doc = Json::Obj(pairs);
     std::fs::write(&path, format!("{doc}\n"))?;
-    if let Some(corpus_dir) = std::env::var_os("LAMBDA2_CORPUS_DIR") {
-        let fold = || -> Result<usize, String> {
-            let corpus =
-                lambda2_synth::Corpus::open(Path::new(&corpus_dir)).map_err(|e| e.to_string())?;
-            let records = lambda2_synth::ingest_bench(&doc)?;
-            corpus.append(&records).map_err(|e| e.to_string())?;
-            Ok(records.len())
-        };
-        match fold() {
-            Ok(n) => eprintln!(
-                "corpus: {n} record(s) -> {}",
-                Path::new(&corpus_dir).display()
-            ),
-            Err(e) => return Err(std::io::Error::other(format!("LAMBDA2_CORPUS_DIR: {e}"))),
-        }
-    }
     Ok(path)
 }
 

@@ -13,6 +13,7 @@
 //! expansion, so their per-row values are computed once and reused by every
 //! deduction rule.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
@@ -28,7 +29,6 @@ use lambda2_lang::value::Value;
 use crate::failpoints::{self, FailAction};
 use crate::govern::{Budget, BudgetExceeded};
 use crate::library::Library;
-use crate::obs::metrics::Histogram;
 use crate::spec::Spec;
 
 /// A term's outputs on each example environment.
@@ -45,13 +45,8 @@ pub struct StoreKey {
 }
 
 impl StoreKey {
-    /// Builds the key for a scope and the environments of a spec.
-    pub fn new(scope: &[(Symbol, Type)], spec: &Spec) -> StoreKey {
-        StoreKey::with_probes(scope, spec, &[])
-    }
-
-    /// Like [`StoreKey::new`], additionally keyed on trace-probe
-    /// environments (see [`crate::deduce::Deduction::probes`]).
+    /// Builds the key for a scope, the environments of a spec, and the
+    /// trace-probe environments (see [`crate::deduce::Deduction::probes`]).
     pub fn with_probes(scope: &[(Symbol, Type)], spec: &Spec, probes: &[Env]) -> StoreKey {
         StoreKey {
             scope: scope
@@ -129,8 +124,7 @@ pub struct Funnel {
     pub all_error: u64,
     /// Candidates observationally equal to a kept term.
     pub duplicates: u64,
-    /// Terms ever materialized into the store. Unlike the store's length
-    /// it never decreases: level rollbacks and (at the search level) LRU
+    /// Terms ever materialized into the store. At the search level LRU
     /// eviction + rebuild keep adding to it, so it measures enumeration
     /// *work done*, not the current cache size.
     pub inserted: u64,
@@ -244,19 +238,13 @@ pub struct TermStore {
     /// rest are dedup probes. Closing checks and argument values use only
     /// the row part.
     n_rows: usize,
-    /// Hash-consing arena holding every kept term. Append-only: rollbacks
-    /// drop [`TermEntry`]s but never arena nodes — re-building a rolled
-    /// back level re-interns identical content onto identical ids, so the
-    /// store stays a deterministic cache.
+    /// Hash-consing arena holding every kept term.
     arena: TermArena,
     terms: Vec<TermEntry>,
     /// Per term (parallel to `terms`): the index of its type in `types`.
     /// Kept apart so the candidate loops read dense ids and a `TermEntry`
     /// stays as small as the closing scans want it.
     ty_ids: Vec<TyId>,
-    /// Per term (parallel to `terms`): its [`dedup_key`], so a rollback
-    /// leaves the dedup index without re-hashing a signature.
-    keys: Vec<u64>,
     levels: Vec<Vec<usize>>, // levels[k] = indices of terms with cost k
     // Observational-equivalence index: dedup key of (type, signature) ->
     // term indices with that key (collisions resolved by real comparison).
@@ -275,14 +263,10 @@ pub struct TermStore {
     limits: EnumLimits,
     truncated: bool,
     approx_bytes: usize,
-    /// `approx_bytes` when the level being built started; a rollback
-    /// restores it.
-    level_start_bytes: usize,
     funnel: Funnel,
-    /// Terms surviving dedup per *completed* enumeration level — one
-    /// observation per level built. The search folds this into
-    /// `Stats::metrics` (once per store build; see `Search::evict`).
-    level_terms: Histogram,
+    /// The verdict that cut a level mid-build; that level stays partial
+    /// and the store builds nothing more.
+    cut: Option<BudgetExceeded>,
 }
 
 impl TermStore {
@@ -326,7 +310,6 @@ impl TermStore {
             arena: TermArena::new(),
             terms: Vec::new(),
             ty_ids: Vec::new(),
-            keys: Vec::new(),
             levels: vec![Vec::new()], // level 0 is always empty
             seen: HashMap::default(),
             types: Vec::new(),
@@ -336,9 +319,8 @@ impl TermStore {
             limits,
             truncated: false,
             approx_bytes: 0,
-            level_start_bytes: 0,
             funnel: Funnel::default(),
-            level_terms: Histogram::new(crate::obs::metrics::EXP2_BOUNDS),
+            cut: None,
         }
     }
 
@@ -353,35 +335,27 @@ impl TermStore {
         self.terms.len()
     }
 
-    /// Monotone count of terms ever materialized (survives rollbacks;
-    /// never decreases): [`Funnel::inserted`].
+    /// Monotone count of terms ever materialized (never decreases):
+    /// [`Funnel::inserted`].
     pub fn inserted(&self) -> u64 {
         self.funnel.inserted
     }
 
     /// Monotone counts of the candidates this store considered and what
-    /// became of them (survive rollbacks; never decrease). The search
-    /// accumulates their deltas into `Stats` (`enumerated_terms` is
-    /// `inserted`).
+    /// became of them (never decrease). The search accumulates their
+    /// deltas into `Stats` (`enumerated_terms` is `inserted`).
     pub fn funnel(&self) -> Funnel {
         self.funnel
     }
 
-    /// Distribution of terms surviving dedup per completed level — one
-    /// observation per level this store has built.
-    pub fn level_terms(&self) -> &Histogram {
-        &self.level_terms
+    /// The highest cost whose level is complete.
+    pub(crate) fn built_upto(&self) -> u32 {
+        self.built_upto
     }
 
-    /// Takes the per-level histogram, leaving it empty. A store parked in
-    /// a [`WarmStores`] cache between searches has its levels folded into
-    /// the owning run's metrics exactly once; clearing here keeps a later
-    /// search from folding the same levels again.
-    pub fn take_level_terms(&mut self) -> Histogram {
-        std::mem::replace(
-            &mut self.level_terms,
-            Histogram::new(crate::obs::metrics::EXP2_BOUNDS),
-        )
+    /// The verdict that cut a level of this store mid-build, if any.
+    pub(crate) fn cut(&self) -> Option<BudgetExceeded> {
+        self.cut
     }
 
     /// Rough heap footprint of the stored terms. Signatures dominate:
@@ -429,61 +403,34 @@ impl TermStore {
     /// ticked inside every candidate loop, so a deadline or cancellation
     /// interrupts level construction mid-way with bounded overshoot.
     ///
-    /// On abort the partially built level is **rolled back** — terms,
-    /// dedup index, and byte accounting return to the last completed
-    /// level — so an interrupted store remains a deterministic cache: a
-    /// later `ensure` (e.g. from a retry) rebuilds the level from scratch
-    /// and produces exactly the terms an uninterrupted build would have.
+    /// A level the budget interrupts is **cut**: its partial terms stay
+    /// where they are and the store is marked ([`TermStore::cut`]), so it
+    /// is never read past its last complete level or parked for reuse. A
+    /// cut store is dead — the search that cut it is over.
     ///
     /// # Errors
     ///
-    /// Propagates the budget's (latched) [`BudgetExceeded`] verdict.
+    /// Propagates the budget's (latched) [`BudgetExceeded`] verdict; on a
+    /// cut store, the verdict that cut it.
     pub fn ensure_within(
         &mut self,
         cost: u32,
         library: &Library,
         budget: &Budget,
     ) -> Result<(), BudgetExceeded> {
+        if let Some(e) = self.cut {
+            return Err(e);
+        }
         while self.built_upto < cost {
-            if let Some(FailAction::ExpireDeadline) = failpoints::check("enumerate.level") {
-                budget.force_expire();
-            }
             budget.check_now()?;
             let next = self.built_upto + 1;
             if let Err(e) = self.build_level(next, library, budget) {
-                self.rollback_level(next);
+                self.cut = Some(e);
                 return Err(e);
             }
-            self.level_terms
-                .record_usize(self.levels.get(next as usize).map_or(0, Vec::len));
             self.built_upto = next;
         }
         Ok(())
-    }
-
-    /// Undoes a partially built level `cost`: pops the level, drops its
-    /// terms (always a suffix of `terms` — inserts only append), removes
-    /// them from the dedup index by their stored keys, and restores the
-    /// byte count the level started from.
-    fn rollback_level(&mut self, cost: u32) {
-        debug_assert_eq!(self.levels.len(), cost as usize + 1);
-        let removed = self.levels.pop().expect("level was pushed at build entry");
-        let keep = self.terms.len() - removed.len();
-        debug_assert!(removed.iter().all(|&i| i >= keep));
-        if !self.envs.is_empty() {
-            for key in &self.keys[keep..] {
-                if let Some(bucket) = self.seen.get_mut(key) {
-                    bucket.retain(|&i| i < keep);
-                    if bucket.is_empty() {
-                        self.seen.remove(key);
-                    }
-                }
-            }
-        }
-        self.terms.truncate(keep);
-        self.ty_ids.truncate(keep);
-        self.keys.truncate(keep);
-        self.approx_bytes = self.level_start_bytes;
     }
 
     /// Terms of exactly `cost` (must have been built with [`TermStore::ensure`]).
@@ -566,7 +513,10 @@ impl TermStore {
     ) -> Result<(), BudgetExceeded> {
         debug_assert_eq!(self.levels.len(), cost as usize);
         self.levels.push(Vec::new());
-        self.level_start_bytes = self.approx_bytes;
+        if let Some(FailAction::ExpireDeadline) = failpoints::check("enumerate.level") {
+            budget.force_expire();
+            budget.check_now()?;
+        }
         let costs = library.costs().clone();
 
         // Leaves: constants.
@@ -868,8 +818,8 @@ impl TermStore {
         // Observational equivalence: with at least one environment, terms
         // with equal (type, signature) are interchangeable — keep the first
         // (cheapest, since levels are built in cost order).
-        let key = dedup_key(&self.types[ty as usize], &self.scratch);
         if !self.envs.is_empty() {
+            let key = dedup_key(&self.types[ty as usize], &self.scratch);
             let bucket = self.seen.entry(key).or_default();
             if bucket
                 .iter()
@@ -903,7 +853,6 @@ impl TermStore {
             cost,
         });
         self.ty_ids.push(ty);
-        self.keys.push(key);
         self.levels[cost as usize].push(idx);
     }
 }
@@ -1043,211 +992,215 @@ fn binary_arg_shapes(op: Op) -> (Shape, Shape) {
     }
 }
 
-/// A cross-search enumeration-store cache with a byte-budgeted LRU.
+/// The key a [`StoreCache`] files a store under: a configuration
+/// fingerprint (see [`crate::search::warm_config_fingerprint`]) and the
+/// store's [`StoreKey`].
+pub(crate) type CacheKey = (u64, StoreKey);
+
+/// A byte-budgeted LRU of term stores — the one cache behind both a
+/// search's live stores and the cross-search [`WarmCache`].
 ///
 /// Term stores are deterministic caches: a store's contents are a pure
 /// function of its [`StoreKey`], the library, and the enumeration limits
-/// it was built under. That makes them safe to reuse *across* searches —
-/// the serve daemon parks each finished search's stores here (keyed by a
-/// caller-supplied configuration fingerprint plus the [`StoreKey`]) and
-/// seeds the next search for the same signature from them, amortizing
-/// closed-term enumeration across requests.
+/// it was built under, so any store may be dropped and rebuilt on demand.
+/// The byte total is summed from the stores when asked.
+#[derive(Debug, Default)]
+pub(crate) struct StoreCache {
+    tick: u64,
+    entries: HashMap<CacheKey, (TermStore, u64)>,
+}
+
+impl StoreCache {
+    /// The store under `key`, now the most recently used; `make` builds
+    /// it if absent. The flag is `true` when it was already cached.
+    pub(crate) fn touch(
+        &mut self,
+        key: CacheKey,
+        make: impl FnOnce(&CacheKey) -> TermStore,
+    ) -> (&mut TermStore, bool) {
+        self.tick += 1;
+        let (entry, hit) = match self.entries.entry(key) {
+            Entry::Occupied(e) => (e.into_mut(), true),
+            Entry::Vacant(e) => {
+                let store = make(e.key());
+                (e.insert((store, 0)), false)
+            }
+        };
+        entry.1 = self.tick;
+        (&mut entry.0, hit)
+    }
+
+    /// Removes and returns the store under `key`.
+    pub(crate) fn take(&mut self, key: &CacheKey) -> Option<TermStore> {
+        self.entries.remove(key).map(|(store, _)| store)
+    }
+
+    /// Files `store` under `key` as the most recently used entry; returns
+    /// the store it replaced.
+    pub(crate) fn put(&mut self, key: CacheKey, store: TermStore) -> Option<TermStore> {
+        self.tick += 1;
+        self.entries
+            .insert(key, (store, self.tick))
+            .map(|(old, _)| old)
+    }
+
+    /// Number of cached stores.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Approximate heap footprint of every cached store.
+    pub(crate) fn bytes(&self) -> usize {
+        self.entries.values().map(|(s, _)| s.approx_bytes()).sum()
+    }
+
+    /// Removes least-recently-used entries other than the one under
+    /// `keep` until the cache fits `max_bytes` (or only `keep` is left);
+    /// returns them, oldest first.
+    pub(crate) fn evict(
+        &mut self,
+        max_bytes: usize,
+        keep: Option<(u64, &StoreKey)>,
+    ) -> Vec<TermStore> {
+        let mut total = self.bytes();
+        let mut evicted = Vec::new();
+        while total > max_bytes {
+            let victim = self
+                .entries
+                .iter()
+                .filter(|((config, key), _)| keep != Some((*config, key)))
+                .min_by_key(|(_, (_, tick))| *tick)
+                .map(|(k, _)| k.clone());
+            let Some((store, _)) = victim.and_then(|k| self.entries.remove(&k)) else {
+                break;
+            };
+            total -= store.approx_bytes();
+            evicted.push(store);
+        }
+        evicted
+    }
+
+    /// Empties the cache, returning every entry, least recently used first.
+    pub(crate) fn drain(&mut self) -> Vec<(CacheKey, TermStore)> {
+        let mut out: Vec<_> = self.entries.drain().collect();
+        out.sort_by_key(|(_, (_, tick))| *tick);
+        out.into_iter().map(|(k, (store, _))| (k, store)).collect()
+    }
+}
+
+/// The cross-search store cache: one mutex-guarded [`StoreCache`] for a
+/// whole worker pool.
+///
+/// The serve daemon parks each finished search's stores here and seeds
+/// the next search for the same signature from them, amortizing
+/// closed-term enumeration across requests. A store warmed by one worker
+/// serves every later request for the same signature regardless of which
+/// worker picks it up, and the byte budget bounds the *pool's* footprint
+/// instead of `workers × budget`.
 ///
 /// Reuse never changes a search's answer: [`TermStore::ensure_within`]
 /// only builds levels the store does not already have, and every read is
 /// bounded by the cost the reader asks for, so a warm store behaves
 /// observably like a cold one built to the same level (only the work
-/// counters differ). Memory is bounded by `max_bytes`: inserting past the
-/// budget evicts least-recently-used entries.
-///
-/// Since the arena refactor made [`TermStore`] `Send`, a `WarmStores` can
-/// move between threads; for *shared* concurrent access wrap it in a
-/// [`WarmCache`] (one mutex-guarded cache for a whole worker pool).
+/// counters differ). A cut store is never parked. Each operation takes
+/// the lock once, for map work only; stores that parking evicts or
+/// replaces are dropped after the lock is released.
 #[derive(Debug)]
-pub struct WarmStores {
+pub struct WarmCache {
     max_bytes: usize,
-    tick: u64,
-    entries: HashMap<(u64, StoreKey), (TermStore, u64)>,
-    /// Incrementally maintained sum of parked stores' `approx_bytes`.
-    /// Audited against a full recomputation under `check-invariants`
-    /// (the PR 3 bug class: evicted entries vanishing from totals).
-    total_bytes: usize,
+    state: std::sync::Mutex<WarmState>,
+}
+
+#[derive(Debug, Default)]
+struct WarmState {
+    stores: StoreCache,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl WarmStores {
-    /// An empty cache holding at most ~`max_bytes` of store footprint.
-    pub fn new(max_bytes: usize) -> WarmStores {
-        WarmStores {
-            max_bytes,
-            tick: 0,
-            entries: HashMap::new(),
-            total_bytes: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Removes and returns the store cached under `(config, key)`, if any.
-    /// Ownership moves to the caller (the running search); return it with
-    /// [`WarmStores::put`] when the search finishes.
-    pub fn take(&mut self, config: u64, key: &StoreKey) -> Option<TermStore> {
-        let out = match self.entries.remove(&(config, key.clone())) {
-            Some((store, _)) => {
-                self.hits += 1;
-                self.total_bytes -= store.approx_bytes();
-                Some(store)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        };
-        self.assert_accounting();
-        out
-    }
-
-    /// Parks a store under `(config, key)`, then evicts least-recently-used
-    /// entries until the cache fits its byte budget again. The histogram of
-    /// per-level term counts is cleared on the way in (the owning run
-    /// already folded it — see [`TermStore::take_level_terms`]).
-    pub fn put(&mut self, config: u64, key: StoreKey, mut store: TermStore) {
-        if self.max_bytes == 0 {
-            return;
-        }
-        let _ = store.take_level_terms();
-        self.tick += 1;
-        self.total_bytes += store.approx_bytes();
-        if let Some((replaced, _)) = self.entries.insert((config, key), (store, self.tick)) {
-            // Re-parking over an existing entry replaces it; its bytes
-            // must leave the total or the budget leaks upward forever.
-            self.total_bytes -= replaced.approx_bytes();
-        }
-        while self.total_bytes > self.max_bytes && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, (s, _))| (k.clone(), s.approx_bytes()));
-            match victim {
-                Some((key, bytes)) => {
-                    self.entries.remove(&key);
-                    self.evictions += 1;
-                    self.total_bytes -= bytes;
-                }
-                None => break,
-            }
-        }
-        self.assert_accounting();
-    }
-
-    /// Number of stores currently parked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is parked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Approximate heap footprint of every parked store (incrementally
-    /// maintained; O(1)).
-    pub fn approx_bytes(&self) -> usize {
-        self.total_bytes
-    }
-
-    /// `(hits, misses, evictions)` since construction.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
-
-    /// Drops every parked store (drain-time release).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.total_bytes = 0;
-        self.assert_accounting();
-    }
-
-    /// Audits the incremental byte total against a full recomputation.
-    /// A no-op unless `check-invariants` is enabled.
-    #[cfg(feature = "check-invariants")]
-    fn assert_accounting(&self) {
-        let recomputed: usize = self.entries.values().map(|(s, _)| s.approx_bytes()).sum();
-        assert_eq!(
-            self.total_bytes, recomputed,
-            "warm-cache byte accounting drifted from the parked stores"
-        );
-    }
-
-    #[cfg(not(feature = "check-invariants"))]
-    #[inline(always)]
-    fn assert_accounting(&self) {}
+/// A [`WarmCache`]'s size and counters, read under one lock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WarmSnapshot {
+    /// Stores currently parked.
+    pub entries: usize,
+    /// Approximate heap footprint of the parked stores.
+    pub bytes: usize,
+    /// Lookups that found a parked store.
+    pub hits: u64,
+    /// Lookups that found none.
+    pub misses: u64,
+    /// Stores evicted to fit the byte budget.
+    pub evictions: u64,
 }
 
-/// A thread-shareable warm store cache: one mutex-guarded [`WarmStores`]
-/// for a whole worker pool.
-///
-/// The serve daemon's workers all park into and seed from this single
-/// cache, so a store warmed by one worker serves every later request for
-/// the same signature regardless of which worker picks it up — and the
-/// byte budget bounds the *pool's* total footprint instead of
-/// `workers × budget`. Calls hold the lock only for the cache operation
-/// itself (a map lookup plus byte accounting), never for a search.
-#[derive(Debug)]
-pub struct WarmCache(std::sync::Mutex<WarmStores>);
-
 impl WarmCache {
-    /// An empty shared cache holding at most ~`max_bytes` of footprint.
+    /// An empty shared cache holding at most ~`max_bytes` of footprint;
+    /// 0 parks nothing.
     pub fn new(max_bytes: usize) -> WarmCache {
-        WarmCache(std::sync::Mutex::new(WarmStores::new(max_bytes)))
+        WarmCache {
+            max_bytes,
+            state: std::sync::Mutex::default(),
+        }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, WarmStores> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, WarmState> {
         // Cache ops don't panic mid-mutation; a poisoned lock only means
         // some *other* code panicked while holding it — the data is still
         // consistent, so recover rather than wedge every worker.
-        self.0
+        self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// [`WarmStores::take`] under the lock.
-    pub fn take(&self, config: u64, key: &StoreKey) -> Option<TermStore> {
-        self.lock().take(config, key)
+    /// Removes and returns the store parked under `key`, if any.
+    /// Ownership moves to the running search; it parks the store again
+    /// when it finishes.
+    pub(crate) fn take(&self, key: &CacheKey) -> Option<TermStore> {
+        let mut state = self.lock();
+        let store = state.stores.take(key);
+        match store {
+            Some(_) => state.hits += 1,
+            None => state.misses += 1,
+        }
+        store
     }
 
-    /// [`WarmStores::put`] under the lock.
-    pub fn put(&self, config: u64, key: StoreKey, store: TermStore) {
-        self.lock().put(config, key, store);
+    /// Parks a finished search's stores (least recently used first) and
+    /// evicts least-recently-used entries until the cache fits its
+    /// budget. Cut stores are not parked.
+    pub(crate) fn park(&self, stores: Vec<(CacheKey, TermStore)>) {
+        if self.max_bytes == 0 {
+            return;
+        }
+        let mut dropped = Vec::new();
+        {
+            let mut state = self.lock();
+            for (key, store) in stores {
+                if store.cut().is_some() {
+                    dropped.push(store);
+                } else {
+                    dropped.extend(state.stores.put(key, store));
+                }
+            }
+            let evicted = state.stores.evict(self.max_bytes, None);
+            state.evictions += evicted.len() as u64;
+            dropped.extend(evicted);
+        }
+        // Freeing a store's values takes milliseconds; do it unlocked.
+        drop(dropped);
     }
 
-    /// Number of stores currently parked.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// `true` when nothing is parked.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Approximate heap footprint of every parked store.
-    pub fn approx_bytes(&self) -> usize {
-        self.lock().approx_bytes()
-    }
-
-    /// `(hits, misses, evictions)` since construction.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        self.lock().counters()
-    }
-
-    /// Drops every parked store (drain-time release).
-    pub fn clear(&self) {
-        self.lock().clear();
+    /// The cache's size and counters.
+    pub fn snapshot(&self) -> WarmSnapshot {
+        let state = self.lock();
+        WarmSnapshot {
+            entries: state.stores.len(),
+            bytes: state.stores.bytes(),
+            hits: state.hits,
+            misses: state.misses,
+            evictions: state.evictions,
+        }
     }
 }
 
@@ -1840,27 +1793,89 @@ l
         assert!(st.len() > len2);
     }
 
+    #[cfg(feature = "failpoints")]
     #[test]
-    fn rollback_restores_the_previous_level_state_exactly() {
+    fn a_cut_level_stays_partial_and_the_store_keeps_its_verdict() {
+        use crate::failpoints::FailGuard;
         let (mut st, _) = store_with_rows();
-        st.ensure(2, &Library::default());
-        let len2 = st.len();
-        let bytes2 = st.approx_bytes();
-        let seen2: usize = st.seen.values().map(Vec::len).sum();
-        st.ensure(3, &Library::default());
-        assert!(st.len() > len2);
-        // Simulate a mid-level abort: roll level 3 back and rebuild.
-        st.rollback_level(3);
-        st.built_upto = 2;
-        assert_eq!(st.len(), len2);
-        assert_eq!(st.approx_bytes(), bytes2);
-        assert_eq!(st.seen.values().map(Vec::len).sum::<usize>(), seen2);
-        st.ensure(3, &Library::default());
-        let (mut fresh, _) = store_with_rows();
-        fresh.ensure(3, &Library::default());
-        let rebuilt: Vec<String> = st.up_to_cost(3).map(|t| st.render(t)).collect();
-        let scratch: Vec<String> = fresh.up_to_cost(3).map(|t| fresh.render(t)).collect();
-        assert_eq!(rebuilt, scratch);
+        let guard = FailGuard::arm_after("enumerate.level", FailAction::ExpireDeadline, 2, 1);
+        let b = Budget::unlimited();
+        assert_eq!(
+            st.ensure_within(4, &Library::default(), &b),
+            Err(BudgetExceeded::Deadline)
+        );
+        assert_eq!(guard.hits(), 1);
+        assert_eq!(
+            (st.built_upto(), st.cut()),
+            (2, Some(BudgetExceeded::Deadline))
+        );
+        // Level 3 was opened, not rolled back; the store builds no more,
+        // even for a cost it already has, under a fresh budget.
+        assert_eq!(st.levels.len(), 4);
+        assert_eq!(
+            st.ensure_within(1, &Library::default(), &Budget::unlimited()),
+            Err(BudgetExceeded::Deadline)
+        );
+    }
+
+    #[test]
+    fn store_cache_evicts_least_recently_used_but_never_keep() {
+        let key = |n: i64| {
+            let spec = Spec::new(vec![ExampleRow::new(
+                Env::empty().bind(sym("x"), Value::Int(n)),
+                Value::Int(n),
+            )])
+            .unwrap();
+            (
+                7,
+                StoreKey::with_probes(&[(sym("x"), Type::Int)], &spec, &[]),
+            )
+        };
+        let built = |_: &CacheKey| {
+            let (mut st, _) = store_with_rows();
+            st.ensure(2, &Library::default());
+            st
+        };
+        let mut cache = StoreCache::default();
+        for n in 0..3 {
+            assert!(!cache.touch(key(n), built).1);
+        }
+        let one = cache.bytes() / 3;
+        // Touching 0 makes 1 the least recently used.
+        assert!(cache.touch(key(0), |_| unreachable!()).1);
+        let keep = key(1);
+        let evicted = cache.evict(2 * one, Some((keep.0, &keep.1)));
+        assert_eq!(evicted.len(), 1);
+        assert!(cache.take(&key(2)).is_none(), "2 is the oldest besides 1");
+        // Nothing fits a zero budget but `keep` stays.
+        assert_eq!(cache.evict(0, Some((keep.0, &keep.1))).len(), 1);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.put(key(1), built(&key(1))).is_some(), "replaced");
+        let drained: Vec<CacheKey> = cache.drain().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(drained, vec![key(1)]);
+        assert_eq!(cache.bytes(), 0);
+    }
+
+    #[test]
+    fn warm_cache_parks_under_budget_and_counts_lookups() {
+        let key = (1, StoreKey::with_probes(&[], &Spec::empty(), &[]));
+        let built = || {
+            let (mut st, _) = store_with_rows();
+            st.ensure(2, &Library::default());
+            st
+        };
+        let off = WarmCache::new(0);
+        off.park(vec![(key.clone(), built())]);
+        assert_eq!(off.snapshot(), WarmSnapshot::default());
+
+        let warm = WarmCache::new(usize::MAX);
+        assert!(warm.take(&key).is_none());
+        warm.park(vec![(key.clone(), built())]);
+        let snap = warm.snapshot();
+        assert_eq!((snap.entries, snap.misses), (1, 1));
+        assert_eq!(snap.bytes, built().approx_bytes());
+        assert!(warm.take(&key).is_some());
+        assert_eq!(warm.snapshot().hits, 1);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod verify;
 
 pub use analyze::lint::{lint_source, Diagnostic};
 pub use cost::CostModel;
-pub use enumerate::{WarmCache, WarmStores};
+pub use enumerate::WarmCache;
 pub use govern::{
     Attempt, Budget, BudgetExceeded, BudgetSnapshot, CancelToken, FrontierItem, Rung, SearchReport,
 };

@@ -93,6 +93,9 @@ pub enum StoreAction {
     Hit,
     /// A store was evicted by the LRU byte-budget sweep.
     Evict,
+    /// The budget cut a level of the store mid-build: the episode's
+    /// store is abandoned, partial level and all.
+    Cut,
 }
 
 impl StoreAction {
@@ -101,6 +104,7 @@ impl StoreAction {
             StoreAction::Create => "create",
             StoreAction::Hit => "hit",
             StoreAction::Evict => "evict",
+            StoreAction::Cut => "cut",
         }
     }
 }
@@ -179,7 +183,7 @@ pub enum TraceEvent {
         /// Spec-satisfying terms the tier produced for this hole.
         fills: usize,
     },
-    /// An enumeration store was created, reused, or evicted.
+    /// An enumeration store was created, reused, evicted, or cut.
     Store {
         /// What happened.
         action: StoreAction,

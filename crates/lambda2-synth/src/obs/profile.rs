@@ -287,6 +287,8 @@ pub struct Summary {
     pub store_hits: u64,
     /// Store evictions.
     pub store_evicts: u64,
+    /// Stores a budget cut mid-level.
+    pub store_cuts: u64,
     /// Closing tiers enumerated.
     pub tiers: u64,
     /// Spec-satisfying closing terms those tiers produced.
@@ -353,6 +355,7 @@ impl Summary {
             ("store_creates".to_owned(), self.store_creates.into()),
             ("store_hits".to_owned(), self.store_hits.into()),
             ("store_evicts".to_owned(), self.store_evicts.into()),
+            ("store_cuts".to_owned(), self.store_cuts.into()),
             ("tiers".to_owned(), self.tiers.into()),
             ("tier_fills".to_owned(), self.tier_fills.into()),
             ("faults".to_owned(), self.faults.into()),
@@ -479,13 +482,14 @@ impl Summary {
         }
         let _ = writeln!(
             out,
-            "\nverify: {} ok, {} failed; stores: {} created, {} hits, {} evicted; \
+            "\nverify: {} ok, {} failed; stores: {} created, {} hits, {} evicted, {} cut; \
              tiers: {} ({} fills); faults: {}",
             self.verify_ok,
             self.verify_fail,
             self.store_creates,
             self.store_hits,
             self.store_evicts,
+            self.store_cuts,
             self.tiers,
             self.tier_fills,
             self.faults
@@ -588,6 +592,7 @@ pub fn summarize(trace: &Trace) -> Summary {
                 Some("create") => s.store_creates += 1,
                 Some("hit") => s.store_hits += 1,
                 Some("evict") => s.store_evicts += 1,
+                Some("cut") => s.store_cuts += 1,
                 _ => {}
             },
             Some("verify") => {

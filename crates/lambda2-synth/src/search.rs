@@ -43,7 +43,7 @@ use lambda2_lang::ty::Type;
 use lambda2_lang::value::Value;
 
 use crate::cost::CostModel;
-use crate::enumerate::{canonical, EnumLimits, StoreKey, TermStore, WarmCache};
+use crate::enumerate::{canonical, EnumLimits, StoreCache, StoreKey, TermStore, WarmCache};
 use crate::expand::{
     plan_constructors, plan_expansion_within, Candidate, ConsTemplate, ExpandFail, Template,
 };
@@ -457,10 +457,9 @@ struct Search<'a> {
     warm: Option<&'a WarmCache>,
     warm_config: u64,
     stats: Stats,
-    /// Enumeration stores by hole context, each with a last-used tick for
-    /// LRU eviction under [`SearchOptions::max_store_bytes`].
-    stores: HashMap<StoreKey, (TermStore, u64)>,
-    store_tick: u64,
+    /// Enumeration stores by hole context (under `warm_config`), evicted
+    /// least recently used first under [`SearchOptions::max_store_bytes`].
+    stores: StoreCache,
     /// Planned expansions per hole context (store key + hole type).
     templates: HashMap<(StoreKey, Type), Arc<Vec<Planned>>>,
     queue: BinaryHeap<Entry>,
@@ -492,8 +491,7 @@ impl<'a> Search<'a> {
             warm,
             warm_config: warm_config_fingerprint(library, options),
             stats: Stats::default(),
-            stores: HashMap::new(),
-            store_tick: 0,
+            stores: StoreCache::default(),
             templates: HashMap::new(),
             queue: BinaryHeap::new(),
             seq: 0,
@@ -766,8 +764,9 @@ impl<'a> Search<'a> {
     }
 
     /// One enumeration episode on a hole's store: `grow` builds the store
-    /// as far as it needs and reads off what it needs. The terms inserted
-    /// and the time spent are accounted even when the budget aborts it.
+    /// as far as it needs and reads off what it needs. The terms inserted,
+    /// the levels completed and the time spent are accounted even when
+    /// the budget aborts it; an episode that cuts a level is traced.
     fn enumerate<T>(
         &mut self,
         info: &HoleInfo,
@@ -776,9 +775,24 @@ impl<'a> Search<'a> {
         let (library, budget) = (self.library, self.budget);
         let t_enum = Instant::now();
         let store = self.touch_store(info);
-        let before = store.funnel();
+        let (before, built) = (store.funnel(), store.built_upto());
         let out = grow(store, library, budget);
         let funnel = store.funnel().since(&before);
+        let levels: Vec<usize> = (built + 1..=store.built_upto())
+            .map(|k| store.at_cost(k).count())
+            .collect();
+        // A cut ends the search, so this fires once per cut store.
+        let cut = store.cut().map(|_| (store.len(), store.approx_bytes()));
+        for n in levels {
+            self.stats.metrics.level_terms.record_usize(n);
+        }
+        if let Some((terms, bytes)) = cut.filter(|_| self.tracer.enabled()) {
+            self.tracer.emit(TraceEvent::Store {
+                action: StoreAction::Cut,
+                terms,
+                bytes,
+            });
+        }
         self.stats.enumerated_terms += funnel.inserted;
         self.stats.enum_candidates += funnel.candidates;
         self.stats.enum_ill_typed += funnel.ill_typed;
@@ -1067,49 +1081,36 @@ impl<'a> Search<'a> {
         Ok(None)
     }
 
-    /// Looks up (or creates) the enumeration store for a hole context,
-    /// refreshing its LRU tick and accounting the hit/create in `stats` and
-    /// the trace.
+    /// Looks up (or creates, seeding from the warm cache) the enumeration
+    /// store for a hole context, making it the most recently used, and
+    /// accounts the hit/create in `stats` and the trace.
     fn touch_store(&mut self, info: &HoleInfo) -> &mut TermStore {
-        self.store_tick += 1;
-        let hit = self.stores.contains_key(&info.store_key);
         let mut warmed = false;
-        let (warm, warm_config, options) = (self.warm, self.warm_config, self.options);
-        let entry = self
-            .stores
-            .entry(info.store_key.clone())
-            .or_insert_with(|| {
-                let seeded = warm.and_then(|w| w.take(warm_config, &info.store_key));
-                let store = match seeded {
-                    Some(store) => {
-                        warmed = true;
-                        store
-                    }
-                    None => TermStore::with_probes(
-                        info.scope.clone(),
-                        &info.spec,
-                        if options.trace_probes {
-                            &info.probes
-                        } else {
-                            &[]
-                        },
-                        options.enum_limits,
-                    ),
-                };
-                (store, 0)
-            });
-        entry.1 = self.store_tick;
+        let (warm, options) = (self.warm, self.options);
+        let key = (self.warm_config, info.store_key.clone());
+        let (store, hit) = self.stores.touch(key, |key| {
+            if let Some(store) = warm.and_then(|w| w.take(key)) {
+                warmed = true;
+                return store;
+            }
+            let probes: &[Env] = if options.trace_probes {
+                &info.probes
+            } else {
+                &[]
+            };
+            TermStore::with_probes(info.scope.clone(), &info.spec, probes, options.enum_limits)
+        });
         if hit {
             self.stats.store_hits += 1;
         }
         if warmed {
             self.stats.warm_hits += 1;
         }
-        self.stats.metrics.store_terms.record_usize(entry.0.len());
+        self.stats.metrics.store_terms.record_usize(store.len());
         self.stats
             .metrics
             .store_bytes
-            .record_usize(entry.0.approx_bytes());
+            .record_usize(store.approx_bytes());
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Store {
                 action: if hit || warmed {
@@ -1117,11 +1118,11 @@ impl<'a> Search<'a> {
                 } else {
                     StoreAction::Create
                 },
-                terms: entry.0.len(),
-                bytes: entry.0.approx_bytes(),
+                terms: store.len(),
+                bytes: store.approx_bytes(),
             });
         }
-        &mut entry.0
+        store
     }
 
     /// Evicts least-recently-used stores until the approximate heap
@@ -1136,34 +1137,19 @@ impl<'a> Search<'a> {
             Some(FailAction::EvictStores) => 0,
             _ => self.options.max_store_bytes,
         };
-        let mut total: usize = self.stores.values().map(|(s, _)| s.approx_bytes()).sum();
-        self.budget.note_store_bytes(total);
-        while total > max_bytes && self.stores.len() > 1 {
-            let victim = self
-                .stores
-                .iter()
-                .filter(|(k, _)| *k != current)
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(k, _)| k.clone());
-            let Some((store, _)) = victim.and_then(|key| self.stores.remove(&key)) else {
-                break;
-            };
-            let (terms, bytes) = (store.len(), store.approx_bytes());
-            // A store's per-level term histogram is folded into the run
-            // metrics exactly once: here for evicted stores, at search end
-            // for live ones. A store evicted and later rebuilt counts
-            // again — the histogram measures work done, like
-            // `Stats::enumerated_terms`.
-            self.stats.metrics.level_terms.merge(store.level_terms());
+        self.budget.note_store_bytes(self.stores.bytes());
+        for store in self
+            .stores
+            .evict(max_bytes, Some((self.warm_config, current)))
+        {
             self.stats.store_evictions += 1;
             if self.tracer.enabled() {
                 self.tracer.emit(TraceEvent::Store {
                     action: StoreAction::Evict,
-                    terms,
-                    bytes,
+                    terms: store.len(),
+                    bytes: store.approx_bytes(),
                 });
             }
-            total -= bytes;
         }
     }
 
@@ -1220,31 +1206,22 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Folds the live stores into the run metrics, parks them in the warm
-    /// cache, and assembles the report — with the anytime frontier of the
-    /// abandoned queue when the search failed.
+    /// Parks the live stores in the warm cache and assembles the report —
+    /// with the anytime frontier of the abandoned queue when the search
+    /// failed.
     fn finish(
         mut self,
         outcome: Result<(Program, u32), SynthError>,
         start: Instant,
     ) -> SearchReport {
-        // Live stores' level histograms were not folded in by eviction; do
-        // it now (each store counted exactly once per build).
-        for (store, _) in self.stores.values() {
-            self.stats.metrics.level_terms.merge(store.level_terms());
-        }
         self.stats
             .metrics
             .poll_gap_us
             .merge(&self.budget.poll_gap_us());
         if let Some(warm) = self.warm {
-            // Park live stores for the next search, most recently used last
-            // so the cache's LRU order mirrors this search's.
-            let mut parked: Vec<(StoreKey, (TermStore, u64))> = self.stores.drain().collect();
-            parked.sort_by_key(|(_, (_, tick))| *tick);
-            for (key, (store, _)) in parked {
-                warm.put(self.warm_config, key, store);
-            }
+            // Least recently used first, so the cache's LRU order mirrors
+            // this search's.
+            warm.park(self.stores.drain());
         }
         let elapsed = start.elapsed();
         let (outcome, frontier) = match outcome {
@@ -1707,12 +1684,10 @@ mod tests {
     #[cfg(feature = "failpoints")]
     #[test]
     fn forced_evictions_keep_warm_accounting_consistent() {
-        // Satellite audit for the PR 3 bug class: every sweep the
-        // `store.evict` fail point forces evicts all but the current
-        // store, so the warm cache is parked, seeded, and re-parked with
-        // maximal churn. Under `check-invariants` the cache audits its
-        // incremental byte total against a full recomputation on every
-        // take/put; the searches must still solve identically.
+        // Every sweep the `store.evict` fail point forces evicts all but
+        // the current store, so the warm cache is parked, seeded, and
+        // re-parked with maximal churn; the searches must still solve
+        // identically.
         let p = reverse_problem();
         let opts = SearchOptions::default();
         let warm = WarmCache::new(usize::MAX);
@@ -1728,10 +1703,13 @@ mod tests {
             cold.stats.store_evictions > 0,
             "fail point forced evictions"
         );
-        assert!(!warm.is_empty(), "surviving stores parked at search end");
+        assert!(
+            warm.snapshot().entries > 0,
+            "surviving stores parked at search end"
+        );
 
         // Second run seeds from the parked stores, again under forced
-        // eviction: take/put accounting must survive the full cycle.
+        // eviction: take/park accounting must survive the full cycle.
         let seeded = {
             let _g =
                 crate::failpoints::FailGuard::arm("store.evict", FailAction::EvictStores, u64::MAX);
@@ -1746,7 +1724,7 @@ mod tests {
             "warm reuse is semantically transparent"
         );
         assert_eq!(cold.cost, seeded.cost);
-        let (hits, misses, _) = warm.counters();
-        assert!(hits > 0 && misses > 0);
+        let snap = warm.snapshot();
+        assert!(snap.hits > 0 && snap.misses > 0);
     }
 }

@@ -434,7 +434,7 @@ impl Shared {
     /// The `stats` reply's counters: the gauges, then the same counts
     /// the drain summary reports.
     fn snapshot_json(&self, config: &ServeConfig, warm: &WarmCache) -> Json {
-        let (warm_lookups_hit, warm_lookups_miss, warm_evictions) = warm.counters();
+        let cache = warm.snapshot();
         let mut pairs = vec![
             ("uptime_ms", Json::Float(self.t_ms())),
             ("workers", config.workers.into()),
@@ -445,11 +445,11 @@ impl Shared {
                 "ewma_service_us",
                 self.ewma_us.load(Ordering::Relaxed).into(),
             ),
-            ("warm_cache_entries", warm.len().into()),
-            ("warm_cache_bytes", warm.approx_bytes().into()),
-            ("warm_cache_lookup_hits", warm_lookups_hit.into()),
-            ("warm_cache_lookup_misses", warm_lookups_miss.into()),
-            ("warm_cache_evictions", warm_evictions.into()),
+            ("warm_cache_entries", cache.entries.into()),
+            ("warm_cache_bytes", cache.bytes.into()),
+            ("warm_cache_lookup_hits", cache.hits.into()),
+            ("warm_cache_lookup_misses", cache.misses.into()),
+            ("warm_cache_evictions", cache.evictions.into()),
         ];
         pairs.extend(self.summary(Duration::ZERO).counters());
         Json::obj(pairs)

@@ -58,12 +58,12 @@ pub struct Stats {
     pub enum_duplicates: u64,
     /// Enumeration-store cache hits (an existing store was reused).
     pub store_hits: u64,
-    /// Stores seeded from a cross-search [`WarmStores`] cache instead of
-    /// built cold — enumeration work amortized from earlier requests.
-    /// Always 0 unless a warm cache was passed to
+    /// Stores seeded from a cross-search [`WarmCache`] instead of built
+    /// cold — enumeration work amortized from earlier requests. Always 0
+    /// unless a warm cache was passed to
     /// [`Synthesizer::synthesize_report_warm`].
     ///
-    /// [`WarmStores`]: crate::enumerate::WarmStores
+    /// [`WarmCache`]: crate::enumerate::WarmCache
     /// [`Synthesizer::synthesize_report_warm`]: crate::Synthesizer::synthesize_report_warm
     pub warm_hits: u64,
     /// Enumeration stores evicted by the LRU byte-budget sweep.

@@ -10,8 +10,10 @@ use std::time::Duration;
 
 use lambda2::suite::by_name;
 use lambda2::synth::failpoints::{self, FailAction, FailGuard};
+use lambda2::synth::obs::StoreAction;
 use lambda2::synth::{
-    BudgetExceeded, CollectTracer, SearchOptions, SearchReport, SynthError, Synthesizer, TraceEvent,
+    BudgetExceeded, CollectTracer, SearchOptions, SearchReport, SynthError, Synthesizer,
+    TraceEvent, WarmCache,
 };
 
 fn run_with_trace(name: &str, options: &SearchOptions) -> (SearchReport, Vec<TraceEvent>) {
@@ -145,6 +147,60 @@ fn enumerated_terms_survives_store_evictions() {
         "evictions erased work from the counter: {} < {clean}",
         evicted.stats.enumerated_terms
     );
+}
+
+/// Runs `name` seeded from (and parking into) `warm`, collecting its trace.
+fn run_warm(name: &str, warm: &WarmCache) -> (SearchReport, Vec<TraceEvent>) {
+    let bench = by_name(name).expect("benchmark exists");
+    let mut tracer = CollectTracer::default();
+    let report = Synthesizer::with_options(SearchOptions::default()).synthesize_report_warm(
+        &bench.problem,
+        &mut tracer,
+        None,
+        Some(warm),
+    );
+    (report, tracer.events)
+}
+
+fn store_events(events: &[TraceEvent], action: StoreAction) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Store { action: a, .. } if *a == action))
+        .count()
+}
+
+#[test]
+fn a_level_cut_mid_build_is_traced_and_never_parked() {
+    failpoints::reset();
+    let cold = {
+        let (report, _) = run_with_trace("reverse", &SearchOptions::default());
+        report.outcome.expect("reverse solves")
+    };
+    let warm = WarmCache::new(usize::MAX);
+    let (report, events) = {
+        // Eight levels build (over more than one store); the ninth opens
+        // and is cut.
+        let _guard = FailGuard::arm_after("enumerate.level", FailAction::ExpireDeadline, 8, 1);
+        let run = run_warm("reverse", &warm);
+        assert_eq!(_guard.hits(), 1);
+        run
+    };
+    assert_eq!(report.outcome.unwrap_err(), SynthError::Timeout);
+    assert_eq!(report.budget.exceeded, Some(BudgetExceeded::Deadline));
+    assert_eq!(store_events(&events, StoreAction::Cut), 1);
+    // Every store the run created is parked except the cut one.
+    let created = store_events(&events, StoreAction::Create);
+    assert_eq!(warm.snapshot().entries, created - 1);
+
+    let (rerun, events) = run_warm("reverse", &warm);
+    let rerun = rerun.outcome.expect("the warm rerun solves");
+    assert!(
+        rerun.stats.warm_hits > 0,
+        "the rerun reused parked stores ({created} created)"
+    );
+    assert_eq!(store_events(&events, StoreAction::Cut), 0);
+    assert_eq!(rerun.program.to_string(), cold.program.to_string());
+    assert_eq!(rerun.cost, cold.cost);
 }
 
 #[test]

@@ -238,6 +238,13 @@ fn metrics_toggle_changes_no_search_results() {
         // The recorded pops histogram agrees with the pop counter.
         assert_eq!(run.stats.metrics.queue_depth.count(), run.stats.popped);
         assert_eq!(run.stats.metrics.pop_cost.count(), run.stats.popped);
+        // A solved run cuts no level, so the completed levels hold every
+        // term the run enumerated.
+        assert_eq!(
+            run.stats.metrics.level_terms.sum(),
+            run.stats.enumerated_terms,
+            "{name}"
+        );
     }
 }
 
@@ -362,4 +369,43 @@ fn every_trace_event_variant_round_trips_through_the_parser() {
     // like `progress` are tolerated, not fatal).
     let s = summarize(&trace);
     assert_eq!(s.events, samples.len());
+
+    // Every store action round-trips and is counted; the exhaustive
+    // `match` makes a new action a compile error here until it has a
+    // name and a summary count.
+    let actions = [
+        StoreAction::Create,
+        StoreAction::Hit,
+        StoreAction::Evict,
+        StoreAction::Cut,
+    ];
+    let mut text = String::new();
+    for &action in &actions {
+        let ev = TraceEvent::Store {
+            action,
+            terms: 3,
+            bytes: 96,
+        };
+        text.push_str(&format!("{}\n", ev.to_json()));
+    }
+    let trace = parse_trace(&text).expect("every store action parses");
+    for (&action, parsed) in actions.iter().zip(&trace.events) {
+        let name = match action {
+            StoreAction::Create => "create",
+            StoreAction::Hit => "hit",
+            StoreAction::Evict => "evict",
+            StoreAction::Cut => "cut",
+        };
+        assert_eq!(
+            parsed
+                .get("action")
+                .and_then(lambda2::synth::obs::json::Json::as_str),
+            Some(name)
+        );
+    }
+    let s = summarize(&trace);
+    assert_eq!(
+        (s.store_creates, s.store_hits, s.store_evicts, s.store_cuts),
+        (1, 1, 1, 1)
+    );
 }
