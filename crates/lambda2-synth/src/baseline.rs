@@ -23,7 +23,7 @@ use lambda2_lang::symbol::Symbol;
 use lambda2_lang::ty::Type;
 use lambda2_lang::value::Value;
 
-use crate::enumerate::{canonical, op_result_type, EnumLimits, TermStore};
+use crate::enumerate::{canonical, join_types, op_result_type, unifiable, EnumLimits, TermStore};
 use crate::govern::{Attempt, Budget, Rung, SearchReport, DEFAULT_MAX_OVERSHOOT};
 use crate::problem::Problem;
 use crate::search::{SearchOptions, SynthError, Synthesis};
@@ -414,12 +414,12 @@ fn enumerate(
                             for init_cost in 1..rest {
                                 let coll_cost = rest - init_cost;
                                 for &ii in levels.get(init_cost as usize).into_iter().flatten() {
-                                    if !crate::enumerate::unifiable(&terms[ii].ty, beta) {
+                                    if !unifiable(&terms[ii].ty, beta) {
                                         continue;
                                     }
                                     for &ci in levels.get(coll_cost as usize).into_iter().flatten()
                                     {
-                                        if crate::enumerate::unifiable(&terms[ci].ty, &coll_ty) {
+                                        if unifiable(&terms[ci].ty, &coll_ty) {
                                             v.push((Some(ii), ci));
                                         }
                                     }
@@ -431,7 +431,7 @@ fn enumerate(
                                 .get(rest as usize)
                                 .into_iter()
                                 .flatten()
-                                .filter(|&&ci| crate::enumerate::unifiable(&terms[ci].ty, &coll_ty))
+                                .filter(|&&ci| unifiable(&terms[ci].ty, &coll_ty))
                                 .map(|&ci| (None, ci))
                                 .collect()
                         };
@@ -466,6 +466,61 @@ fn enumerate(
                                 };
                                 if let Some(p) = test_and_insert(
                                     expr, out_ty, sig, &mut level, &mut terms, &mut seen, stats,
+                                ) {
+                                    return Ok((p, k));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        // Conditionals: a Bool-typed condition and two branches whose
+        // types join; each row takes the then- or the else-branch value.
+        if k > costs.if_ {
+            let arg_budget = k - costs.if_;
+            for kc in 1..arg_budget.saturating_sub(1) {
+                let conds: Vec<usize> = levels[kc as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&ci| unifiable(&terms[ci].ty, &Type::Bool))
+                    .collect();
+                for kt in 1..arg_budget - kc {
+                    let ke = arg_budget - kc - kt;
+                    for &ti in &levels[kt as usize] {
+                        for &ei in &levels[ke as usize] {
+                            if let Err(e) = budget.tick() {
+                                return Err(e.into());
+                            }
+                            let Some(ty) = join_types(&terms[ti].ty, &terms[ei].ty) else {
+                                continue;
+                            };
+                            for &ci in &conds {
+                                if let Err(e) = budget.tick() {
+                                    return Err(e.into());
+                                }
+                                let (c, t, e) = (&terms[ci], &terms[ti], &terms[ei]);
+                                let sig = (0..envs.len())
+                                    .map(|r| match c.sig[r] {
+                                        Some(Value::Bool(true)) => t.sig[r].clone(),
+                                        Some(Value::Bool(false)) => e.sig[r].clone(),
+                                        _ => None,
+                                    })
+                                    .collect();
+                                let expr = Arc::new(Expr::If(
+                                    Arc::clone(&c.expr),
+                                    Arc::clone(&t.expr),
+                                    Arc::clone(&e.expr),
+                                ));
+                                if let Some(p) = test_and_insert(
+                                    expr,
+                                    ty.clone(),
+                                    sig,
+                                    &mut level,
+                                    &mut terms,
+                                    &mut seen,
+                                    stats,
                                 ) {
                                     return Ok((p, k));
                                 }

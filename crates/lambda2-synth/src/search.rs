@@ -834,7 +834,7 @@ impl<'a> Search<'a> {
             Ok(store
                 .error_free(arg_cost)
                 .into_iter()
-                .map(|(t, vals)| (store.expr_of(t), t.ty.clone(), vals, t.cost))
+                .map(|(t, vals)| (store.expr_of(t), store.ty(t).clone(), vals, t.cost))
                 .collect::<Vec<PoolTerm>>())
         })?;
 

@@ -38,5 +38,5 @@ pub mod server;
 pub use access::{load_access_log, AccessLog, AccessRecord, AccessReport};
 pub use client::{request_with_retry, Backoff, Client, ClientError};
 pub use frame::{write_frame, FrameError, FrameReader, MAX_FRAME_BYTES};
-pub use proto::{parse_request, JsonProblem, ReqOp, Request, PROTO_VERSION};
+pub use proto::{parse_request, ReqOp, Request, PROTO_VERSION};
 pub use server::{ServeConfig, ServeSummary, Server};

@@ -2,19 +2,18 @@
 //!
 //! One frame (see [`super::frame`]) carries one JSON document. Requests
 //! name an operation (`synth`, `ping`, `stats`, `shutdown`) and, for
-//! `synth`, a problem in either `.l2` surface syntax (`"problem"`) or a
-//! structured JSON form (`"problem_json"`). Responses always carry a
+//! `synth`, a problem in `.l2` surface syntax (`"problem"`). Responses
+//! always carry a
 //! `"status"` field; every request — including malformed ones — gets
 //! exactly one response, so clients never hang on bad input.
 //!
 //! The parser is total: any byte sequence produces either a [`Request`]
 //! or a rendered error, never a panic. Unknown fields are ignored
 //! (forward compatibility); an unknown `"v"` or `"op"` is an error, and
-//! so is the removed `"portfolio"` field.
+//! so are the removed `"portfolio"` and `"problem_json"` fields.
 
 use crate::govern::{Attempt, SearchReport};
 use crate::obs::json::{self, Json};
-use crate::problem::Problem;
 
 /// Protocol version spoken by this build. Mismatched requests are
 /// rejected with a structured error, not dropped.
@@ -42,9 +41,6 @@ pub struct Request {
     pub id: Option<String>,
     /// `.l2` source of the problem (`synth` only).
     pub problem_source: Option<String>,
-    /// Structured problem (`synth` only), mutually exclusive with
-    /// `problem_source`.
-    pub problem_json: Option<JsonProblem>,
     /// Per-request deadline; the server caps it at its own maximum.
     pub timeout_ms: Option<u64>,
     /// Test hook: a failpoint site to arm (Panic, one fire) before the
@@ -53,47 +49,13 @@ pub struct Request {
     pub failpoint: Option<String>,
 }
 
-/// A problem in structured JSON form: every value rendered in the surface
-/// syntax the parser round-trips.
-#[derive(Clone, Debug)]
-pub struct JsonProblem {
-    /// Problem name.
-    pub name: String,
-    /// `(name, rendered type)` parameter list.
-    pub params: Vec<(String, String)>,
-    /// Rendered return type.
-    pub returns: String,
-    /// `(rendered inputs, rendered output)` examples.
-    pub examples: Vec<(Vec<String>, String)>,
-}
-
-impl JsonProblem {
-    /// Runs the problem builder's full validation.
-    ///
-    /// # Errors
-    ///
-    /// The first builder error, rendered.
-    pub fn build(&self) -> Result<Problem, String> {
-        let mut b = Problem::builder(self.name.as_str());
-        for (name, ty) in &self.params {
-            b = b.param(name, ty);
-        }
-        b = b.returns(&self.returns);
-        for (inputs, output) in &self.examples {
-            let refs: Vec<&str> = inputs.iter().map(String::as_str).collect();
-            b = b.example(&refs, output);
-        }
-        b.build().map_err(|e| e.to_string())
-    }
-}
-
 /// Parses one request frame.
 ///
 /// # Errors
 ///
 /// A rendered message describing the first problem found — invalid UTF-8,
 /// invalid JSON, a non-object document, a missing/unknown `op`, a version
-/// mismatch, or a malformed `problem_json`.
+/// mismatch, a removed field, or a `synth` request without a problem.
 pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
     let text = std::str::from_utf8(payload).map_err(|e| format!("payload is not UTF-8: {e}"))?;
     let doc = json::parse(text).map_err(|e| format!("payload is not valid JSON: {e}"))?;
@@ -119,98 +81,37 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, String> {
         Some(other) => return Err(format!("unknown op \"{other}\"")),
         None => return Err("request has no \"op\" field".into()),
     };
-    // A removed field, rejected rather than ignored: a client asking for
-    // the concurrent ladder must not silently get a different one.
-    if doc.get("portfolio").is_some() {
-        return Err(
-            "\"portfolio\" is no longer supported; the server runs its configured \
-                    retry ladder"
-                .into(),
-        );
+    // Removed fields, rejected rather than ignored: a client asking for
+    // the concurrent ladder or sending a structured problem must not
+    // silently get a different ladder or a request without a problem.
+    for (field, instead) in [
+        ("portfolio", "the server runs its configured retry ladder"),
+        (
+            "problem_json",
+            "send the problem's .l2 source in \"problem\"",
+        ),
+    ] {
+        if doc.get(field).is_some() {
+            return Err(format!("\"{field}\" is no longer supported; {instead}"));
+        }
     }
     let id = doc.get("id").and_then(Json::as_str).map(ToOwned::to_owned);
-    if doc.get("problem").is_some() && doc.get("problem_json").is_some() {
-        return Err("\"problem\" and \"problem_json\" are mutually exclusive".into());
-    }
     let problem_source = doc
         .get("problem")
         .and_then(Json::as_str)
         .map(ToOwned::to_owned);
-    let problem_json = match doc.get("problem_json") {
-        Some(j) => Some(parse_json_problem(j)?),
-        None => None,
-    };
-    if op == ReqOp::Synth && problem_source.is_none() && problem_json.is_none() {
-        return Err("synth request carries neither \"problem\" nor \"problem_json\"".into());
+    if op == ReqOp::Synth && problem_source.is_none() {
+        return Err("synth request carries no \"problem\"".into());
     }
     Ok(Request {
         op,
         id,
         problem_source,
-        problem_json,
         timeout_ms: doc.get("timeout_ms").and_then(Json::as_u64),
         failpoint: doc
             .get("failpoint")
             .and_then(Json::as_str)
             .map(ToOwned::to_owned),
-    })
-}
-
-fn parse_json_problem(j: &Json) -> Result<JsonProblem, String> {
-    let name = j
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("problem_json has no \"name\"")?
-        .to_owned();
-    let mut params = Vec::new();
-    for p in j
-        .get("params")
-        .and_then(Json::as_arr)
-        .ok_or("problem_json has no \"params\" array")?
-    {
-        let pair = p.as_arr().ok_or("each param must be [name, type]")?;
-        let [n, t] = pair else {
-            return Err("each param must be [name, type]".into());
-        };
-        params.push((
-            n.as_str().ok_or("param name must be a string")?.to_owned(),
-            t.as_str().ok_or("param type must be a string")?.to_owned(),
-        ));
-    }
-    let returns = j
-        .get("returns")
-        .and_then(Json::as_str)
-        .ok_or("problem_json has no \"returns\"")?
-        .to_owned();
-    let mut examples = Vec::new();
-    for e in j
-        .get("examples")
-        .and_then(Json::as_arr)
-        .ok_or("problem_json has no \"examples\" array")?
-    {
-        let inputs = e
-            .get("inputs")
-            .and_then(Json::as_arr)
-            .ok_or("each example needs an \"inputs\" array")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(ToOwned::to_owned)
-                    .ok_or("example inputs must be rendered strings")
-            })
-            .collect::<Result<Vec<String>, _>>()?;
-        let output = e
-            .get("output")
-            .and_then(Json::as_str)
-            .ok_or("each example needs an \"output\" string")?
-            .to_owned();
-        examples.push((inputs, output));
-    }
-    Ok(JsonProblem {
-        name,
-        params,
-        returns,
-        examples,
     })
 }
 
@@ -350,20 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_a_json_problem() {
-        let req = parse_request(
-            br#"{"op":"synth","problem_json":{"name":"evens","params":[["l","[int]"]],
-                 "returns":"[int]","examples":[{"inputs":["[1 2 3 4]"],"output":"[2 4]"},
-                 {"inputs":["[]"],"output":"[]"},{"inputs":["[5 6]"],"output":"[6]"}]}}"#,
-        )
-        .unwrap();
-        let jp = req.problem_json.expect("structured problem");
-        assert_eq!(jp.name, "evens");
-        let problem = jp.build().unwrap();
-        assert_eq!(problem.examples().len(), 3);
-    }
-
-    #[test]
     fn rejects_malformed_requests_with_messages() {
         for (payload, needle) in [
             (&b"\xff\xfe"[..], "UTF-8"),
@@ -371,10 +258,10 @@ mod tests {
             (b"[1,2]", "object"),
             (br#"{"op":"dance"}"#, "unknown op"),
             (br#"{"v":9,"op":"ping"}"#, "version"),
-            (br#"{"op":"synth"}"#, "neither"),
+            (br#"{"op":"synth"}"#, "no \"problem\""),
             (
-                br#"{"op":"synth","problem":"x","problem_json":{}}"#,
-                "mutually exclusive",
+                br#"{"op":"synth","problem_json":{"name":"evens"}}"#,
+                "\"problem_json\" is no longer supported",
             ),
             (br#"{}"#, "no \"op\""),
             (

@@ -840,12 +840,11 @@ fn admit_synth(
         shared.settle(record, "shutting_down");
         return proto::resp_shutting_down(id.as_deref());
     }
-    let problem: Result<Problem, String> = match (&req.problem_source, &req.problem_json) {
-        (Some(src), _) => l2file::parse_problem(src),
-        (None, Some(jp)) => jp.build(),
-        (None, None) => unreachable!("parse_request requires a problem for synth"),
-    };
-    let problem = match problem {
+    let source = req
+        .problem_source
+        .as_deref()
+        .expect("parse_request requires a problem for synth");
+    let problem = match l2file::parse_problem(source) {
         Ok(p) => p,
         Err(msg) => {
             shared.settle(record, "error");

@@ -5,11 +5,15 @@
 //! suite's reference solutions give sound upper bounds: synthesis must
 //! never return a program costlier than the reference. (The converse —
 //! cheaper than the reference — is fine and does happen, e.g. `shiftl`.)
+//!
+//! From below, the pure-enumeration baseline is exact over first-order
+//! programs: where it finds one, λ² must return the same cost.
 
 use std::time::Duration;
 
 use lambda2::suite::by_name;
-use lambda2::synth::{CostModel, SearchOptions, Synthesizer};
+use lambda2::synth::baseline::{synthesize_baseline, BaselineOptions};
+use lambda2::synth::{CostModel, Problem, SearchOptions, Synthesizer};
 
 fn assert_not_costlier_than_reference(name: &str) {
     let bench = by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
@@ -75,4 +79,37 @@ fn minimality_positives() {
 #[test]
 fn minimality_shiftl() {
     assert_not_costlier_than_reference("shiftl");
+}
+
+/// Two-int `max` needs a top-level `if`: the baseline must build one, or
+/// its least-cost program is a costlier arithmetic trick.
+#[test]
+fn minimality_max_matches_the_baseline() {
+    let problem = Problem::builder("max")
+        .param("a", "int")
+        .param("b", "int")
+        .returns("int")
+        .example(&["1", "2"], "2")
+        .example(&["5", "3"], "5")
+        .example(&["0", "0"], "0")
+        .example(&["-4", "-7"], "-4")
+        .build()
+        .unwrap();
+    let lambda2 = Synthesizer::new()
+        .synthesize(&problem)
+        .expect("λ² solves max");
+    let baseline = synthesize_baseline(
+        &problem,
+        &BaselineOptions {
+            max_cost: 10,
+            ..BaselineOptions::default()
+        },
+    )
+    .expect("the baseline solves max");
+    assert_eq!(lambda2.cost, 6, "{}", lambda2.program);
+    assert_eq!(
+        baseline.cost, lambda2.cost,
+        "baseline {} vs λ² {}",
+        baseline.program, lambda2.program
+    );
 }
