@@ -1,5 +1,6 @@
 //! Semantics and typing of the first-order operators.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use crate::ast::Op;
@@ -39,25 +40,28 @@ impl Op {
         }
     }
 
-    /// Applies the operator to fully evaluated arguments.
+    /// Applies the operator to fully evaluated arguments, owned or
+    /// borrowed.
     ///
     /// # Errors
     ///
     /// Returns an [`EvalError`] on shape mismatches, division by zero, and
     /// partial operations applied outside their domain (`car []`,
     /// `value {}`, …). These are routine during enumeration.
-    pub fn apply(self, args: &[Value]) -> Result<Value, EvalError> {
+    pub fn apply<V: Borrow<Value>>(self, args: &[V]) -> Result<Value, EvalError> {
         if args.len() != self.arity() {
             return Err(EvalError::ArityMismatch);
         }
+        // A unary operator reads only the first.
+        let args: [&Value; 2] = [args[0].borrow(), args[args.len() - 1].borrow()];
         let int = |v: &Value| v.as_int().ok_or(EvalError::TypeMismatch);
         let boolean = |v: &Value| v.as_bool().ok_or(EvalError::TypeMismatch);
         match self {
-            Op::Add => Ok(Value::Int(int(&args[0])?.wrapping_add(int(&args[1])?))),
-            Op::Sub => Ok(Value::Int(int(&args[0])?.wrapping_sub(int(&args[1])?))),
-            Op::Mul => Ok(Value::Int(int(&args[0])?.wrapping_mul(int(&args[1])?))),
+            Op::Add => Ok(Value::Int(int(args[0])?.wrapping_add(int(args[1])?))),
+            Op::Sub => Ok(Value::Int(int(args[0])?.wrapping_sub(int(args[1])?))),
+            Op::Mul => Ok(Value::Int(int(args[0])?.wrapping_mul(int(args[1])?))),
             Op::Div => {
-                let (a, b) = (int(&args[0])?, int(&args[1])?);
+                let (a, b) = (int(args[0])?, int(args[1])?);
                 if b == 0 {
                     Err(EvalError::DivByZero)
                 } else {
@@ -65,22 +69,22 @@ impl Op {
                 }
             }
             Op::Mod => {
-                let (a, b) = (int(&args[0])?, int(&args[1])?);
+                let (a, b) = (int(args[0])?, int(args[1])?);
                 if b == 0 {
                     Err(EvalError::DivByZero)
                 } else {
                     Ok(Value::Int(a.wrapping_rem(b)))
                 }
             }
-            Op::Lt => Ok(Value::Bool(int(&args[0])? < int(&args[1])?)),
-            Op::Le => Ok(Value::Bool(int(&args[0])? <= int(&args[1])?)),
-            Op::Gt => Ok(Value::Bool(int(&args[0])? > int(&args[1])?)),
-            Op::Ge => Ok(Value::Bool(int(&args[0])? >= int(&args[1])?)),
-            Op::Eq => Ok(Value::Bool(first_order_eq(&args[0], &args[1])?)),
-            Op::Neq => Ok(Value::Bool(!first_order_eq(&args[0], &args[1])?)),
-            Op::And => Ok(Value::Bool(boolean(&args[0])? && boolean(&args[1])?)),
-            Op::Or => Ok(Value::Bool(boolean(&args[0])? || boolean(&args[1])?)),
-            Op::Not => Ok(Value::Bool(!boolean(&args[0])?)),
+            Op::Lt => Ok(Value::Bool(int(args[0])? < int(args[1])?)),
+            Op::Le => Ok(Value::Bool(int(args[0])? <= int(args[1])?)),
+            Op::Gt => Ok(Value::Bool(int(args[0])? > int(args[1])?)),
+            Op::Ge => Ok(Value::Bool(int(args[0])? >= int(args[1])?)),
+            Op::Eq => Ok(Value::Bool(first_order_eq(args[0], args[1])?)),
+            Op::Neq => Ok(Value::Bool(!first_order_eq(args[0], args[1])?)),
+            Op::And => Ok(Value::Bool(boolean(args[0])? && boolean(args[1])?)),
+            Op::Or => Ok(Value::Bool(boolean(args[0])? || boolean(args[1])?)),
+            Op::Not => Ok(Value::Bool(!boolean(args[0])?)),
             Op::Cons => {
                 let xs = args[1].as_list().ok_or(EvalError::TypeMismatch)?;
                 let mut out = Vec::with_capacity(xs.len() + 1);
@@ -121,7 +125,7 @@ impl Op {
                 if !args[0].is_first_order() {
                     return Err(EvalError::TypeMismatch);
                 }
-                Ok(Value::Bool(xs.contains(&args[0])))
+                Ok(Value::Bool(xs.contains(args[0])))
             }
             Op::TreeMake => {
                 let cs = args[1].as_list().ok_or(EvalError::TypeMismatch)?;

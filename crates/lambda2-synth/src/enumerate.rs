@@ -15,7 +15,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use lambda2_lang::ast::{Expr, Op};
@@ -30,6 +30,9 @@ use crate::failpoints::{self, FailAction};
 use crate::govern::{Budget, BudgetExceeded};
 use crate::library::Library;
 use crate::spec::Spec;
+
+mod values;
+use values::{ValId, ValueTable};
 
 /// A term's output on one example environment.
 type Output = Result<Value, EvalError>;
@@ -86,7 +89,7 @@ impl Default for EnumLimits {
 }
 
 /// An enumerated term: interned id, type id, and cost. Its outputs live
-/// in the owning store's value column.
+/// in the owning store's value column, as value ids.
 #[derive(Clone, Copy, Debug)]
 pub struct TermEntry {
     /// The interned term (combinator-free, lambda-free) in the owning
@@ -104,6 +107,9 @@ pub type TyId = u32;
 
 /// The `rhs` of a unary operator's result-type lookup.
 const NO_TY: TyId = TyId::MAX;
+
+/// The end of a chain of terms sharing a dedup key.
+const NO_TERM: u32 = u32::MAX;
 
 /// An operator (`None` for `if`) and its argument types.
 type ResultKey = (Option<Op>, TyId, TyId);
@@ -199,12 +205,14 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The observational-equivalence key of a term: its canonical type and
-/// outputs, hashed word-wise.
-fn dedup_key(ty: &Type, outputs: &[Output]) -> u64 {
+/// The observational-equivalence key of a term: its type id and output
+/// ids, hashed word-wise.
+fn dedup_key(ty: TyId, outputs: &[ValId]) -> u64 {
     let mut h = WordHasher::default();
-    ty.hash(&mut h);
-    outputs.hash(&mut h);
+    h.add(u64::from(ty));
+    for id in outputs {
+        h.add(u64::from(id.bits()));
+    }
     h.finish()
 }
 
@@ -244,14 +252,22 @@ pub struct TermStore {
     /// Every kept term's outputs, one slot per environment: term `i` owns
     /// `values[i * envs.len()..][..envs.len()]`. A candidate is evaluated
     /// into the tail past the last term and truncated away if rejected.
-    values: Vec<Output>,
+    values: Vec<ValId>,
+    /// The outputs the value column's ids stand for, and the operator
+    /// memo.
+    vals: ValueTable,
     levels: Vec<Vec<usize>>, // levels[k] = indices of terms with cost k
-    // Observational-equivalence index: dedup key of (type, outputs) ->
-    // term indices with that key (collisions resolved by real comparison).
-    seen: HashMap<u64, Vec<usize>, BuildHasherDefault<KeyHasher>>,
+    /// Observational-equivalence index: dedup key of (type, outputs) ->
+    /// the last kept term with that key. Keys collide, so each term links
+    /// to the one kept before it under its key in `same_key`, [`NO_TERM`]
+    /// ending the chain; a real comparison resolves the chain.
+    seen: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    same_key: Vec<u32>,
     /// Every canonical type a term or a result-type lookup produced, each
     /// once; [`TyId`]s index it.
     types: Vec<Type>,
+    /// Each entry of `types` and its id.
+    type_ids: HashMap<Type, TyId, BuildHasherDefault<WordHasher>>,
     /// Result type of each (operator, argument types) combination seen so
     /// far, `None` for ill-typed; the operator is `None` for an `if`'s two
     /// branch types. Computed once per combination, not per candidate.
@@ -307,9 +323,12 @@ impl TermStore {
             arena: TermArena::new(),
             terms: Vec::new(),
             values: Vec::new(),
+            vals: ValueTable::default(),
             levels: vec![Vec::new()], // level 0 is always empty
             seen: HashMap::default(),
+            same_key: Vec::new(),
             types: Vec::new(),
+            type_ids: HashMap::default(),
             result_types: HashMap::default(),
             built_upto: 0,
             limits,
@@ -385,20 +404,29 @@ impl TermStore {
 
     /// Asserts the store's invariants after level `cost` was built or
     /// cut: the value column holds one slot per environment for every
-    /// term, and interned-id equality agrees with structural equality,
-    /// `intern(extract(id)) == id`, for the level's terms. Checking one
-    /// level at a time keeps the total cost linear in the store. Compiled
-    /// in only under `check-invariants`.
+    /// term, and for the level's terms interned-id equality agrees with
+    /// structural equality, `intern(extract(id)) == id`, and value-id
+    /// equality with output equality, `intern(get(id)) == id` for every
+    /// slot. Checking one level at a time keeps the total cost linear in
+    /// the store. Compiled in only under `check-invariants`.
     #[cfg(feature = "check-invariants")]
     fn assert_level_invariants(&mut self, cost: u32) {
+        let n = self.envs.len();
         assert_eq!(
             self.values.len(),
-            self.terms.len() * self.envs.len(),
+            self.terms.len() * n,
             "the value column holds one slot per environment per term"
         );
         for k in 0..self.levels[cost as usize].len() {
-            let id = self.terms[self.levels[cost as usize][k]].term;
-            self.arena.assert_roundtrip(id);
+            let i = self.levels[cost as usize][k];
+            self.arena.assert_roundtrip(self.terms[i].term);
+            for &id in &self.values[i * n..(i + 1) * n] {
+                assert_eq!(
+                    self.vals.intern(self.vals.get(id)),
+                    id,
+                    "value id round trip"
+                );
+            }
         }
     }
 
@@ -454,9 +482,9 @@ impl TermStore {
             .copied()
     }
 
-    /// Term `i`'s outputs, one per environment: its slice of the value
+    /// Term `i`'s output ids, one per environment: its slice of the value
     /// column.
-    fn outputs(&self, i: usize) -> &[Output] {
+    fn outputs(&self, i: usize) -> &[ValId] {
         let n = self.envs.len();
         &self.values[i * n..(i + 1) * n]
     }
@@ -481,13 +509,16 @@ impl TermStore {
         spec: &'a Spec,
     ) -> impl Iterator<Item = &'a TermEntry> {
         debug_assert_eq!(spec.len(), self.n_rows);
+        // An output no kept term produced has no id, and nothing closes.
+        let want: Option<Vec<ValId>> = spec
+            .rows()
+            .iter()
+            .map(|row| self.vals.lookup(&Ok(row.output.clone())))
+            .collect();
         self.level(cost)
             .filter(move |&i| {
-                unifiable(self.ty(&self.terms[i]), ty)
-                    && self.outputs(i)[..self.n_rows]
-                        .iter()
-                        .zip(spec.rows())
-                        .all(|(s, row)| matches!(s, Ok(v) if *v == row.output))
+                want.as_deref() == Some(&self.outputs(i)[..self.n_rows])
+                    && unifiable(self.ty(&self.terms[i]), ty)
             })
             .map(move |i| &self.terms[i])
     }
@@ -498,18 +529,9 @@ impl TermStore {
     pub fn error_free(&self, cost: u32) -> Vec<(&TermEntry, Vec<Value>)> {
         let mut out = Vec::new();
         for i in (1..=cost).flat_map(|k| self.level(k)) {
-            let mut vals = Vec::with_capacity(self.n_rows);
-            let mut ok = true;
-            for s in &self.outputs(i)[..self.n_rows] {
-                match s {
-                    Ok(v) => vals.push(v.clone()),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
+            let rows = &self.outputs(i)[..self.n_rows];
+            if rows.iter().all(|id| !id.is_err()) {
+                let vals = rows.iter().map(|&id| self.vals.value(id)).collect();
                 out.push((&self.terms[i], vals));
             }
         }
@@ -549,7 +571,8 @@ impl TermStore {
                     Type::Var(n - 1)
                 });
                 let ty = self.intern_type(canonical(&ty));
-                self.values.extend(self.envs.iter().map(|_| Ok(c.clone())));
+                let id = self.vals.intern(Ok(c.clone()));
+                self.values.extend(self.envs.iter().map(|_| id));
                 self.funnel.candidates += 1;
                 self.insert(Node::Lit(c.clone()), ty, cost);
             }
@@ -559,11 +582,14 @@ impl TermStore {
             for i in 0..self.scope.len() {
                 let (sym, ty) = self.scope[i].clone();
                 let ty = self.intern_type(canonical(&ty));
-                self.values.extend(
-                    self.envs
-                        .iter()
-                        .map(|env| env.lookup(sym).cloned().ok_or(EvalError::Unbound(sym))),
-                );
+                for r in 0..self.envs.len() {
+                    let out = self.envs[r]
+                        .lookup(sym)
+                        .cloned()
+                        .ok_or(EvalError::Unbound(sym));
+                    let id = self.vals.intern(out);
+                    self.values.push(id);
+                }
                 self.funnel.candidates += 1;
                 self.insert(Node::Var(sym), ty, cost);
             }
@@ -721,14 +747,14 @@ impl TermStore {
 
     /// The id of a canonical type, adding it to the table if new.
     fn intern_type(&mut self, ty: Type) -> TyId {
-        let id = match self.types.iter().position(|t| *t == ty) {
-            Some(id) => id,
-            None => {
-                self.types.push(ty);
-                self.types.len() - 1
+        match self.type_ids.entry(ty) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = TyId::try_from(self.types.len()).expect("few distinct types");
+                self.types.push(e.key().clone());
+                *e.insert(id)
             }
-        };
-        TyId::try_from(id).expect("few distinct types")
+        }
     }
 
     /// The canonical result type of `op` on arguments of types `a` and `b`
@@ -749,27 +775,29 @@ impl TermStore {
         ret
     }
 
+    /// `true` for a result type whose values are immediate value ids
+    /// (`int` and `bool`), which operators compute without the memo.
+    fn is_scalar(&self, ty: Option<TyId>) -> bool {
+        ty.is_some_and(|t| matches!(self.types[t as usize], Type::Int | Type::Bool))
+    }
+
     fn try_op1(&mut self, op: Op, i: usize, cost: u32) {
         let ret = self.result_type(Some(op), self.terms[i].ty, NO_TY);
         let a = i * self.envs.len();
-        self.try_app(
-            Node::Op1(op, self.terms[i].term),
-            ret,
-            cost,
-            |col, r| match &col[a + r] {
-                Ok(v) => op.apply(std::slice::from_ref(v)),
-                Err(e) => Err(*e),
-            },
-        );
+        let node = Node::Op1(op, self.terms[i].term);
+        let scalar = self.is_scalar(ret);
+        self.try_app(node, ret, cost, |vals, col, r| {
+            vals.apply1(op, col[a + r], scalar)
+        });
     }
 
     fn try_op2(&mut self, op: Op, i: usize, j: usize, cost: u32) {
         let ret = self.result_type(Some(op), self.terms[i].ty, self.terms[j].ty);
         let (a, b) = (i * self.envs.len(), j * self.envs.len());
         let node = Node::Op2(op, self.terms[i].term, self.terms[j].term);
-        self.try_app(node, ret, cost, |col, r| match (&col[a + r], &col[b + r]) {
-            (Ok(x), Ok(y)) => op.apply(&[x.clone(), y.clone()]),
-            (Err(e), _) | (_, Err(e)) => Err(*e),
+        let scalar = self.is_scalar(ret);
+        self.try_app(node, ret, cost, |vals, col, r| {
+            vals.apply2(op, col[a + r], col[b + r], scalar)
         });
     }
 
@@ -783,24 +811,21 @@ impl TermStore {
             self.terms[ti].term,
             self.terms[ei].term,
         );
-        self.try_app(node, Some(ret), cost, |col, r| match &col[c + r] {
-            Ok(Value::Bool(true)) => col[t + r].clone(),
-            Ok(Value::Bool(false)) => col[e + r].clone(),
-            Ok(_) => Err(EvalError::TypeMismatch),
-            Err(e) => Err(*e),
+        self.try_app(node, Some(ret), cost, |_, col, r| {
+            ValId::select(col[c + r], col[t + r], col[e + r])
         });
     }
 
     /// Tries one operator or `if` application of result type `ret` (`None`
-    /// if ill-typed): `out(column, r)` computes its output on environment
-    /// `r` from its arguments' slots, into the value column's tail. A
-    /// candidate that errs on every spec row is dropped.
+    /// if ill-typed): `out(table, column, r)` computes its output id on
+    /// environment `r` from its arguments' slots, into the value column's
+    /// tail. A candidate that errs on every spec row is dropped.
     fn try_app(
         &mut self,
         node: Node,
         ret: Option<TyId>,
         cost: u32,
-        mut out: impl FnMut(&[Output], usize) -> Output,
+        mut out: impl FnMut(&mut ValueTable, &[ValId], usize) -> ValId,
     ) {
         self.funnel.candidates += 1;
         let Some(ret) = ret else {
@@ -809,13 +834,13 @@ impl TermStore {
         };
         let start = self.values.len();
         for r in 0..self.envs.len() {
-            let v = out(&self.values, r);
-            self.values.push(v);
+            let id = out(&mut self.vals, &self.values, r);
+            self.values.push(id);
         }
         if self.n_rows > 0
             && self.values[start..start + self.n_rows]
                 .iter()
-                .all(Result::is_err)
+                .all(|id| id.is_err())
         {
             self.funnel.all_error += 1;
             self.values.truncate(start);
@@ -834,20 +859,25 @@ impl TermStore {
         // Observational equivalence: with at least one environment, terms
         // with equal (type, outputs) are interchangeable — keep the first
         // (cheapest, since levels are built in cost order).
+        let mut same_key = NO_TERM;
         if n > 0 {
             let tail = &self.values[start..];
-            let key = dedup_key(&self.types[ty as usize], tail);
-            let bucket = self.seen.entry(key).or_default();
-            if bucket
-                .iter()
-                .any(|&i| self.terms[i].ty == ty && self.values[i * n..(i + 1) * n] == *tail)
-            {
-                self.funnel.duplicates += 1;
-                self.values.truncate(start);
-                return;
+            let key = dedup_key(ty, tail);
+            same_key = self.seen.get(&key).copied().unwrap_or(NO_TERM);
+            let mut i = same_key;
+            while i != NO_TERM {
+                let k = i as usize;
+                if self.terms[k].ty == ty && self.values[k * n..(k + 1) * n] == *tail {
+                    self.funnel.duplicates += 1;
+                    self.values.truncate(start);
+                    return;
+                }
+                i = self.same_key[k];
             }
-            bucket.push(idx);
+            self.seen
+                .insert(key, u32::try_from(idx).expect("fewer than 2^32 terms"));
         }
+        self.same_key.push(same_key);
         self.funnel.inserted += 1;
         // The per-term estimate of a store that held one `Vec` per term:
         // eviction points and the committed store histograms are
@@ -855,10 +885,7 @@ impl TermStore {
         self.approx_bytes += 160
             + self.values[start..]
                 .iter()
-                .map(|r| match r {
-                    Ok(v) => 24 * v.size(),
-                    Err(_) => 8,
-                })
+                .map(|&id| self.vals.bytes(id))
                 .sum::<usize>();
         // Intern only terms that survive dedup: the arena holds exactly
         // the kept universe (entries sharing a structurally identical
@@ -1310,6 +1337,7 @@ pub fn join_types(a: &Type, b: &Type) -> Option<Type> {
 mod tests {
     use super::*;
     use crate::spec::{ExampleRow, Spec};
+    use lambda2_lang::eval::eval_default;
     use lambda2_lang::parser::parse_value;
 
     fn sym(s: &str) -> Symbol {
@@ -1519,17 +1547,35 @@ l
     #[test]
     fn dedup_keys_are_seedless() {
         // Pinned: a store's dedup index must not depend on a per-process
-        // seed, so the same (type, signature) always hashes the same.
-        let sig = vec![
+        // seed, so the same (type id, output ids) always hashes the same.
+        let mut vals = ValueTable::default();
+        let sig: Vec<ValId> = [
             Ok(Value::Int(1)),
             Err(EvalError::DivByZero),
             Ok(parse_value("[1 2]").unwrap()),
-        ];
-        assert_eq!(
-            dedup_key(&Type::list(Type::Int), &sig),
-            0xc57c_c4fe_c17e_6a61
-        );
-        assert_ne!(dedup_key(&Type::Int, &sig), dedup_key(&Type::Bool, &sig));
+        ]
+        .into_iter()
+        .map(|out| vals.intern(out))
+        .collect();
+        assert_eq!(dedup_key(2, &sig), 0x2c50_4399_146b_9d5b);
+        assert_ne!(dedup_key(0, &sig), dedup_key(1, &sig));
+    }
+
+    #[test]
+    fn store_outputs_match_the_interpreter() {
+        let (mut st, _) = store_with_rows();
+        st.ensure(5, &Library::default());
+        for (i, t) in st.terms.iter().enumerate() {
+            let expr = st.expr_of(t);
+            for (env, &id) in st.envs.iter().zip(st.outputs(i)) {
+                assert_eq!(
+                    st.vals.get(id),
+                    eval_default(&expr, env),
+                    "{} on {env:?}",
+                    st.render(t)
+                );
+            }
+        }
     }
 
     #[test]
@@ -1614,7 +1660,10 @@ l
         let zeros: Vec<String> = (0..st.len())
             .filter(|&i| {
                 *st.ty(&st.terms[i]) == Type::Int
-                    && st.outputs(i).iter().all(|s| *s == Ok(Value::Int(0)))
+                    && st
+                        .outputs(i)
+                        .iter()
+                        .all(|&id| st.vals.get(id) == Ok(Value::Int(0)))
             })
             .map(|i| st.render(&st.terms[i]))
             .collect();

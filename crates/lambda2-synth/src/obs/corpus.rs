@@ -155,6 +155,11 @@ pub fn build_rev() -> String {
     }
 }
 
+/// The histograms of a run's `stats.metrics` whose `count` and `sum` are
+/// determinism-backed (term-store and level sizes, queue depths; the
+/// others time things). [`regress`] pins their totals like counters.
+const PINNED_HISTOGRAMS: [&str; 4] = ["store_terms", "store_bytes", "level_terms", "queue_depth"];
+
 /// One corpus line: a [`Measurement`] plus the identity that makes it
 /// comparable across runs.
 #[derive(Clone, Debug, PartialEq)]
@@ -244,6 +249,11 @@ impl RunRecord {
         self.run.get("cost").and_then(Json::as_i64).unwrap_or(0)
     }
 
+    /// The synthesized program (empty when unsolved).
+    pub fn program(&self) -> &str {
+        self.run.get("program").and_then(Json::as_str).unwrap_or("")
+    }
+
     /// Wall-clock time of the run in milliseconds.
     pub fn elapsed_ms(&self) -> f64 {
         self.run
@@ -266,6 +276,23 @@ impl RunRecord {
             .iter()
             .filter_map(|(k, v)| v.as_i64().map(|n| (k.clone(), n)))
             .collect()
+    }
+
+    /// The `count` and `sum` of each of [`PINNED_HISTOGRAMS`] the record
+    /// carries, keyed `"<histogram>.count"` and `"<histogram>.sum"`.
+    fn histogram_totals(&self) -> Vec<(String, i64)> {
+        let Some(metrics) = self.run.get("stats").and_then(|s| s.get("metrics")) else {
+            return Vec::new();
+        };
+        let mut out = Vec::new();
+        for name in PINNED_HISTOGRAMS {
+            for total in ["count", "sum"] {
+                if let Some(n) = metrics.get(name).and_then(|h| h.get(total)?.as_i64()) {
+                    out.push((format!("{name}.{total}"), n));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -567,8 +594,9 @@ fn median(mut xs: Vec<f64>) -> f64 {
 ///
 /// For each (problem, fingerprint) group in `fresh`, the latest fresh
 /// record is compared against the baseline group with the same key:
-/// solved status, program cost, and every determinism-backed counter
-/// must match the latest baseline record *exactly*; wall time is
+/// solved status, program, program cost, every determinism-backed
+/// counter, and the totals of the baseline's [`PINNED_HISTOGRAMS`] must
+/// match the latest baseline record *exactly*; wall time is
 /// compared against the baseline median under `thresholds`. Fresh
 /// groups with no baseline produce a [`FindingKind::Note`], as does a
 /// fresh run that solves a problem the baseline did not (an
@@ -645,6 +673,16 @@ pub fn regress(
                 ),
             );
         }
+        if base.program() != new.program() {
+            finding(
+                FindingKind::Regression,
+                format!(
+                    "program diverged: baseline `{}` vs fresh `{}`",
+                    base.program(),
+                    new.program()
+                ),
+            );
+        }
 
         let base_counters: BTreeMap<String, i64> = base.counters().into_iter().collect();
         let new_counters: BTreeMap<String, i64> = new.counters().into_iter().collect();
@@ -662,6 +700,14 @@ pub fn regress(
                     FindingKind::Note,
                     format!("counter {key:?} is new (absent from baseline)"),
                 );
+            }
+        }
+        let new_totals: BTreeMap<String, i64> = new.histogram_totals().into_iter().collect();
+        for (key, bv) in base.histogram_totals() {
+            match new_totals.get(&key) {
+                Some(&nv) if nv == bv => {}
+                Some(nv) => diverged.push(format!("{key} {bv}->{nv}")),
+                None => diverged.push(format!("{key} {bv}->missing")),
             }
         }
         if !diverged.is_empty() {
@@ -886,6 +932,66 @@ mod tests {
             ..strict
         };
         assert!(regress(&base, &slow, &no_wall).is_empty());
+    }
+
+    #[test]
+    fn regress_pins_the_program_and_histogram_totals() {
+        let fp = options_fingerprint(&SearchOptions::default());
+        let run = |program: &str, store_terms: &[usize]| {
+            let mut m = measurement("evens", true, 7, 10, 40);
+            m.program = program.to_owned();
+            for &n in store_terms {
+                m.stats.metrics.store_terms.record_usize(n);
+            }
+            m.stats.metrics.queue_depth.record_usize(3);
+            m.stats.metrics.enumerate_us.record_usize(900);
+            vec![RunRecord::of_measurement(&m, &fp)]
+        };
+        let id = "(lambda (l) l)";
+        let base = run(id, &[5, 7]);
+        assert_eq!(
+            base[0].histogram_totals(),
+            [
+                ("store_terms.count", 2),
+                ("store_terms.sum", 12),
+                ("store_bytes.count", 0),
+                ("store_bytes.sum", 0),
+                ("level_terms.count", 0),
+                ("level_terms.sum", 0),
+                ("queue_depth.count", 1),
+                ("queue_depth.sum", 3)
+            ]
+            .map(|(k, n)| (k.to_owned(), n))
+        );
+        let t = RegressThresholds::default();
+        let details = |fresh: &[RunRecord]| -> Vec<String> {
+            let fs = regress(&base, fresh, &t);
+            assert!(fs.iter().all(|f| f.kind == FindingKind::Regression));
+            fs.into_iter().map(|f| f.detail).collect()
+        };
+        // Equal totals from values recorded in another order pass.
+        assert!(details(&run(id, &[7, 5])).is_empty());
+        assert_eq!(
+            details(&run("(lambda (l) (cdr l))", &[5, 7])),
+            ["program diverged: baseline `(lambda (l) l)` vs fresh `(lambda (l) (cdr l))`"]
+        );
+        assert_eq!(
+            details(&run(id, &[5, 8])),
+            ["counters diverged: store_terms.sum 12->13"]
+        );
+        assert_eq!(
+            details(&run(id, &[5, 7, 0])),
+            ["counters diverged: store_terms.count 2->3"]
+        );
+        // A fresh run without metrics misses every pinned total.
+        let mut bare = measurement("evens", true, 7, 10, 40);
+        bare.program = id.to_owned();
+        let missing = details(&[RunRecord::of_measurement(&bare, &fp)]);
+        assert_eq!(missing.len(), 1);
+        assert!(
+            missing[0].contains("queue_depth.sum 3->missing"),
+            "{missing:?}"
+        );
     }
 
     #[test]

@@ -74,6 +74,25 @@ fn release_overshoot_bound_is_tight() {
     }
 }
 
+/// `maxes` at the catalog's 1 s deadline (l2bench's `MAXES_DEADLINE`)
+/// returns within `timeout + max_overshoot` at the default overshoot,
+/// where its stores are far larger than at 200 ms. Release builds only,
+/// like the tight bound above.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "tight bound holds in release builds only")]
+fn maxes_returns_within_the_overshoot_bound_at_the_catalog_deadline() {
+    let options = SearchOptions {
+        timeout: Some(Duration::from_secs(1)),
+        ..SearchOptions::default()
+    };
+    let bound = Duration::from_secs(1) + options.max_overshoot;
+    let wall = governed_elapsed(&options, "maxes");
+    assert!(
+        wall <= bound,
+        "maxes: returned after {wall:?} (bound {bound:?})"
+    );
+}
+
 #[test]
 fn timeout_and_exhaustion_stay_distinguishable_near_the_boundary() {
     let bench = by_name("evens").expect("benchmark exists");
