@@ -31,7 +31,9 @@ use crate::govern::{Budget, BudgetExceeded};
 use crate::library::Library;
 use crate::spec::Spec;
 
+mod types;
 mod values;
+pub use types::{universe_size, TyId, UniverseSize};
 use values::{ValId, ValueTable};
 
 /// A term's output on one example environment.
@@ -88,31 +90,22 @@ impl Default for EnumLimits {
     }
 }
 
-/// An enumerated term: interned id, type id, and cost. Its outputs live
-/// in the owning store's value column, as value ids.
+/// An enumerated term: interned id, type, and cost. Its outputs live in
+/// the owning store's value column, as value ids.
 #[derive(Clone, Copy, Debug)]
 pub struct TermEntry {
     /// The interned term (combinator-free, lambda-free) in the owning
     /// store's arena; materialize with [`TermStore::expr_of`].
     pub term: TermId,
-    /// Its (canonicalized) type in the owning store's type table; read it
-    /// with [`TermStore::ty`]. May contain variables for empty containers.
+    /// Its canonical type, interned in the process's type universe. May
+    /// contain variables for empty containers.
     pub ty: TyId,
     /// Its exact cost.
     pub cost: u32,
 }
 
-/// Index into a store's table of canonical types.
-pub type TyId = u32;
-
-/// The `rhs` of a unary operator's result-type lookup.
-const NO_TY: TyId = TyId::MAX;
-
 /// The end of a chain of terms sharing a dedup key.
 const NO_TERM: u32 = u32::MAX;
-
-/// An operator (`None` for `if`) and its argument types.
-type ResultKey = (Option<Op>, TyId, TyId);
 
 /// Monotone per-store counts of what happened to each candidate term the
 /// enumerator considered: every candidate is ill-typed, errs on every
@@ -205,11 +198,11 @@ impl Hasher for WordHasher {
     }
 }
 
-/// The observational-equivalence key of a term: its type id and output
-/// ids, hashed word-wise.
-fn dedup_key(ty: TyId, outputs: &[ValId]) -> u64 {
+/// The observational-equivalence key of a term: its type's
+/// [`TyId::fingerprint`] and its output ids, hashed word-wise.
+fn dedup_key(ty_fingerprint: u64, outputs: &[ValId]) -> u64 {
     let mut h = WordHasher::default();
-    h.add(u64::from(ty));
+    h.add(ty_fingerprint);
     for id in outputs {
         h.add(u64::from(id.bits()));
     }
@@ -263,15 +256,6 @@ pub struct TermStore {
     /// ending the chain; a real comparison resolves the chain.
     seen: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
     same_key: Vec<u32>,
-    /// Every canonical type a term or a result-type lookup produced, each
-    /// once; [`TyId`]s index it.
-    types: Vec<Type>,
-    /// Each entry of `types` and its id.
-    type_ids: HashMap<Type, TyId, BuildHasherDefault<WordHasher>>,
-    /// Result type of each (operator, argument types) combination seen so
-    /// far, `None` for ill-typed; the operator is `None` for an `if`'s two
-    /// branch types. Computed once per combination, not per candidate.
-    result_types: HashMap<ResultKey, Option<TyId>, BuildHasherDefault<WordHasher>>,
     built_upto: u32,
     limits: EnumLimits,
     truncated: bool,
@@ -327,9 +311,6 @@ impl TermStore {
             levels: vec![Vec::new()], // level 0 is always empty
             seen: HashMap::default(),
             same_key: Vec::new(),
-            types: Vec::new(),
-            type_ids: HashMap::default(),
-            result_types: HashMap::default(),
             built_upto: 0,
             limits,
             truncated: false,
@@ -388,7 +369,7 @@ impl TermStore {
 
     /// An entry's canonical type.
     pub fn ty(&self, t: &TermEntry) -> &Type {
-        &self.types[t.ty as usize]
+        t.ty.ty()
     }
 
     /// Materializes an entry's expression from the arena (memoized:
@@ -570,7 +551,7 @@ impl TermStore {
                     n += 1;
                     Type::Var(n - 1)
                 });
-                let ty = self.intern_type(canonical(&ty));
+                let ty = TyId::of(&ty);
                 let id = self.vals.intern(Ok(c.clone()));
                 self.values.extend(self.envs.iter().map(|_| id));
                 self.funnel.candidates += 1;
@@ -580,8 +561,8 @@ impl TermStore {
         // Leaves: variables.
         if cost == costs.var {
             for i in 0..self.scope.len() {
-                let (sym, ty) = self.scope[i].clone();
-                let ty = self.intern_type(canonical(&ty));
+                let sym = self.scope[i].0;
+                let ty = TyId::of(&self.scope[i].1);
                 for r in 0..self.envs.len() {
                     let out = self.envs[r]
                         .lookup(sym)
@@ -632,10 +613,19 @@ impl TermStore {
                             continue;
                         }
                         let rhs = self.fitting(k2, p2);
-                        'op2: for &i in &lhs {
-                            for &j in &rhs {
+                        // One result-type lookup per pair of argument
+                        // types met, not per pair of terms.
+                        let (lslot, height) = self.type_slots(&lhs);
+                        let (rslot, width) = self.type_slots(&rhs);
+                        let mut rets = vec![None; height * width];
+                        'op2: for (&i, &l) in lhs.iter().zip(&lslot) {
+                            for (&j, &r) in rhs.iter().zip(&rslot) {
                                 budget.tick()?;
-                                self.try_op2(op, i, j, cost);
+                                let (a, b) = (self.terms[i].ty, self.terms[j].ty);
+                                let ret = *rets[l * width + r].get_or_insert_with(|| {
+                                    types::result_type(Some(op), a, Some(b))
+                                });
+                                self.try_op2(op, i, j, ret, cost);
                                 if self.over_op_limit(cost) {
                                     break 'op2;
                                 }
@@ -666,14 +656,10 @@ impl TermStore {
                         for (ety, eis) in &elses {
                             // Ground types must match exactly; any
                             // variable-typed side may join with anything.
-                            let (tg, eg) = (
-                                self.types[*tty as usize].is_ground(),
-                                self.types[*ety as usize].is_ground(),
-                            );
-                            if tg && eg && tty != ety {
+                            if tty.ty().is_ground() && ety.ty().is_ground() && tty != ety {
                                 continue;
                             }
-                            let Some(ret) = self.result_type(None, *tty, *ety) else {
+                            let Some(ret) = types::result_type(None, *tty, Some(*ety)) else {
                                 let pairs = (tis.len() * eis.len() * conds.len()) as u64;
                                 self.funnel.candidates += pairs;
                                 self.funnel.ill_typed += pairs;
@@ -711,6 +697,20 @@ impl TermStore {
         out
     }
 
+    /// Each of the terms `idx`'s position among their distinct types, in
+    /// first-occurrence order, and the number of distinct types.
+    fn type_slots(&self, idx: &[usize]) -> (Vec<usize>, usize) {
+        let mut slot: HashMap<TyId, usize, BuildHasherDefault<WordHasher>> = HashMap::default();
+        let slots = idx
+            .iter()
+            .map(|&i| {
+                let next = slot.len();
+                *slot.entry(self.terms[i].ty).or_insert(next)
+            })
+            .collect();
+        (slots, slot.len())
+    }
+
     /// Indices at exactly `cost` whose type may fill a parameter of type
     /// `param`: the outermost type constructors agree, or either side is a
     /// type variable. A cheap pre-filter; the result-type lookup decides.
@@ -745,57 +745,22 @@ impl TermStore {
         over
     }
 
-    /// The id of a canonical type, adding it to the table if new.
-    fn intern_type(&mut self, ty: Type) -> TyId {
-        match self.type_ids.entry(ty) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = TyId::try_from(self.types.len()).expect("few distinct types");
-                self.types.push(e.key().clone());
-                *e.insert(id)
-            }
-        }
-    }
-
-    /// The canonical result type of `op` on arguments of types `a` and `b`
-    /// (`b` is [`NO_TY`] for a unary operator), or of an `if` with branch
-    /// types `a` and `b` when `op` is `None`; `None` if ill-typed.
-    fn result_type(&mut self, op: Option<Op>, a: TyId, b: TyId) -> Option<TyId> {
-        if let Some(&ret) = self.result_types.get(&(op, a, b)) {
-            return ret;
-        }
-        let ta = self.types[a as usize].clone();
-        let ret = match op {
-            Some(op) if b == NO_TY => op_result_type(op, &[ta]),
-            Some(op) => op_result_type(op, &[ta, self.types[b as usize].clone()]),
-            None => join_types(&ta, &self.types[b as usize]),
-        };
-        let ret = ret.map(|t| self.intern_type(canonical(&t)));
-        self.result_types.insert((op, a, b), ret);
-        ret
-    }
-
-    /// `true` for a result type whose values are immediate value ids
-    /// (`int` and `bool`), which operators compute without the memo.
-    fn is_scalar(&self, ty: Option<TyId>) -> bool {
-        ty.is_some_and(|t| matches!(self.types[t as usize], Type::Int | Type::Bool))
-    }
-
     fn try_op1(&mut self, op: Op, i: usize, cost: u32) {
-        let ret = self.result_type(Some(op), self.terms[i].ty, NO_TY);
+        let ret = types::result_type(Some(op), self.terms[i].ty, None);
         let a = i * self.envs.len();
         let node = Node::Op1(op, self.terms[i].term);
-        let scalar = self.is_scalar(ret);
+        let scalar = is_scalar(ret);
         self.try_app(node, ret, cost, |vals, col, r| {
             vals.apply1(op, col[a + r], scalar)
         });
     }
 
-    fn try_op2(&mut self, op: Op, i: usize, j: usize, cost: u32) {
-        let ret = self.result_type(Some(op), self.terms[i].ty, self.terms[j].ty);
+    /// `ret` is the result type, looked up once per argument type pair by
+    /// the caller.
+    fn try_op2(&mut self, op: Op, i: usize, j: usize, ret: Option<TyId>, cost: u32) {
         let (a, b) = (i * self.envs.len(), j * self.envs.len());
         let node = Node::Op2(op, self.terms[i].term, self.terms[j].term);
-        let scalar = self.is_scalar(ret);
+        let scalar = is_scalar(ret);
         self.try_app(node, ret, cost, |vals, col, r| {
             vals.apply2(op, col[a + r], col[b + r], scalar)
         });
@@ -862,7 +827,7 @@ impl TermStore {
         let mut same_key = NO_TERM;
         if n > 0 {
             let tail = &self.values[start..];
-            let key = dedup_key(ty, tail);
+            let key = dedup_key(ty.fingerprint(), tail);
             same_key = self.seen.get(&key).copied().unwrap_or(NO_TERM);
             let mut i = same_key;
             while i != NO_TERM {
@@ -895,6 +860,12 @@ impl TermStore {
         self.terms.push(TermEntry { term, ty, cost });
         self.levels[cost as usize].push(idx);
     }
+}
+
+/// `true` for a result type whose values are immediate value ids (`int`
+/// and `bool`), which operators compute without the memo.
+fn is_scalar(ty: Option<TyId>) -> bool {
+    ty.is_some_and(|t| matches!(t.ty(), Type::Int | Type::Bool))
 }
 
 /// Deterministic probe environments: for each of (up to) the first three
@@ -1234,12 +1205,12 @@ pub fn unifiable(a: &Type, b: &Type) -> bool {
 /// types, or `None` if ill-typed. Argument type variables are treated as
 /// independent unknowns.
 ///
-/// A term store calls it once per (operator, argument types) it meets and
-/// memoizes the answer; the baseline calls it per candidate. Ground
-/// argument types take an allocation-free fast path, which keeps a
-/// store's first-time lookups cheap; only types containing variables
-/// (empty-container literals and their derivatives) fall back to full
-/// unification.
+/// The type universe calls it once per process for each (operator,
+/// argument types) a term store meets and memoizes the answer; the
+/// baseline calls it per candidate. Ground argument types take an
+/// allocation-free fast path, which keeps a fresh process's derivations
+/// cheap; only types containing variables (empty-container literals and
+/// their derivatives) fall back to full unification.
 pub fn op_result_type(op: Op, args: &[Type]) -> Option<Type> {
     if args.len() != op.arity() {
         return None;
@@ -1525,6 +1496,33 @@ l
 (tree (tree {} []) [])
 (tree (tree l []) [])";
 
+    /// `store_with_rows()`'s funnel at cost 5: the candidate set of the
+    /// enumerator whose argument pre-filter was a hand-kept table of type
+    /// shapes. Deriving the filter from the operator schemes must consider
+    /// exactly these.
+    const PINNED_FUNNEL: Funnel = Funnel {
+        candidates: 1573,
+        ill_typed: 863,
+        all_error: 39,
+        duplicates: 513,
+        inserted: 158,
+    };
+
+    /// The dedup key of a fixed signature under type fingerprint 2.
+    fn seedless_key() -> u64 {
+        let mut vals = ValueTable::default();
+        let sig: Vec<ValId> = [
+            Ok(Value::Int(1)),
+            Err(EvalError::DivByZero),
+            Ok(parse_value("[1 2]").unwrap()),
+        ]
+        .into_iter()
+        .map(|out| vals.intern(out))
+        .collect();
+        assert_ne!(dedup_key(0, &sig), dedup_key(1, &sig));
+        dedup_key(2, &sig)
+    }
+
     #[test]
     fn store_order_and_representatives_are_pinned() {
         let (mut st, _) = store_with_rows();
@@ -1547,18 +1545,75 @@ l
     #[test]
     fn dedup_keys_are_seedless() {
         // Pinned: a store's dedup index must not depend on a per-process
-        // seed, so the same (type id, output ids) always hashes the same.
-        let mut vals = ValueTable::default();
-        let sig: Vec<ValId> = [
-            Ok(Value::Int(1)),
-            Err(EvalError::DivByZero),
-            Ok(parse_value("[1 2]").unwrap()),
-        ]
-        .into_iter()
-        .map(|out| vals.intern(out))
-        .collect();
-        assert_eq!(dedup_key(2, &sig), 0x2c50_4399_146b_9d5b);
-        assert_ne!(dedup_key(0, &sig), dedup_key(1, &sig));
+        // seed, so the same (type fingerprint, output ids) always hashes
+        // the same, and neither may a type's fingerprint.
+        assert_eq!(seedless_key(), 0x2c50_4399_146b_9d5b);
+        assert_eq!(
+            TyId::of(&Type::list(Type::Var(3))).fingerprint(),
+            0x3415_2335_82a5_7faf
+        );
+    }
+
+    #[test]
+    fn kept_terms_do_not_depend_on_the_types_interned_before() {
+        // Another scope first, so the universe meets its types in another
+        // order than `store_with_rows()` alone would intern them.
+        let scope = vec![
+            (sym("b"), Type::Bool),
+            (sym("xss"), Type::list(Type::list(Type::Int))),
+        ];
+        let spec = Spec::new(vec![ExampleRow::new(
+            Env::empty()
+                .bind(sym("b"), Value::Bool(true))
+                .bind(sym("xss"), parse_value("[[1] [2 3]]").unwrap()),
+            Value::Int(2),
+        )])
+        .unwrap();
+        TermStore::new(scope, &spec, EnumLimits::default()).ensure(4, &Library::default());
+        let build = || {
+            let (mut st, _) = store_with_rows();
+            st.ensure(5, &Library::default());
+            let rendered: Vec<String> = st.up_to_cost(5).map(|t| st.render(t)).collect();
+            assert_eq!(rendered, GOLDEN_COST_5.lines().collect::<Vec<_>>());
+            assert_eq!(st.funnel(), PINNED_FUNNEL);
+            assert_eq!(st.approx_bytes(), 130_016);
+            assert_eq!(seedless_key(), 0x2c50_4399_146b_9d5b);
+            (0..st.len())
+                .map(|i| dedup_key(st.terms[i].ty.fingerprint(), st.outputs(i)))
+                .collect::<Vec<u64>>()
+        };
+        let here = build();
+        let there = std::thread::spawn(build).join().expect("second thread");
+        assert_eq!(here, there, "every kept term's dedup key");
+    }
+
+    #[test]
+    fn the_shared_result_memo_is_sound() {
+        let (mut st, _) = store_with_rows();
+        st.ensure(5, &Library::default());
+        let derived = types::derived_here();
+        let (mut again, _) = store_with_rows();
+        again.ensure(5, &Library::default());
+        assert_eq!(
+            types::derived_here(),
+            derived,
+            "a second store for the same scope derives no result type"
+        );
+        let entries = types::memo_entries();
+        assert!(!entries.is_empty());
+        for (op, a, b, ret) in entries {
+            let derived = match (op, b) {
+                (Some(op), None) => op_result_type(op, &[a.ty().clone()]),
+                (Some(op), Some(b)) => op_result_type(op, &[a.ty().clone(), b.ty().clone()]),
+                (None, Some(b)) => join_types(a.ty(), b.ty()),
+                (None, None) => unreachable!("`if` joins two branch types"),
+            };
+            assert_eq!(
+                ret.map(|t| t.ty().clone()),
+                derived.map(|t| canonical(&t)),
+                "{op:?} {a:?} {b:?}"
+            );
+        }
     }
 
     #[test]
@@ -1590,19 +1645,7 @@ l
             "{f:?}"
         );
         assert_eq!(f.inserted, st.len() as u64);
-        // Pinned: the candidate set of the enumerator whose argument
-        // pre-filter was a hand-kept table of type shapes. Deriving the
-        // filter from the operator schemes must consider exactly these.
-        assert_eq!(
-            f,
-            Funnel {
-                candidates: 1573,
-                ill_typed: 863,
-                all_error: 39,
-                duplicates: 513,
-                inserted: 158,
-            }
-        );
+        assert_eq!(f, PINNED_FUNNEL);
         assert_eq!(st.approx_bytes(), 130_016);
     }
 

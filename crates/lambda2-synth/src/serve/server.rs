@@ -102,7 +102,7 @@ use std::time::{Duration, Instant};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 
-use crate::enumerate::WarmCache;
+use crate::enumerate::{universe_size, WarmCache};
 use crate::govern::{panic_message, CancelToken};
 use crate::l2file;
 use crate::obs::corpus::{options_fingerprint, Corpus, RunRecord};
@@ -435,6 +435,7 @@ impl Shared {
     /// the drain summary reports.
     fn snapshot_json(&self, config: &ServeConfig, warm: &WarmCache) -> Json {
         let cache = warm.snapshot();
+        let universe = universe_size();
         let mut pairs = vec![
             ("uptime_ms", Json::Float(self.t_ms())),
             ("workers", config.workers.into()),
@@ -450,6 +451,10 @@ impl Shared {
             ("warm_cache_lookup_hits", cache.hits.into()),
             ("warm_cache_lookup_misses", cache.misses.into()),
             ("warm_cache_evictions", cache.evictions.into()),
+            // Process-wide gauges: they depend on everything the process
+            // has run, so they stay out of every per-request record.
+            ("type_universe_types", universe.types.into()),
+            ("type_universe_results", universe.results.into()),
         ];
         pairs.extend(self.summary(Duration::ZERO).counters());
         Json::obj(pairs)

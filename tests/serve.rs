@@ -418,6 +418,14 @@ fn stats_op_reports_counters() {
     assert_eq!(server.get("accepted").and_then(Json::as_u64), Some(1));
     assert_eq!(server.get("completed").and_then(Json::as_u64), Some(1));
     assert_eq!(server.get("solved").and_then(Json::as_u64), Some(1));
+    // The process-wide type universe holds at least the types `evens`
+    // met, and the result types derived from them.
+    for gauge in ["type_universe_types", "type_universe_results"] {
+        assert!(
+            server.get(gauge).and_then(Json::as_u64) > Some(0),
+            "{gauge}"
+        );
+    }
     stop(&control, handle);
 }
 

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use lambda2::synth::enumerate::universe_size;
 use lambda2::synth::obs::json::Json;
 use lambda2::synth::serve::{Client, ServeConfig, Server};
 use lambda2::synth::{load_access_log, AccessReport};
@@ -184,12 +185,18 @@ fn soak_byte_accounting_stays_bounded() {
             "peak RSS {kb} KiB exceeds the {PEAK_RSS_CEILING_KB} KiB ceiling"
         );
     }
+    // The daemon ran in this process, so its type universe is this
+    // process's: the gauges its `stats` reply carries.
+    let universe = universe_size();
     println!(
         "soak: {total} requests in {secs}s, {} records, {} log bytes, \
-         {} shed, {} crashed, peak RSS {peak_kb:?} KiB",
+         {} shed, {} crashed, peak RSS {peak_kb:?} KiB, \
+         type universe {} types / {} results",
         records.len(),
         log_bytes,
         summary.shed,
-        summary.crashed
+        summary.crashed,
+        universe.types,
+        universe.results
     );
 }
