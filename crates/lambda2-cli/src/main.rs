@@ -240,7 +240,7 @@ const FLAGS: &[Flag] = &[
         name: "--warm-bytes",
         kind: Kind::Whole("a byte count", " of bytes"),
         scope: &["serve"],
-        help: "warm term-store bytes shared by all workers (0 = off)",
+        help: "bytes the parked term stores may own, shared by all workers (0 = off)",
     },
     Flag {
         name: "--drain-grace-ms",

@@ -1,21 +1,22 @@
-//! Arena-allocated, hash-consed closed terms.
+//! Arena-allocated closed terms.
 //!
 //! The enumerator's term stores hold millions of small first-order
 //! expressions (literals, variables, operator applications, conditionals).
 //! Building each as an [`Expr`] costs one heap allocation per node plus
-//! pointer-chasing on every comparison. A [`TermArena`] instead interns
-//! every node once — structurally identical subterms share a single
-//! [`TermId`] — so:
+//! pointer-chasing on every comparison. A [`TermArena`] instead keeps
+//! every node in one append-only column whose children are [`TermId`]s,
+//! so:
 //!
-//! * equality is an O(1) `u32` compare,
-//! * structural dedup happens at construction (interning an already-seen
-//!   node returns the existing id),
+//! * a term is one flat node that points at its subterms by `u32` id,
 //! * stores index terms by dense `u32` ids instead of `Arc` pointers, and
-//! * ids are `Copy + Send`, so stores can be shared across worker threads.
+//! * ids are `Copy + Send`, so stores can move across worker threads.
 //!
-//! The arena is append-only: ids are never invalidated. Re-interning the
-//! same content always yields the same id, so arenas rebuilt after a
-//! budget rollback re-converge deterministically.
+//! The arena does not deduplicate: an id is the position the node was
+//! pushed at, and ids are never invalidated. Uniqueness is the caller's
+//! business — a term store pushes only terms that survived its
+//! observational-equivalence dedup, built from distinct kept subterms, so
+//! a store's arena holds each kept term once and a term's id is its
+//! position in the store.
 //!
 //! Only the first-order fragment the enumerator actually builds is
 //! represented ([`Node`]); lambdas, combinator applications, and holes
@@ -25,14 +26,13 @@
 //! where the synthesizer needs a real expression — hole fills and final
 //! programs — which is rare compared to construction and comparison.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ast::{Expr, Op};
 use crate::symbol::Symbol;
 use crate::value::Value;
 
-/// Dense index of an interned term in a [`TermArena`].
+/// A term's position in its [`TermArena`].
 ///
 /// Ids are only meaningful within the arena that produced them; comparing
 /// ids from different arenas is a logic error the type system does not
@@ -48,12 +48,12 @@ impl TermId {
     }
 }
 
-/// One interned node: the first-order fragment of [`Expr`] with child
+/// One arena node: the first-order fragment of [`Expr`] with child
 /// subtrees replaced by [`TermId`]s.
 ///
 /// Operators are split by arity so a node is a flat, fixed-size value —
 /// no boxed child slice, no indirection.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Node {
     /// A literal first-order value.
     Lit(Value),
@@ -67,15 +67,14 @@ pub enum Node {
     Op2(Op, TermId, TermId),
 }
 
-/// An append-only hash-consing arena for first-order terms.
+/// An append-only column of first-order term nodes.
 #[derive(Debug, Default)]
 pub struct TermArena {
     nodes: Vec<Node>,
-    seen: HashMap<Node, TermId>,
-    /// Memoized extraction cache: id → materialized expression. Interior
-    /// mutability keeps [`TermArena::extract`] callable through `&self`;
-    /// the cell never escapes, so the arena stays `Send`.
-    extracted: std::cell::RefCell<HashMap<TermId, Arc<Expr>>>,
+    /// Memoized extraction cache, indexed by id and grown on demand.
+    /// Interior mutability keeps [`TermArena::extract`] callable through
+    /// `&self`; the cell never escapes, so the arena stays `Send`.
+    extracted: std::cell::RefCell<Vec<Option<Arc<Expr>>>>,
 }
 
 impl TermArena {
@@ -84,31 +83,10 @@ impl TermArena {
         TermArena::default()
     }
 
-    /// Number of distinct interned nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Interns `node`, returning the id of the structurally identical
-    /// node already present or a fresh id for a new one.
-    pub fn intern(&mut self, node: Node) -> TermId {
-        if let Some(&id) = self.seen.get(&node) {
-            #[cfg(feature = "check-invariants")]
-            assert_eq!(
-                self.nodes[id.index()],
-                node,
-                "hash-cons hit must be structurally identical"
-            );
-            return id;
-        }
+    /// Appends `node`; returns its id, the arena's length before the push.
+    pub fn push(&mut self, node: Node) -> TermId {
         let id = TermId(u32::try_from(self.nodes.len()).expect("term arena overflowed u32 ids"));
-        self.nodes.push(node.clone());
-        self.seen.insert(node, id);
+        self.nodes.push(node);
         id
     }
 
@@ -118,23 +96,12 @@ impl TermArena {
         &self.nodes[id.index()]
     }
 
-    /// Number of AST nodes in the term rooted at `id` (matches
-    /// [`Expr::size`] on the extracted expression).
-    pub fn size(&self, id: TermId) -> usize {
-        match self.node(id) {
-            Node::Lit(_) | Node::Var(_) => 1,
-            Node::If(c, t, e) => 1 + self.size(*c) + self.size(*t) + self.size(*e),
-            Node::Op1(_, a) => 1 + self.size(*a),
-            Node::Op2(_, a, b) => 1 + self.size(*a) + self.size(*b),
-        }
-    }
-
     /// Materializes `id` as a shared expression.
     ///
-    /// Memoized per arena: each interned node is converted at most once,
-    /// and repeated subtrees share one `Arc<Expr>` in the result.
+    /// Memoized per arena: each node is converted at most once, and
+    /// repeated subtrees share one `Arc<Expr>` in the result.
     pub fn extract(&self, id: TermId) -> Arc<Expr> {
-        if let Some(e) = self.extracted.borrow().get(&id) {
+        if let Some(Some(e)) = self.extracted.borrow().get(id.index()) {
             return e.clone();
         }
         let expr = Arc::new(match self.node(id) {
@@ -147,55 +114,25 @@ impl TermArena {
                 [(*self.extract(*a)).clone(), (*self.extract(*b)).clone()].into(),
             ),
         });
-        self.extracted.borrow_mut().insert(id, expr.clone());
+        let mut memo = self.extracted.borrow_mut();
+        if memo.len() <= id.index() {
+            memo.resize(id.index() + 1, None);
+        }
+        memo[id.index()] = Some(expr.clone());
         expr
     }
 
-    /// Interns an already-built expression, returning `None` when it
-    /// falls outside the first-order fragment (lambda, combinator
-    /// application, or hole).
-    pub fn intern_expr(&mut self, expr: &Expr) -> Option<TermId> {
-        let node = match expr {
-            Expr::Lit(v) => Node::Lit(v.clone()),
-            Expr::Var(x) => Node::Var(*x),
-            Expr::If(c, t, e) => {
-                let c = self.intern_expr(c)?;
-                let t = self.intern_expr(t)?;
-                let e = self.intern_expr(e)?;
-                Node::If(c, t, e)
-            }
-            Expr::Op(op, args) => match args.len() {
-                1 => Node::Op1(*op, self.intern_expr(&args[0])?),
-                2 => {
-                    let a = self.intern_expr(&args[0])?;
-                    let b = self.intern_expr(&args[1])?;
-                    Node::Op2(*op, a, b)
-                }
-                _ => return None,
-            },
-            Expr::Lambda(..) | Expr::App(..) | Expr::Comb(_) | Expr::Hole(_) => return None,
-        };
-        Some(self.intern(node))
-    }
-
-    /// Renders `id` without materializing an [`Expr`] (test/debug aid).
+    /// Renders `id` without keeping an [`Expr`] (test/debug aid).
     pub fn render(&self, id: TermId) -> String {
         self.extract(id).to_string()
     }
 
-    /// Asserts the extraction round-trip: re-interning the extracted
-    /// expression of every term yields the same id. Compiled in only
-    /// under `check-invariants`.
-    #[cfg(feature = "check-invariants")]
-    pub fn assert_roundtrip(&mut self, id: TermId) {
-        let expr = self.extract(id);
-        let back = self
-            .intern_expr(&expr)
-            .expect("extracted term must stay in the first-order fragment");
-        assert_eq!(
-            back, id,
-            "intern(extract(id)) must be the identity (id equality ≡ structural equality)"
-        );
+    /// The bytes the node column owns: its capacity. The extraction memo
+    /// is a read cache of the few terms that become hole fills and
+    /// programs; it is left out, so the count depends only on the nodes
+    /// pushed.
+    pub fn bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<Node>()
     }
 }
 
@@ -204,42 +141,34 @@ mod tests {
     use super::*;
 
     fn add(arena: &mut TermArena, a: TermId, b: TermId) -> TermId {
-        arena.intern(Node::Op2(Op::Add, a, b))
+        arena.push(Node::Op2(Op::Add, a, b))
     }
 
     #[test]
-    fn interning_deduplicates_structurally_equal_nodes() {
+    fn an_id_is_the_push_position() {
         let mut arena = TermArena::new();
-        let one = arena.intern(Node::Lit(Value::Int(1)));
-        let one2 = arena.intern(Node::Lit(Value::Int(1)));
-        assert_eq!(one, one2);
-        assert_eq!(arena.len(), 1);
-
-        let x = arena.intern(Node::Var(Symbol::intern("x")));
-        let s1 = add(&mut arena, one, x);
-        let s2 = add(&mut arena, one, x);
-        assert_eq!(s1, s2);
-        assert_ne!(s1, one);
-        assert_eq!(arena.len(), 3);
+        let one = arena.push(Node::Lit(Value::Int(1)));
+        let again = arena.push(Node::Lit(Value::Int(1)));
+        assert_eq!((one.index(), again.index()), (0, 1));
+        assert_eq!(arena.node(again), &Node::Lit(Value::Int(1)));
     }
 
     #[test]
     fn extraction_matches_direct_construction() {
         let mut arena = TermArena::new();
-        let one = arena.intern(Node::Lit(Value::Int(1)));
-        let x = arena.intern(Node::Var(Symbol::intern("x")));
+        let one = arena.push(Node::Lit(Value::Int(1)));
+        let x = arena.push(Node::Var(Symbol::intern("x")));
         let sum = add(&mut arena, one, x);
-        let neg = arena.intern(Node::Op1(Op::Not, x));
-        let iff = arena.intern(Node::If(neg, sum, one));
+        let neg = arena.push(Node::Op1(Op::Not, x));
+        let iff = arena.push(Node::If(neg, sum, one));
         assert_eq!(arena.render(iff), "(if (~ x) (+ 1 x) 1)");
-        assert_eq!(arena.size(iff), 7);
-        assert_eq!(arena.extract(iff).size(), arena.size(iff));
+        assert_eq!(arena.extract(iff).size(), 7);
     }
 
     #[test]
     fn extraction_is_memoized_and_shares_subtrees() {
         let mut arena = TermArena::new();
-        let x = arena.intern(Node::Var(Symbol::intern("x")));
+        let x = arena.push(Node::Var(Symbol::intern("x")));
         let sum = add(&mut arena, x, x);
         let outer = add(&mut arena, sum, sum);
         let e = arena.extract(outer);
@@ -251,57 +180,5 @@ mod tests {
         }
         // Second extraction returns the identical Arc.
         assert!(Arc::ptr_eq(&e, &arena.extract(outer)));
-    }
-
-    #[test]
-    fn intern_expr_round_trips_first_order_terms() {
-        let mut arena = TermArena::new();
-        let expr = Expr::op(
-            Op::Cons,
-            vec![Expr::int(1), Expr::op(Op::Cdr, vec![Expr::var("l")])],
-        );
-        let id = arena.intern_expr(&expr).expect("first-order");
-        assert_eq!(*arena.extract(id), expr);
-        // Re-interning the extracted expression gives the same id.
-        let extracted = arena.extract(id);
-        assert_eq!(arena.intern_expr(&extracted), Some(id));
-    }
-
-    #[test]
-    fn intern_expr_rejects_higher_order_forms() {
-        let mut arena = TermArena::new();
-        let lam = Expr::lambda(vec![Symbol::intern("x")], Expr::var("x"));
-        assert_eq!(arena.intern_expr(&lam), None);
-        assert_eq!(arena.intern_expr(&Expr::Hole(0)), None);
-        let app = Expr::comb(crate::ast::Comb::Map, vec![lam, Expr::var("l")]);
-        assert_eq!(arena.intern_expr(&app), None);
-    }
-
-    #[test]
-    fn reinterning_after_external_rollback_is_deterministic() {
-        // Stores that roll back a level keep their arena; rebuilding the
-        // level re-interns identical content and must observe identical
-        // ids in identical order.
-        let mut arena = TermArena::new();
-        let x = arena.intern(Node::Var(Symbol::intern("x")));
-        let one = arena.intern(Node::Lit(Value::Int(1)));
-        let first = add(&mut arena, x, one);
-        let len = arena.len();
-        let again = add(&mut arena, x, one);
-        assert_eq!(first, again);
-        assert_eq!(arena.len(), len);
-    }
-
-    #[cfg(feature = "check-invariants")]
-    #[test]
-    fn roundtrip_invariant_holds_for_nested_terms() {
-        let mut arena = TermArena::new();
-        let l = arena.intern(Node::Var(Symbol::intern("l")));
-        let cdr = arena.intern(Node::Op1(Op::Cdr, l));
-        let car = arena.intern(Node::Op1(Op::Car, cdr));
-        let cons = arena.intern(Node::Op2(Op::Cons, car, cdr));
-        for id in [l, cdr, car, cons] {
-            arena.assert_roundtrip(id);
-        }
     }
 }

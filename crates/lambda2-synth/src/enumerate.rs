@@ -34,7 +34,7 @@ use crate::spec::Spec;
 mod types;
 mod values;
 pub use types::{universe_size, TyId, UniverseSize};
-use values::{ValId, ValueTable};
+use values::{map_bytes, ValId, ValueTable};
 
 /// A term's output on one example environment.
 type Output = Result<Value, EvalError>;
@@ -90,12 +90,13 @@ impl Default for EnumLimits {
     }
 }
 
-/// An enumerated term: interned id, type, and cost. Its outputs live in
-/// the owning store's value column, as value ids.
+/// An enumerated term: id, type, and cost. Its outputs live in the
+/// owning store's value column, as value ids.
 #[derive(Clone, Copy, Debug)]
 pub struct TermEntry {
-    /// The interned term (combinator-free, lambda-free) in the owning
-    /// store's arena; materialize with [`TermStore::expr_of`].
+    /// The term (combinator-free, lambda-free) in the owning store's
+    /// arena; its id is its position in the store. Materialize it with
+    /// [`TermStore::expr_of`].
     pub term: TermId,
     /// Its canonical type, interned in the process's type universe. May
     /// contain variables for empty containers.
@@ -239,7 +240,7 @@ pub struct TermStore {
     /// rest are dedup probes. Closing checks and argument values use only
     /// the row part.
     n_rows: usize,
-    /// Hash-consing arena holding every kept term.
+    /// Every kept term's node, at the term's position in `terms`.
     arena: TermArena,
     terms: Vec<TermEntry>,
     /// Every kept term's outputs, one slot per environment: term `i` owns
@@ -259,7 +260,6 @@ pub struct TermStore {
     built_upto: u32,
     limits: EnumLimits,
     truncated: bool,
-    approx_bytes: usize,
     funnel: Funnel,
     /// The verdict that cut a level mid-build; that level stays partial
     /// and the store builds nothing more.
@@ -314,7 +314,6 @@ impl TermStore {
             built_upto: 0,
             limits,
             truncated: false,
-            approx_bytes: 0,
             funnel: Funnel::default(),
             cut: None,
         }
@@ -354,12 +353,25 @@ impl TermStore {
         self.cut
     }
 
-    /// Rough heap footprint of the stored terms. Outputs dominate: each
-    /// term holds one value per environment, and values can be large
-    /// nested structures; the search's eviction budget is denominated in
-    /// these bytes rather than in term counts.
-    pub fn approx_bytes(&self) -> usize {
-        self.approx_bytes
+    /// The bytes the store owns: the capacities of its columns (terms,
+    /// value slots, dedup chains, levels, environments), of its dedup
+    /// index, of its arena, and of its value table with the heap of each
+    /// distinct boxed output. The search's eviction budget and the warm
+    /// cache's are denominated in these bytes.
+    pub fn bytes(&self) -> usize {
+        self.terms.capacity() * size_of::<TermEntry>()
+            + self.values.capacity() * size_of::<ValId>()
+            + self.same_key.capacity() * size_of::<u32>()
+            + self.levels.capacity() * size_of::<Vec<usize>>()
+            + self
+                .levels
+                .iter()
+                .map(|l| l.capacity() * size_of::<usize>())
+                .sum::<usize>()
+            + map_bytes(&self.seen)
+            + self.envs.capacity() * size_of::<Env>()
+            + self.arena.bytes()
+            + self.vals.bytes()
     }
 
     /// `true` if no terms are stored.
@@ -385,11 +397,12 @@ impl TermStore {
 
     /// Asserts the store's invariants after level `cost` was built or
     /// cut: the value column holds one slot per environment for every
-    /// term, and for the level's terms interned-id equality agrees with
-    /// structural equality, `intern(extract(id)) == id`, and value-id
-    /// equality with output equality, `intern(get(id)) == id` for every
-    /// slot. Checking one level at a time keeps the total cost linear in
-    /// the store. Compiled in only under `check-invariants`.
+    /// term, and for each of the level's terms its id is its position,
+    /// the interpreter run on its expression gives the output of each of
+    /// its slots, and value-id equality agrees with output equality,
+    /// `intern(get(id)) == id` for every slot. Checking one level at a
+    /// time keeps the total cost linear in the store. Compiled in only
+    /// under `check-invariants`.
     #[cfg(feature = "check-invariants")]
     fn assert_level_invariants(&mut self, cost: u32) {
         let n = self.envs.len();
@@ -400,8 +413,15 @@ impl TermStore {
         );
         for k in 0..self.levels[cost as usize].len() {
             let i = self.levels[cost as usize][k];
-            self.arena.assert_roundtrip(self.terms[i].term);
-            for &id in &self.values[i * n..(i + 1) * n] {
+            assert_eq!(self.terms[i].term.index(), i, "a term's id is its position");
+            let expr = self.arena.extract(self.terms[i].term);
+            for (r, env) in self.envs.iter().enumerate() {
+                let id = self.values[i * n + r];
+                assert_eq!(
+                    self.vals.get(id),
+                    lambda2_lang::eval::eval_default(&expr, env),
+                    "the store's output of {expr} on environment {r}"
+                );
                 assert_eq!(
                     self.vals.intern(self.vals.get(id)),
                     id,
@@ -844,19 +864,9 @@ impl TermStore {
         }
         self.same_key.push(same_key);
         self.funnel.inserted += 1;
-        // The per-term estimate of a store that held one `Vec` per term:
-        // eviction points and the committed store histograms are
-        // denominated in it, so it outlives that layout.
-        self.approx_bytes += 160
-            + self.values[start..]
-                .iter()
-                .map(|&id| self.vals.bytes(id))
-                .sum::<usize>();
-        // Intern only terms that survive dedup: the arena holds exactly
-        // the kept universe (entries sharing a structurally identical
-        // term — possible only in dedup-free empty-spec stores — share
-        // one id).
-        let term = self.arena.intern(node);
+        // Only terms that survive dedup reach the arena, so a term's id
+        // is its position in `terms`.
+        let term = self.arena.push(node);
         self.terms.push(TermEntry { term, ty, cost });
         self.levels[cost as usize].push(idx);
     }
@@ -1011,9 +1021,9 @@ impl StoreCache {
         self.entries.len()
     }
 
-    /// Approximate heap footprint of every cached store.
+    /// The bytes every cached store owns ([`TermStore::bytes`]).
     pub(crate) fn bytes(&self) -> usize {
-        self.entries.values().map(|(s, _)| s.approx_bytes()).sum()
+        self.entries.values().map(|(s, _)| s.bytes()).sum()
     }
 
     /// Removes least-recently-used entries other than the one under
@@ -1036,7 +1046,7 @@ impl StoreCache {
             let Some((store, _)) = victim.and_then(|k| self.entries.remove(&k)) else {
                 break;
             };
-            total -= store.approx_bytes();
+            total -= store.bytes();
             evicted.push(store);
         }
         evicted
@@ -1086,7 +1096,7 @@ struct WarmState {
 pub struct WarmSnapshot {
     /// Stores currently parked.
     pub entries: usize,
-    /// Approximate heap footprint of the parked stores.
+    /// The bytes the parked stores own ([`TermStore::bytes`]).
     pub bytes: usize,
     /// Lookups that found a parked store.
     pub hits: u64,
@@ -1097,8 +1107,8 @@ pub struct WarmSnapshot {
 }
 
 impl WarmCache {
-    /// An empty shared cache holding at most ~`max_bytes` of footprint;
-    /// 0 parks nothing.
+    /// An empty shared cache that evicts parked stores until they own at
+    /// most `max_bytes` ([`TermStore::bytes`]); 0 parks nothing.
     pub fn new(max_bytes: usize) -> WarmCache {
         WarmCache {
             max_bytes,
@@ -1508,6 +1518,9 @@ l
         inserted: 158,
     };
 
+    /// `store_with_rows()`'s [`TermStore::bytes`] at cost 5.
+    const PINNED_BYTES: usize = 116_224;
+
     /// The dedup key of a fixed signature under type fingerprint 2.
     fn seedless_key() -> u64 {
         let mut vals = ValueTable::default();
@@ -1576,7 +1589,7 @@ l
             let rendered: Vec<String> = st.up_to_cost(5).map(|t| st.render(t)).collect();
             assert_eq!(rendered, GOLDEN_COST_5.lines().collect::<Vec<_>>());
             assert_eq!(st.funnel(), PINNED_FUNNEL);
-            assert_eq!(st.approx_bytes(), 130_016);
+            assert_eq!(st.bytes(), PINNED_BYTES);
             assert_eq!(seedless_key(), 0x2c50_4399_146b_9d5b);
             (0..st.len())
                 .map(|i| dedup_key(st.terms[i].ty.fingerprint(), st.outputs(i)))
@@ -1646,7 +1659,7 @@ l
         );
         assert_eq!(f.inserted, st.len() as u64);
         assert_eq!(f, PINNED_FUNNEL);
-        assert_eq!(st.approx_bytes(), 130_016);
+        assert_eq!(st.bytes(), PINNED_BYTES);
     }
 
     #[test]
@@ -1715,11 +1728,9 @@ l
 
     #[cfg(feature = "check-invariants")]
     #[test]
-    fn interned_id_equality_is_structural_equality() {
-        // The hash-consing contract: extracting a stored term and
-        // re-interning it must land on the same id, for every term the
-        // enumerator ever produced — so id comparison is a sound stand-in
-        // for structural comparison everywhere in the engine.
+    fn every_level_keeps_the_store_invariants() {
+        // Every kept term's id is its position, and the interpreter run
+        // on its expression reproduces each of its output slots.
         let (mut st, _) = store_with_rows();
         st.ensure(4, &Library::default());
         assert!(!st.is_empty(), "levels 1..=4 produce terms");
@@ -1971,20 +1982,40 @@ l
         warm.park(vec![(key.clone(), built())]);
         let snap = warm.snapshot();
         assert_eq!((snap.entries, snap.misses), (1, 1));
-        assert_eq!(snap.bytes, built().approx_bytes());
+        assert_eq!(snap.bytes, built().bytes());
         assert!(warm.take(&key).is_some());
         assert_eq!(warm.snapshot().hits, 1);
     }
 
     #[test]
-    fn approx_bytes_grows_with_terms() {
+    fn store_bytes_grow_with_terms() {
         let (mut st, _) = store_with_rows();
-        assert_eq!(st.approx_bytes(), 0);
+        let b0 = st.bytes();
         st.ensure(1, &Library::default());
-        let b1 = st.approx_bytes();
-        assert!(b1 > 0);
+        let b1 = st.bytes();
+        assert!(b1 > b0);
         st.ensure(3, &Library::default());
-        assert!(st.approx_bytes() > b1);
+        assert!(st.bytes() > b1);
+    }
+
+    #[test]
+    fn store_bytes_are_its_capacities() {
+        let (mut st, _) = store_with_rows();
+        st.ensure(5, &Library::default());
+        let levels: usize = st.levels.iter().map(Vec::capacity).sum();
+        let sum = st.terms.capacity() * size_of::<TermEntry>()
+            + st.values.capacity() * 4
+            + st.same_key.capacity() * 4
+            + st.levels.capacity() * size_of::<Vec<usize>>()
+            + levels * size_of::<usize>()
+            + st.seen.capacity() * (size_of::<(u64, u32)>() + 1)
+            + st.envs.capacity() * size_of::<Env>()
+            + st.arena.bytes()
+            + st.vals.bytes();
+        assert_eq!(st.bytes(), sum);
+        assert_eq!(st.bytes(), PINNED_BYTES);
+        st.ensure(6, &Library::default());
+        assert!(st.bytes() > sum);
     }
 
     #[test]

@@ -120,9 +120,11 @@ impl ValId {
 /// A store's table of boxed outputs and its operator memo.
 #[derive(Debug, Default)]
 pub(crate) struct ValueTable {
-    /// Every boxed output once, with its per-slot `approx_bytes` charge;
-    /// a boxed id's payload indexes it.
-    boxed: Vec<(Output, usize)>,
+    /// Every boxed output once; a boxed id's payload indexes it.
+    boxed: Vec<Output>,
+    /// The heap behind the boxed outputs, counted once per output when it
+    /// is interned: [`Value::size`] values of `size_of::<Value>()` each.
+    heap: usize,
     /// The word-wise hash of each boxed output to its id. Keyed by the
     /// hash itself, so growing the map never hashes a value again.
     index: HashMap<u64, ValId, BuildHasherDefault<KeyHasher>>,
@@ -141,16 +143,16 @@ impl ValueTable {
             return id;
         }
         match self.index.entry(hash(&out)) {
-            Entry::Vacant(e) => *e.insert(push(&mut self.boxed, out)),
+            Entry::Vacant(e) => *e.insert(push(&mut self.boxed, &mut self.heap, out)),
             Entry::Occupied(e) => {
                 let id = *e.get();
-                if self.boxed[id.index()].0 == out {
+                if self.boxed[id.index()] == out {
                     return id;
                 }
                 match self.collided.entry(out) {
                     Entry::Occupied(c) => *c.get(),
                     Entry::Vacant(c) => {
-                        let id = push(&mut self.boxed, c.key().clone());
+                        let id = push(&mut self.boxed, &mut self.heap, c.key().clone());
                         *c.insert(id)
                     }
                 }
@@ -164,7 +166,7 @@ impl ValueTable {
             return Some(id);
         }
         let id = *self.index.get(&hash(out))?;
-        if self.boxed[id.index()].0 == *out {
+        if self.boxed[id.index()] == *out {
             Some(id)
         } else {
             self.collided.get(out).copied()
@@ -175,7 +177,7 @@ impl ValueTable {
     #[cfg(any(test, feature = "check-invariants"))]
     pub(crate) fn get(&self, id: ValId) -> Output {
         match id.tag() {
-            BOXED_ERR => self.boxed[id.index()].0.clone(),
+            BOXED_ERR => self.boxed[id.index()].clone(),
             ERR => Err(ERRORS[id.index()]),
             _ => Ok(self.value(id)),
         }
@@ -191,7 +193,7 @@ impl ValueTable {
     #[inline]
     fn arg(&self, id: ValId) -> Cow<'_, Value> {
         match id.tag() {
-            BOXED => match &self.boxed[id.index()].0 {
+            BOXED => match &self.boxed[id.index()] {
                 Ok(v) => Cow::Borrowed(v),
                 Err(_) => unreachable!("boxed errors have their own tag"),
             },
@@ -201,15 +203,14 @@ impl ValueTable {
         }
     }
 
-    /// The `approx_bytes` charge of one slot holding `id`: 24 per value
-    /// node, 8 per error.
-    #[inline]
-    pub(crate) fn bytes(&self, id: ValId) -> usize {
-        match id.tag() {
-            BOXED | BOXED_ERR => self.boxed[id.index()].1,
-            INT | BOOL => 24,
-            _ => 8,
-        }
+    /// The bytes the table owns: its vector's and maps' capacities and
+    /// the boxed outputs' heap.
+    pub(crate) fn bytes(&self) -> usize {
+        self.boxed.capacity() * size_of::<Output>()
+            + map_bytes(&self.index)
+            + map_bytes(&self.collided)
+            + map_bytes(&self.memo)
+            + self.heap
     }
 
     /// `op`'s output on one argument. An error argument passes through;
@@ -263,16 +264,28 @@ impl ValueTable {
     }
 }
 
-/// Appends a boxed output to the table; returns its id.
-fn push(boxed: &mut Vec<(Output, usize)>, out: Output) -> ValId {
+/// Appends a boxed output to the table and adds its heap to `heap`;
+/// returns its id.
+fn push(boxed: &mut Vec<Output>, heap: &mut usize, out: Output) -> ValId {
     let n = u32::try_from(boxed.len())
         .ok()
         .filter(|n| n >> (32 - TAG_BITS) == 0)
         .expect("fewer than 2^29 distinct values in one store");
-    let tag = if out.is_ok() { BOXED } else { BOXED_ERR };
-    let bytes = slot_bytes(&out);
-    boxed.push((out, bytes));
+    let tag = match &out {
+        Ok(v) => {
+            *heap += v.size() * size_of::<Value>();
+            BOXED
+        }
+        Err(_) => BOXED_ERR,
+    };
+    boxed.push(out);
     ValId(n << TAG_BITS | tag)
+}
+
+/// The bytes a hash map's table owns: one key, value and control byte per
+/// slot of its capacity.
+pub(crate) fn map_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    map.capacity() * (size_of::<(K, V)>() + 1)
 }
 
 /// The word-wise hash of an output.
@@ -280,14 +293,6 @@ fn hash(out: &Output) -> u64 {
     let mut h = WordHasher::default();
     out.hash(&mut h);
     h.finish()
-}
-
-/// The `approx_bytes` charge of a slot holding `out`.
-fn slot_bytes(out: &Output) -> usize {
-    match out {
-        Ok(v) => 24 * v.size(),
-        Err(_) => 8,
-    }
 }
 
 #[cfg(test)]
@@ -330,9 +335,8 @@ mod tests {
         }
         // The range ends of 29 signed bits are immediate; one past either
         // end, the 64-bit extremes and errors with data are boxed.
-        let boxed: Vec<Output> = t.boxed.iter().map(|(o, _)| o.clone()).collect();
         assert_eq!(
-            boxed,
+            t.boxed,
             vec![
                 Ok(Value::Int(1 << 28)),
                 Ok(Value::Int(-(1 << 28) - 1)),
@@ -367,6 +371,27 @@ mod tests {
         }
         // A value that was never interned has no id.
         assert_eq!(t.lookup(&Ok(parse_value("[3]").unwrap())), None);
+    }
+
+    #[test]
+    fn table_bytes_count_each_distinct_value_once() {
+        let mut t = ValueTable::default();
+        for s in ["[1 2]", "[1 2]", "{1 {2}}", "[]", "3"] {
+            t.intern(Ok(parse_value(s).unwrap()));
+        }
+        t.intern(Err(EvalError::Hole(3)));
+        let l = t.intern(Ok(parse_value("[4 5]").unwrap()));
+        t.apply1(Op::Cdr, l, false);
+        // [1 2] is 3 values, {1 {2}} 3, [] 1, [4 5] 3 and its cdr [5] 2;
+        // the immediate 3 and the error own no heap.
+        assert_eq!(t.heap, 12 * size_of::<Value>());
+        let maps = t.index.capacity() * (size_of::<(u64, ValId)>() + 1)
+            + t.collided.capacity() * (size_of::<(Output, ValId)>() + 1)
+            + t.memo.capacity() * (size_of::<((Op, ValId, ValId), ValId)>() + 1);
+        assert_eq!(
+            t.bytes(),
+            t.boxed.capacity() * size_of::<Output>() + maps + t.heap
+        );
     }
 
     #[test]

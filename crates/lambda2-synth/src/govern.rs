@@ -339,7 +339,7 @@ impl Budget {
         Ok(())
     }
 
-    /// Records the current total store footprint (keeps the high-water
+    /// Records the bytes the stores own now (keeps the high-water
     /// mark for the snapshot).
     pub fn note_store_bytes(&self, bytes: usize) {
         if bytes > self.peak_store_bytes.get() {
@@ -395,7 +395,7 @@ pub struct BudgetSnapshot {
     pub pops: u64,
     /// Evaluation fuel consumed by verification.
     pub fuel_spent: u64,
-    /// High-water mark of the enumeration stores' byte footprint.
+    /// High-water mark of the bytes the enumeration stores own.
     pub peak_store_bytes: usize,
     /// Checkpoints executed (a measure of governance coverage).
     pub ticks: u64,

@@ -257,7 +257,8 @@ pub struct SearchMetrics {
     pub verify_us: Histogram,
     /// Enumeration-store occupancy (terms) sampled at every store touch.
     pub store_terms: Histogram,
-    /// Enumeration-store footprint (approximate bytes) at every touch.
+    /// Bytes the enumeration store owns
+    /// ([`crate::enumerate::TermStore::bytes`]) at every touch.
     pub store_bytes: Histogram,
     /// Terms materialized per completed enumeration level (recorded by
     /// the stores themselves, folded in at eviction and at search end).

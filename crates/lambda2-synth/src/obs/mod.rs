@@ -189,7 +189,8 @@ pub enum TraceEvent {
         action: StoreAction,
         /// Terms held by the store at event time.
         terms: usize,
-        /// Approximate heap bytes held by the store at event time.
+        /// Bytes the store owns at event time
+        /// ([`crate::enumerate::TermStore::bytes`]).
         bytes: usize,
     },
     /// A complete candidate program was checked against the examples.

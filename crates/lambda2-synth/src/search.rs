@@ -127,10 +127,12 @@ pub struct SearchOptions {
     pub retry_ladder: bool,
     /// Limits for the enumeration stores.
     pub enum_limits: EnumLimits,
-    /// Global cap on the approximate heap bytes held across all
-    /// enumeration stores; exceeding it evicts least-recently-used stores
-    /// (they are deterministic caches and rebuild on demand). Bounds
-    /// memory on hard problems.
+    /// Global cap on the bytes owned across all enumeration stores
+    /// ([`crate::enumerate::TermStore::bytes`]: their column, index and
+    /// value-table capacities and the heap of their distinct values);
+    /// exceeding it evicts least-recently-used stores (they are
+    /// deterministic caches and rebuild on demand). Bounds memory on hard
+    /// problems.
     pub max_store_bytes: usize,
     /// Expand holes with invertible-constructor hypotheses
     /// (`(cons ◻ ◻)`, `(pair ◻ ◻)`, `(tree ◻ ◻)`) whose component holes
@@ -782,7 +784,7 @@ impl<'a> Search<'a> {
             .map(|k| store.at_cost(k).count())
             .collect();
         // A cut ends the search, so this fires once per cut store.
-        let cut = store.cut().map(|_| (store.len(), store.approx_bytes()));
+        let cut = store.cut().map(|_| (store.len(), store.bytes()));
         for n in levels {
             self.stats.metrics.level_terms.record_usize(n);
         }
@@ -1107,10 +1109,7 @@ impl<'a> Search<'a> {
             self.stats.warm_hits += 1;
         }
         self.stats.metrics.store_terms.record_usize(store.len());
-        self.stats
-            .metrics
-            .store_bytes
-            .record_usize(store.approx_bytes());
+        self.stats.metrics.store_bytes.record_usize(store.bytes());
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Store {
                 action: if hit || warmed {
@@ -1119,17 +1118,17 @@ impl<'a> Search<'a> {
                     StoreAction::Create
                 },
                 terms: store.len(),
-                bytes: store.approx_bytes(),
+                bytes: store.bytes(),
             });
         }
         store
     }
 
-    /// Evicts least-recently-used stores until the approximate heap
-    /// footprint fits [`SearchOptions::max_store_bytes`], never evicting
+    /// Evicts least-recently-used stores until the bytes they own fit
+    /// [`SearchOptions::max_store_bytes`], never evicting
     /// `current` (just touched). Evicted stores rebuild deterministically
     /// if revisited, trading CPU for bounded memory. Records the pre-sweep
-    /// footprint as the budget's high-water mark.
+    /// bytes as the budget's high-water mark.
     fn evict(&mut self, current: &StoreKey) {
         // An injected eviction shrinks the byte budget to zero for this one
         // sweep, forcing out every store but the current one.
@@ -1147,7 +1146,7 @@ impl<'a> Search<'a> {
                 self.tracer.emit(TraceEvent::Store {
                     action: StoreAction::Evict,
                     terms: store.len(),
-                    bytes: store.approx_bytes(),
+                    bytes: store.bytes(),
                 });
             }
         }

@@ -141,8 +141,9 @@ pub struct ServeConfig {
     /// client cannot monopolize a worker.
     pub max_timeout: Duration,
     /// Byte budget for the warm term-store cache shared by the whole
-    /// worker pool (one [`WarmCache`], one budget — not per worker); 0
-    /// disables warm reuse.
+    /// worker pool (one [`WarmCache`], one budget — not per worker),
+    /// counted as the bytes the parked stores own
+    /// ([`crate::enumerate::TermStore::bytes`]); 0 disables warm reuse.
     pub warm_cache_bytes: usize,
     /// How long in-flight jobs get to finish during drain before their
     /// budgets are cancelled.

@@ -85,6 +85,7 @@ fn soak_byte_accounting_stays_bounded() {
 
     let deadline = Instant::now() + Duration::from_secs(secs);
     let sent = AtomicU64::new(0);
+    let peak_warm = AtomicU64::new(0);
     thread::scope(|scope| {
         // Four clients cycling through the traffic mix.
         for c in 0..4usize {
@@ -137,6 +138,7 @@ fn soak_byte_accounting_stays_bounded() {
         // accounting via `stats` while the load runs.
         let addr = &addr;
         let sent = &sent;
+        let peak_warm = &peak_warm;
         scope.spawn(move || {
             use std::io::Write;
             while Instant::now() < deadline {
@@ -154,6 +156,7 @@ fn soak_byte_accounting_stays_bounded() {
                     .get("warm_cache_bytes")
                     .and_then(Json::as_u64)
                     .expect("warm_cache_bytes");
+                peak_warm.fetch_max(warm_bytes, Ordering::Relaxed);
                 assert!(
                     warm_bytes <= (WARM_BUDGET + (1 << 20)) as u64,
                     "warm cache exceeds its budget mid-soak: {warm_bytes}"
@@ -191,11 +194,12 @@ fn soak_byte_accounting_stays_bounded() {
     println!(
         "soak: {total} requests in {secs}s, {} records, {} log bytes, \
          {} shed, {} crashed, peak RSS {peak_kb:?} KiB, \
-         type universe {} types / {} results",
+         peak warm cache {} bytes, type universe {} types / {} results",
         records.len(),
         log_bytes,
         summary.shed,
         summary.crashed,
+        peak_warm.load(Ordering::Relaxed),
         universe.types,
         universe.results
     );
